@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetMismatchError, BudgetExceededError, FormatError
 from .words import Alphabet, FiniteWord, Homomorphism, UPWord
@@ -283,7 +281,8 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[UPWord]]:
             if best is not None:
                 break
         frontier2 = nxt_frontier
-    assert best is not None  # `state` is on a cycle
+    if best is None:
+        raise AssertionError("accepting state lies on no cycle")
     return (False, UPWord(a.alphabet, prefix, best))
 
 
@@ -331,80 +330,62 @@ def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
 # transition profiles and the profile monoid
 
 
-class Profile:
-    """Reachability data of one finite word: ``reach[p, q]`` says a path
-    p -> q exists, ``reach_acc[p, q]`` that one exists visiting an accepting
-    state (endpoints count)."""
+class Profile(NamedTuple):
+    """Reachability data of one finite word over an n-state automaton, one
+    int bit mask per source state (states numbered in declared order): bit q
+    of ``reach[p]`` says a path p -> q exists, bit q of ``reach_acc[p]`` that
+    one exists visiting an accepting state (endpoints count).  Every
+    ``reach_acc`` row is a subset of its ``reach`` row."""
 
-    __slots__ = ("reach", "reach_acc", "key")
-
-    def __init__(self, reach: np.ndarray, reach_acc: np.ndarray):
-        self.reach = reach
-        self.reach_acc = reach_acc
-        self.key = reach.tobytes() + reach_acc.tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, Profile) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+    reach: tuple[int, ...]
+    reach_acc: tuple[int, ...]
 
 
 def compose_profiles(p: Profile, q: Profile) -> Profile:
-    r1 = p.reach.astype(np.int32)
-    r2 = q.reach.astype(np.int32)
-    reach = (r1 @ r2) > 0
-    reach_acc = ((p.reach_acc.astype(np.int32) @ r2) + (r1 @ q.reach_acc.astype(np.int32))) > 0
-    return Profile(reach, reach_acc)
-
-
-def _letter_profile(a: BuchiAutomaton, letter: str) -> Profile:
-    n = len(a.states)
-    reach = np.zeros((n, n), dtype=bool)
-    reach_acc = np.zeros((n, n), dtype=bool)
-    idx = a._index
-    for (src, x, dst) in a.transitions:
-        if x != letter:
-            continue
-        i, j = idx[src], idx[dst]
-        reach[i, j] = True
-        if src in a.accepting or dst in a.accepting:
-            reach_acc[i, j] = True
-    return Profile(reach, reach_acc)
-
-
-def _identity_profile(a: BuchiAutomaton) -> Profile:
-    n = len(a.states)
-    reach = np.eye(n, dtype=bool)
-    reach_acc = np.zeros((n, n), dtype=bool)
-    for q in a.accepting:
-        i = a._index[q]
-        reach_acc[i, i] = True
-    return Profile(reach, reach_acc)
+    reach = []
+    reach_acc = []
+    for row, acc in zip(p.reach, p.reach_acc):
+        r = ra = 0
+        j = 0
+        while row:
+            if row & 1:
+                r |= q.reach[j]
+                ra |= q.reach[j] if acc >> j & 1 else q.reach_acc[j]
+            row >>= 1
+            j += 1
+        reach.append(r)
+        reach_acc.append(ra)
+    return Profile(tuple(reach), tuple(reach_acc))
 
 
 @dataclass(eq=False)
 class TransitionMonoid:
     """Profiles of all nonempty words over an automaton, with shortest
-    witness words (discovered breadth-first, so length-lexicographic)."""
+    witness words (discovered breadth-first, so length-lexicographic).
+    Elements are addressed by index.  `identity` is the empty word's profile
+    and `unit` its index: the element sharing that profile if there is one,
+    else ``len(elements)``; `compose` accepts `unit` on either side."""
 
     automaton: BuchiAutomaton
     elements: list
     witnesses: list
     identity: Profile
-    _by_key: dict
+    unit: int
+    _index: dict
+    _letters: dict
     _compose_cache: dict
 
-    def index_of(self, p: Profile) -> int:
-        return self._by_key[p.key]
-
     def letter(self, a: str) -> int:
-        return self._by_key[_letter_profile(self.automaton, a).key]
+        return self._letters[a]
 
     def compose(self, i: int, j: int) -> int:
+        if i == self.unit:
+            return j
+        if j == self.unit:
+            return i
         got = self._compose_cache.get((i, j))
         if got is None:
-            got = self._by_key[compose_profiles(self.elements[i], self.elements[j]).key]
+            got = self._index[compose_profiles(self.elements[i], self.elements[j])]
             self._compose_cache[(i, j)] = got
         return got
 
@@ -414,40 +395,54 @@ class TransitionMonoid:
     def profile_of(self, letters: Sequence[str]) -> Profile:
         out = self.identity
         for a in letters:
-            out = compose_profiles(out, _letter_profile(self.automaton, a))
+            out = compose_profiles(out, self.elements[self._letters[a]])
         return out
 
 
 def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMonoid:
     """Generate the monoid of profiles of nonempty words, breadth-first by
     witness length.  Raises BudgetExceededError past `budget` elements."""
+    n = len(a.states)
+    idx = a._index
+    rows = {x: [0] * n for x in a.alphabet}
+    acc_rows = {x: [0] * n for x in a.alphabet}
+    for src, x, dst in a.transitions:
+        i, bit = idx[src], 1 << idx[dst]
+        rows[x][i] |= bit
+        if src in a.accepting or dst in a.accepting:
+            acc_rows[x][i] |= bit
     elements: list[Profile] = []
     witnesses: list[tuple[str, ...]] = []
-    by_key: dict = {}
-    letter_profiles = [(x, _letter_profile(a, x)) for x in a.alphabet]
+    index: dict = {}
+    letters: dict = {}
     queue: list[int] = []
-    for x, p in letter_profiles:
-        if p.key not in by_key:
-            by_key[p.key] = len(elements)
+    for x in a.alphabet:
+        p = Profile(tuple(rows[x]), tuple(acc_rows[x]))
+        if p not in index:
+            index[p] = len(elements)
             elements.append(p)
             witnesses.append((x,))
-            queue.append(by_key[p.key])
+            queue.append(index[p])
+        letters[x] = index[p]
     head = 0
     while head < len(queue):
         i = queue[head]
         head += 1
-        for x, p in letter_profiles:
-            q = compose_profiles(elements[i], p)
-            if q.key not in by_key:
+        for x, k in letters.items():
+            q = compose_profiles(elements[i], elements[k])
+            if q not in index:
                 if len(elements) >= budget:
                     raise BudgetExceededError(
                         f"transition monoid exceeded {budget} elements")
-                by_key[q.key] = len(elements)
+                index[q] = len(elements)
                 elements.append(q)
                 witnesses.append(witnesses[i] + (x,))
-                queue.append(by_key[q.key])
+                queue.append(index[q])
+    identity = Profile(tuple(1 << i for i in range(n)),
+                       tuple(1 << i if q in a.accepting else 0 for i, q in enumerate(a.states)))
     wit_words = [FiniteWord(a.alphabet, w) for w in witnesses]
-    return TransitionMonoid(a, elements, wit_words, _identity_profile(a), by_key, {})
+    return TransitionMonoid(a, elements, wit_words, identity,
+                            index.get(identity, len(elements)), index, letters, {})
 
 
 # ---------------------------------------------------------------------------
@@ -472,35 +467,20 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
         return BuchiAutomaton(a.alphabet, (q,), frozenset([q]), frozenset([q]),
                               frozenset((q, x, q) for x in a.alphabet))
     monoid = transition_monoid(a, budget=state_budget)
-    ident = monoid.identity
-    init_idx = [a._index[q] for q in a.initial]
+    init_rows = [a._index[q] for q in a.initial]
 
-    def pair_accepts(s: Profile, t: Profile) -> bool:
-        acc = np.diagonal(t.reach_acc)
-        rows = s.reach[init_idx]
-        return bool(rows[:, acc].any())
-
-    # refusing linked pairs, grouped by the prefix profile s
+    # refusing linked pairs, grouped by the prefix profile s; the empty word
+    # is linked only when it shares its profile with an element
     jumps: dict = {}
-    idem = [monoid.elements[i] for i in monoid.idempotents()]
-    for t in idem:
-        for s in [ident] + monoid.elements:
-            if compose_profiles(s, t) == s and not pair_accepts(s, t):
-                jumps.setdefault(s.key, []).append(t)
+    for t in monoid.idempotents():
+        loops = 0  # states q with an accepting q-cycle under t
+        for q, row in enumerate(monoid.elements[t].reach_acc):
+            loops |= row & 1 << q
+        for s, p in enumerate(monoid.elements):
+            if monoid.compose(s, t) == s and not any(p.reach[i] & loops for i in init_rows):
+                jumps.setdefault(s, []).append(t)
 
-    letter_prof = {x: _letter_profile(a, x) for x in a.alphabet}
-    compose_memo: dict = {}
-
-    def after(m: Profile, x: str) -> Profile:
-        got = compose_memo.get((m.key, x))
-        if got is None:
-            got = compose_profiles(m, letter_prof[x])
-            compose_memo[(m.key, x)] = got
-        return got
-
-    profiles_by_key = {p.key: p for p in [ident] + monoid.elements}
-
-    start = ("track", ident.key)
+    start = ("track", monoid.unit)
     states: dict = {start: None}
     order = [start]
     trans = set()
@@ -509,24 +489,23 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
         node = frontier.pop()
         new_nodes = []
         if node[0] == "track":
-            m = profiles_by_key[node[1]]
+            m = node[1]
             for x in a.alphabet:
-                nxt = ("track", after(m, x).key)
+                nxt = ("track", monoid.compose(m, monoid.letter(x)))
                 trans.add((node, x, nxt))
                 new_nodes.append(nxt)
-                for t in jumps.get(node[1], ()):
-                    jt = ("check", after(ident, x).key, t.key, False)
+                for t in jumps.get(m, ()):
+                    jt = ("check", monoid.letter(x), t, False)
                     trans.add((node, x, jt))
                     new_nodes.append(jt)
         else:
-            _, m_key, t_key, _fresh = node
-            m = profiles_by_key[m_key]
+            _, m, t, _fresh = node
             for x in a.alphabet:
-                nxt = ("check", after(m, x).key, t_key, False)
+                nxt = ("check", monoid.compose(m, monoid.letter(x)), t, False)
                 trans.add((node, x, nxt))
                 new_nodes.append(nxt)
-                if m_key == t_key:
-                    reset = ("check", after(ident, x).key, t_key, True)
+                if m == t:
+                    reset = ("check", monoid.letter(x), t, True)
                     trans.add((node, x, reset))
                     new_nodes.append(reset)
         for nn in new_nodes:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
-from .buchi import BuchiAutomaton, _letter_profile, compose_profiles, transition_monoid
+from .buchi import BuchiAutomaton, transition_monoid
 from .errors import (
     BudgetExceededError,
     DegenerateErasureError,
@@ -332,7 +332,8 @@ def lemma_repair(c: Classifier, *, budget: int = 200000) -> Classifier:
         violation = check_condition1(c, budget=budget)
         if violation is None:
             return c
-        assert merges < limit, "merge count exceeded the class count bound"
+        if merges >= limit:
+            raise AssertionError("merge count exceeded the class count bound")
         x, y = violation.contexts()
         cx, cy = c.classify(x), c.classify(y)
         keep, drop = sorted((cx, cy))
@@ -517,22 +518,12 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
     each its own class.  Words are equivalent exactly when their profiles
     coincide, which is compatible with concatenation by construction."""
     m = transition_monoid(a, budget=budget)
-    ident_key = m.identity.key
-    names: dict = {ident_key: "e"}
-    for i, p in enumerate(m.elements):
-        if p.key not in names:
-            names[p.key] = f"m{i}"
+    names = {m.unit: "e"}
+    for i in range(len(m.elements)):
+        names.setdefault(i, f"m{i}")
     states = list(names.values())
-    delta = {}
-    letter_profiles = {x: _letter_profile(a, x) for x in a.alphabet}
-    key_to_profile = {m.identity.key: m.identity}
-    for p in m.elements:
-        key_to_profile[p.key] = p
-    for key, name in names.items():
-        p = key_to_profile[key]
-        for x in a.alphabet:
-            q = compose_profiles(p, letter_profiles[x])
-            delta[(name, x)] = names[q.key]
+    delta = {(name, x): names[m.compose(i, m.letter(x))]
+             for i, name in names.items() for x in a.alphabet}
     classes = {name: name for name in states}
     return classifier(a.alphabet, states, "e", delta, classes)
 

@@ -31,6 +31,7 @@ from typing import Callable, Optional
 from .congruence import (
     Classifier,
     PeriodicWordSequence,
+    _words_up_to,
     classifier,
     product_member,
 )
@@ -501,7 +502,7 @@ class DivergingSpoiler(_Strategy):
         return IntervalFamily(nth, "sizes 1,2,3,... with unit gaps")
 
     def round3(self, selected):
-        vocab = _words_length_lex(self.oracle.alphabet, self.vocab_bound)
+        vocab = _words_up_to(self.oracle.alphabet, self.vocab_bound)
         out = []
         p = 0
         for w in selected:
@@ -577,15 +578,6 @@ class DivergingSpoiler(_Strategy):
 def spoiler_diverging_strategy(oracle=None, vocab_bound: int = 2) -> DivergingSpoiler:
     # the oracle argument is informational; begin() receives it again
     return DivergingSpoiler(vocab_bound)
-
-
-def _words_length_lex(alpha: Alphabet, bound: int) -> list[FiniteWord]:
-    out = [FiniteWord(alpha, ())]
-    layer: list[tuple[str, ...]] = [()]
-    for _ in range(bound):
-        layer = [w + (x,) for w in layer for x in alpha]
-        out.extend(FiniteWord(alpha, w) for w in layer)
-    return out
 
 
 def _response_classifier(alpha: Alphabet, w_words, v_words) -> Classifier:

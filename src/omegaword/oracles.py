@@ -30,6 +30,7 @@ from .congruence import (
     Condition2ViolationWitness,
     GrowingBlockSequence,
     PeriodicWordSequence,
+    _product_or_none,
     class_representatives,
     product_member,
     validate_condition2_witness,
@@ -366,7 +367,7 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
     if om != rm:
         witness = Condition2ViolationWitness(
             original_a, replaced_a, original_a.product(),
-            _try_product(replaced_a), om, rm,
+            _product_or_none(replaced_a), om, rm,
             note_o or note_r or "growing blocks vs bounded replacement")
         if validate_condition2_witness(c, oracle, witness):
             return witness
@@ -384,19 +385,11 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
             rm2, _ = product_member(oracle, replaced_b)
             witness = Condition2ViolationWitness(
                 original_b, replaced_b, original_b.product(),
-                _try_product(replaced_b), om2, rm2,
+                _product_or_none(replaced_b), om2, rm2,
                 "constant blocks vs all-a replacement tail")
             if om2 != rm2 and validate_condition2_witness(c, oracle, witness):
                 return witness
     raise AssertionError("no violation found; the classifier cannot be finite")
-
-
-def _try_product(seq) -> Optional[Word]:
-    from .errors import DegenerateProductError
-    try:
-        return seq.product()
-    except DegenerateProductError:
-        return None
 
 
 # ---------------------------------------------------------------------------

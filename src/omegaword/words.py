@@ -79,8 +79,6 @@ class Alphabet:
 
 def alphabet(spec: Union[str, Iterable[str]]) -> Alphabet:
     """Convenience constructor: ``alphabet("ab1")`` or ``alphabet(["a","b"])``."""
-    if isinstance(spec, str):
-        return Alphabet(tuple(spec))
     return Alphabet(tuple(spec))
 
 
@@ -245,8 +243,6 @@ InfiniteWord = Union[UPWord, BlockWord]
 
 
 def finite_word(text_or_letters: Union[str, Sequence[str]], alpha: Alphabet) -> FiniteWord:
-    if isinstance(text_or_letters, str):
-        return FiniteWord(alpha, tuple(text_or_letters))
     return FiniteWord(alpha, tuple(text_or_letters))
 
 

@@ -3,8 +3,12 @@ implementations used to cross-check the library."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import networkx as nx
 
@@ -13,6 +17,17 @@ from omegaword.congruence import classifier
 from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet,
                            Formula, Implies, In, Less, Letter, Not, Or)
 from omegaword.words import Alphabet, FiniteWord, UPWord, alphabet, up_word
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(args: list) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this checkout."""
+    path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def random_automaton(rng: random.Random, max_states: int = 4, letters: str = "ab",
