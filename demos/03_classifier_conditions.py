@@ -11,7 +11,7 @@ infinite words, two things must hold:
                 a language oracle over bounded factor sequences).
 
 This script checks both, repairs a machine that fails the first, and looks
-at the bounded class partitions of two languages.
+at the bounded class partitions of three languages.
 """
 
 from omegaword import (arnold_classes_bounded, automaton, check_condition1,
@@ -66,6 +66,13 @@ print("condition 2 (bounded):", report or "ok")
 u_oracle = get_oracle("U")      # unbounded a-runs between b's
 part = arnold_classes_bounded(u_oracle, word_bound=3, context_bound=2)
 print("\ntwo-sided classes of U on words up to length 3:")
+for group in part.classes:
+    print("   {", ", ".join(w.text() or "eps" for w in group), "}")
+
+# With a neutral letter the classes ignore it: the padding words 1, 11 sit
+# with the empty word, and 1a, a1 with a.
+part = arnold_classes_bounded(get_oracle("Uprime"), word_bound=2, context_bound=2)
+print("two-sided classes of Uprime on words up to length 2:")
 for group in part.classes:
     print("   {", ", ".join(w.text() or "eps" for w in group), "}")
 

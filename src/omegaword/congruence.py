@@ -19,14 +19,18 @@ their own structure (see the oracles module).
 
 The bounded congruences of an infinite-word language itself (two-sided with
 lasso tails and infinite products, or right with lasso tails only) are
-sampled the same way: all context instantiations up to a length bound.
+sampled the same way: all context instantiations up to a length bound.  Each
+word gets one row of membership verdicts over the fixed contexts (an
+observation table), and words whose rows agree are related.  A power whose
+repeated word is empty is no infinite word, so the empty word's row leaves
+those slots undefined; non-transitivity can only come from them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from .buchi import BuchiAutomaton, transition_monoid
@@ -413,6 +417,12 @@ def product_member(oracle, seq: WordSequence) -> tuple[bool, str]:
         w = seq.product()
     except DegenerateProductError:
         return (False, "product is a finite word")
+    return _word_member(oracle, w)
+
+
+def _word_member(oracle, w: Word) -> tuple[bool, str]:
+    """The oracle's verdict on w, where a word whose neutral erasure is a
+    finite word is no member (False, with a note)."""
     try:
         return (bool(oracle.member(w)), "")
     except DegenerateErasureError:
@@ -543,77 +553,70 @@ def _contexts_up_to(alpha: Alphabet, bound: int):
     return finite, tails
 
 
-def arnold_equiv_bounded(oracle, u: FiniteWord, u_prime: FiniteWord, *,
-                         context_bound: int,
-                         member: Optional[Callable[[UPWord], bool]] = None) -> bool:
-    """Bounded two-sided congruence with lasso tails and infinite powers.
+def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
+    """Membership of prefix.period^omega given as raw letter tuples, asking
+    the oracle once per distinct infinite word.  The memo is keyed by the
+    canonical period, then by the canonical prefix, so that the many words
+    sharing a period hold no key pair each."""
+    alpha = oracle.alphabet
+    memo: dict = {}
 
-    Tests every context w _ x(y)^omega and every power w(_ v)^omega with the
-    pieces bounded by `context_bound`.  Power contexts where either side's
-    repeated word is empty are skipped (the product is not an infinite word).
-    """
-    alpha = u.alphabet
-    if member is None:
-        member = oracle.member
-    finite, tails = _contexts_up_to(alpha, context_bound)
-    for w in finite:
-        for v in finite:
-            uv, u2v = u.letters + v, u_prime.letters + v
-            if not uv or not u2v:
-                continue
-            if member(UPWord(alpha, w, uv)) != member(UPWord(alpha, w, u2v)):
-                return False
-    for w in finite:
-        for (x, y) in tails:
-            left = UPWord(alpha, w + u.letters + x, y)
-            right = UPWord(alpha, w + u_prime.letters + x, y)
-            if member(left) != member(right):
-                return False
-    return True
+    def member(prefix: tuple, period: tuple) -> bool:
+        c = canonical(UPWord(alpha, prefix, period))
+        by_prefix = memo.setdefault(c.period, {})
+        got = by_prefix.get(c.prefix)
+        if got is None:
+            got = by_prefix[c.prefix] = _word_member(oracle, c)[0]
+        return got
+
+    return member
 
 
-def right_congruence_bounded(oracle, u: FiniteWord, u_prime: FiniteWord, *,
-                             context_bound: int,
-                             member: Optional[Callable[[UPWord], bool]] = None) -> bool:
-    """Bounded right congruence: only lasso tails u _ x(y)^omega are tested."""
-    alpha = u.alphabet
-    if member is None:
-        member = oracle.member
-    _, tails = _contexts_up_to(alpha, context_bound)
-    for (x, y) in tails:
-        if member(UPWord(alpha, u.letters + x, y)) != \
-           member(UPWord(alpha, u_prime.letters + x, y)):
-            return False
-    return True
+def _right_row(u: tuple, tails: list, member) -> tuple:
+    """Verdicts on the lasso contexts u x(y)^omega."""
+    return tuple(member(u + x, y) for x, y in tails)
+
+
+def _arnold_row(u: tuple, finite: list, member, right_row) -> tuple:
+    """Verdicts on the power contexts w(u v)^omega, then the right rows of
+    w u, which hold the verdicts on the lasso contexts w u x(y)^omega.  A
+    power whose repeated word u v is empty is no infinite word; its slot
+    holds the wildcard None."""
+    return (tuple(member(w, u + v) if u or v else None for w in finite for v in finite)
+            + tuple(right_row(w + u) for w in finite))
 
 
 @dataclass(frozen=True)
 class BoundedPartition:
     """Classes of words up to the word bound, under one bounded congruence.
 
-    Bounded verdicts need not be transitive (the unbounded relations are);
-    any failures are surfaced in `non_transitive` rather than repaired, and
-    the classes are then the transitive closure of the pairwise verdicts.
+    Two words are related when their verdict rows over the bounded contexts
+    agree wherever both are defined.  Only the empty word's row has undefined
+    slots (its skipped power contexts), so only a triple through the empty
+    word can fail transitivity.  Such failures are surfaced in
+    `non_transitive` rather than repaired, and the classes are then the
+    transitive closure of the relation.
     """
 
     classes: tuple[tuple[FiniteWord, ...], ...]
     non_transitive: tuple[tuple[FiniteWord, FiniteWord, FiniteWord], ...]
 
 
-def _partition(words: list[FiniteWord], equiv: Callable) -> BoundedPartition:
+def _rows_agree(r: tuple, s: tuple) -> bool:
+    return all(a == b or a is None or b is None for a, b in zip(r, s))
+
+
+def _partition(words: list[FiniteWord], rows: list[tuple]) -> BoundedPartition:
+    index: dict = {}
+    rid = [index.setdefault(r, len(index)) for r in rows]
+    agree = [[_rows_agree(r, s) for s in index] for r in index]
+    verdict = [[agree[a][b] for b in rid] for a in rid]
     n = len(words)
-    verdict = [[True] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            verdict[i][j] = verdict[j][i] = equiv(words[i], words[j])
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not verdict[i][j]:
-                continue
-            for k in range(n):
-                if k != i and k != j and verdict[j][k] and not verdict[i][k]:
-                    bad.append((words[i], words[j], words[k]))
+    bad = tuple(itertools.islice(
+        ((words[i], words[j], words[k])
+         for i in range(n) for j in range(n) if i != j and verdict[i][j]
+         for k in range(n) if k != i and k != j and verdict[j][k] and not verdict[i][k]),
+        10))
     # transitive closure via union-find
     parent = list(range(n))
 
@@ -631,42 +634,29 @@ def _partition(words: list[FiniteWord], equiv: Callable) -> BoundedPartition:
     for i in range(n):
         groups.setdefault(find(i), []).append(words[i])
     classes = tuple(tuple(g) for g in groups.values())
-    return BoundedPartition(classes, tuple(bad[:10]))
-
-
-def _memo_member(oracle):
-    cache: dict = {}
-
-    def member(w: UPWord) -> bool:
-        c = canonical(w)
-        key = (c.prefix, c.period)
-        got = cache.get(key)
-        if got is None:
-            got = bool(oracle.member(c))
-            cache[key] = got
-        return got
-
-    return member
+    return BoundedPartition(classes, bad)
 
 
 def arnold_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
     """Partition all words up to `word_bound` letters by the bounded
-    two-sided congruence of the oracle's language."""
-    alpha = oracle.alphabet
-    words = _words_up_to(alpha, word_bound)
+    two-sided congruence of the oracle's language: contexts w _ x(y)^omega
+    and powers w(_ v)^omega with pieces up to `context_bound` letters."""
+    words = _words_up_to(oracle.alphabet, word_bound)
+    finite, tails = _contexts_up_to(oracle.alphabet, context_bound)
     member = _memo_member(oracle)
-    return _partition(words, lambda u, v: arnold_equiv_bounded(
-        oracle, u, v, context_bound=context_bound, member=member))
+    # w u is the same word for many pairs (w, u): build its right row once
+    right_row = cache(lambda z: _right_row(z, tails, member))
+    return _partition(words, [_arnold_row(u.letters, finite, member, right_row)
+                              for u in words])
 
 
 def right_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
     """Partition all words up to `word_bound` letters by the bounded right
-    congruence of the oracle's language."""
-    alpha = oracle.alphabet
-    words = _words_up_to(alpha, word_bound)
+    congruence of the oracle's language: contexts _ x(y)^omega only."""
+    words = _words_up_to(oracle.alphabet, word_bound)
+    _, tails = _contexts_up_to(oracle.alphabet, context_bound)
     member = _memo_member(oracle)
-    return _partition(words, lambda u, v: right_congruence_bounded(
-        oracle, u, v, context_bound=context_bound, member=member))
+    return _partition(words, [_right_row(u.letters, tails, member) for u in words])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import networkx as nx
 
 from omegaword.buchi import BuchiAutomaton, automaton
 from omegaword.congruence import classifier
+from omegaword.errors import DegenerateErasureError
 from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet,
                            Formula, Implies, In, Less, Letter, Not, Or)
 from omegaword.words import Alphabet, FiniteWord, UPWord, alphabet, up_word
@@ -130,11 +131,74 @@ def all_separated_words(letters: str = "ab", max_tokens: int = 10):
 
     alpha = alphabet(letters)
     base = tuple(letters)
+    segment = {seg: FiniteWord(alpha, seg)
+               for n in range(max_tokens) for seg in product(base, repeat=n)}
     for left, used in _segment_groups(base, max_tokens):
-        lw = tuple(FiniteWord(alpha, seg) for seg in left)
+        lw = tuple(segment[seg] for seg in left)
         for right, _ in _segment_groups(base, max_tokens - used):
-            yield SeparatedWord(alpha, lw,
-                                tuple(FiniteWord(alpha, seg) for seg in right))
+            yield SeparatedWord(alpha, lw, tuple(segment[seg] for seg in right))
+
+
+def ref_bounded_classes(oracle, kind: str, word_bound: int, context_bound: int):
+    """Independent pairwise bounded congruence ("arnold" or "right").
+
+    Each pair of words is compared by plain loops over every context, asking
+    the oracle directly with no memo.  A power whose repeated word is empty is
+    skipped, and a word whose neutral erasure is finite is a non-member.
+    Returns (classes, non_transitive) as texts: the classes of the transitive
+    closure ordered by first word, and the first ten triples (i, j, k) in
+    index order with i~j and j~k but not i~k.
+    """
+    alpha = oracle.alphabet
+    letters = tuple(alpha)
+
+    def up_to(n):
+        return [w for k in range(n + 1) for w in product(letters, repeat=k)]
+
+    def member(prefix, period):
+        try:
+            return bool(oracle.member(UPWord(alpha, prefix, period)))
+        except DegenerateErasureError:
+            return False
+
+    words, finite = up_to(word_bound), up_to(context_bound)
+    tails = [(x, y) for x in finite for y in finite if y]
+
+    def related(u, v):
+        if kind == "arnold":
+            for w in finite:
+                for z in finite:
+                    if u + z and v + z and member(w, u + z) != member(w, v + z):
+                        return False
+            pairs = [(w + u, w + v) for w in finite]
+        else:
+            pairs = [(u, v)]
+        return all(member(p + x, y) == member(q + x, y)
+                   for p, q in pairs for x, y in tails)
+
+    n = len(words)
+    rel = [[True] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel[i][j] = rel[j][i] = related(words[i], words[j])
+    text = ["".join(w) or "eps" for w in words]
+    classes, placed = [], set()
+    for i in range(n):
+        if i in placed:
+            continue
+        component, stack = {i}, [i]
+        while stack:
+            a = stack.pop()
+            for b in range(n):
+                if rel[a][b] and b not in component:
+                    component.add(b)
+                    stack.append(b)
+        placed |= component
+        classes.append([text[k] for k in sorted(component)])
+    bad = [(text[i], text[j], text[k])
+           for i in range(n) for j in range(n) for k in range(n)
+           if len({i, j, k}) == 3 and rel[i][j] and rel[j][k] and not rel[i][k]]
+    return classes, bad[:10]
 
 
 def random_sentence(rng: random.Random, letters: str = "ab",

@@ -79,6 +79,12 @@ class TestCongruence:
         groups = [set(part) for part in doc["partition"]]
         assert {"eps", "a", "aa", "aaa", "aaaa"} in groups
 
+    def test_arnold_neutral_letter_oracle(self, capsys):
+        rc, doc = invoke(capsys, ["congruence", "arnold", "--oracle", "Uprime",
+                                  "--word-bound", "2", "--context-bound", "2"])
+        assert rc == 0 and doc["classes"] == 3 and doc["non_transitive"] == 0
+        assert doc["partition"][:2] == [["1", "11", "eps"], ["a", "1a", "a1", "aa"]]
+
     def test_check1_reports_violation(self, capsys, tmp_path):
         f = tmp_path / "c.clf"
         f.write_text(format_classifier(splitting_classifier()))

@@ -9,7 +9,6 @@ from omegaword.congruence import (
     PeriodicWordSequence,
     _partition,
     arnold_classes_bounded,
-    arnold_equiv_bounded,
     check_condition1,
     check_condition2_bounded,
     class_representatives,
@@ -24,9 +23,10 @@ from omegaword.congruence import (
     validate_condition2_witness,
 )
 from omegaword.errors import FormatError
+from omegaword.oracles import RegularOracle, get_oracle
 from omegaword.words import FiniteWord, alphabet, finite_word, up_word
 
-from helpers import random_automaton, random_classifier
+from helpers import random_automaton, random_classifier, ref_bounded_classes
 
 AB = alphabet("ab")
 
@@ -229,6 +229,11 @@ class TestCondition2:
         assert "..." in seq.describe() and "..." in g.describe()
 
 
+def partition_texts(part):
+    return ([[w.text() for w in cls] for cls in part.classes],
+            [tuple(w.text() for w in t) for t in part.non_transitive])
+
+
 class TestBoundedCongruences:
     def test_unbounded_runs_two_classes(self):
         part = arnold_classes_bounded(UnboundedRunsStub(),
@@ -257,24 +262,52 @@ class TestBoundedCongruences:
         part = right_classes_bounded(PrimesStub(), word_bound=2, context_bound=2)
         assert len(part.classes) == 1
 
-    def test_arnold_equiv_direct(self):
-        oracle = UnboundedRunsStub()
-        u, v = finite_word("a", AB), finite_word("aa", AB)
-        assert arnold_equiv_bounded(oracle, u, v, context_bound=2)
-        w = finite_word("b", AB)
-        assert not arnold_equiv_bounded(oracle, u, w, context_bound=2)
-
     def test_partition_surfaces_non_transitive_verdicts(self):
         words = [finite_word(t, AB) for t in ("a", "b", "ab")]
-        pairs = {("a", "b"), ("b", "a"), ("b", "ab"), ("ab", "b")}
-
-        def equiv(u, v):
-            return (u.text(), v.text()) in pairs or u == v
-
-        part = _partition(words, equiv)
+        # b's first slot is a wildcard: b agrees with a and with ab, which
+        # disagree with each other there
+        rows = [(True, True), (None, True), (False, True)]
+        part = _partition(words, rows)
         assert isinstance(part, BoundedPartition)
         assert len(part.non_transitive) > 0
         assert len(part.classes) == 1  # closure merges all three
+
+    @pytest.mark.parametrize("name", ["U", "P", "primes", "Uprime"])
+    @pytest.mark.parametrize("kind", ["arnold", "right"])
+    def test_partition_matches_pairwise_reference(self, kind, name):
+        build = arnold_classes_bounded if kind == "arnold" else right_classes_bounded
+        oracle = get_oracle(name)
+        part = build(oracle, word_bound=2, context_bound=2)
+        assert partition_texts(part) == ref_bounded_classes(oracle, kind, 2, 2)
+
+    def test_non_transitive_partitions_match_pairwise_reference(self):
+        rng = random.Random(5)
+        surfaced = 0
+        for _ in range(120):
+            oracle = RegularOracle(random_automaton(rng, max_states=3))
+            for kind, build in (("arnold", arnold_classes_bounded),
+                                ("right", right_classes_bounded)):
+                part = build(oracle, word_bound=2, context_bound=1)
+                assert partition_texts(part) == ref_bounded_classes(oracle, kind, 2, 1)
+                surfaced += bool(part.non_transitive)
+        assert surfaced  # the wildcard slots were exercised
+
+    def test_neutral_letter_partitions(self):
+        oracle = get_oracle("Uprime")
+        part = arnold_classes_bounded(oracle, word_bound=2, context_bound=2)
+        classes = [{w.text() for w in cls} for cls in part.classes]
+        with_b = {w.text() for cls in part.classes for w in cls if "b" in w.letters}
+        assert classes == [{"eps", "1", "11"}, {"a", "aa", "1a", "a1"}, with_b]
+        assert part.non_transitive == ()
+        right = right_classes_bounded(oracle, word_bound=2, context_bound=2)
+        assert len(right.classes) == 1
+        # inserting or deleting the neutral letter never changes the class
+        for p in (part, arnold_classes_bounded(oracle, word_bound=3, context_bound=2)):
+            class_of_erasure = {}
+            for i, cls in enumerate(p.classes):
+                for w in cls:
+                    erased = tuple(x for x in w.letters if x != "1")
+                    assert class_of_erasure.setdefault(erased, i) == i
 
 
 class TestClassifierFormat:
