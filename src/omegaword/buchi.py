@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetMismatchError, BudgetExceededError, FormatError
 from .words import Alphabet, FiniteWord, Homomorphism, UPWord
@@ -37,6 +37,17 @@ State = Hashable
 Transition = tuple[State, str, State]
 
 DEFAULT_STATE_BUDGET = 10**6
+
+
+class Table(NamedTuple):
+    """An automaton's transitions on state indices (declared order):
+    ``succ[x][i]`` lists the x-successors of state i in ascending order,
+    `initial` the initial indices in ascending order, and ``accepting[i]``
+    whether state i accepts.  Shared by every reader; never mutated."""
+
+    succ: dict
+    initial: tuple[int, ...]
+    accepting: tuple[bool, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,27 +86,28 @@ class BuchiAutomaton:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
-    def _adj(self) -> dict:
-        """(state, letter) -> targets, sorted by declared state order."""
-        table: dict = {}
+    def _table(self) -> Table:
+        """The transitions on state indices; the one source of successors."""
+        idx = self._index
+        succ = {x: [[] for _ in self.states] for x in self.alphabet}
         for src, letter, dst in self.transitions:
-            table.setdefault((src, letter), []).append(dst)
-        return {k: tuple(sorted(v, key=self._index.__getitem__)) for k, v in table.items()}
+            succ[letter][idx[src]].append(idx[dst])
+        for rows in succ.values():
+            for row in rows:
+                row.sort()
+        return Table(succ, tuple(sorted(idx[q] for q in self.initial)),
+                     tuple(q in self.accepting for q in self.states))
+
+    @cached_property
+    def _adj(self) -> dict:
+        """(state, letter) -> targets in declared state order; a view of `_table`."""
+        states = self.states
+        return {(q, x): tuple(states[j] for j in row)
+                for x, rows in self._table.succ.items()
+                for q, row in zip(states, rows) if row}
 
     def post(self, q: State, letter: str) -> tuple[State, ...]:
         return self._adj.get((q, letter), ())
-
-    def step(self, source: Iterable[State], letter: str) -> frozenset:
-        out: set = set()
-        for q in source:
-            out.update(self.post(q, letter))
-        return frozenset(out)
-
-    def run_word(self, source: Iterable[State], letters: Sequence[str]) -> frozenset:
-        current = frozenset(source)
-        for a in letters:
-            current = self.step(current, a)
-        return current
 
 
 def automaton(letters, states: Sequence[State], initial: Iterable[State],
@@ -109,110 +121,114 @@ def automaton(letters, states: Sequence[State], initial: Iterable[State],
 # reachability, SCCs, membership, emptiness
 
 
+def _reachable(rows: Sequence[Sequence[list]], sources: Iterable[int]) -> list[bool]:
+    """Per node: is it reachable from the `sources` nodes?  ``rows[x][i]``
+    lists the successors of node i under the x-th letter."""
+    seen = [False] * len(rows[0])
+    frontier = list(sources)
+    for i in frontier:
+        seen[i] = True
+    while frontier:
+        i = frontier.pop()
+        for row in rows:
+            for j in row[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    frontier.append(j)
+    return seen
+
+
 def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
     """Restrict to states reachable from the initial set (declared order kept)."""
-    seen = set(a.initial)
-    frontier = list(a.initial)
-    while frontier:
-        q = frontier.pop()
-        for letter in a.alphabet:
-            for dst in a.post(q, letter):
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-    states = tuple(q for q in a.states if q in seen)
-    trans = frozenset((s, x, d) for s, x, d in a.transitions if s in seen and d in seen)
-    return BuchiAutomaton(a.alphabet, states, a.initial, a.accepting & seen, trans)
+    t = a._table
+    seen = _reachable(list(t.succ.values()), t.initial)
+    states = tuple(q for q, s in zip(a.states, seen) if s)
+    keep = set(states)
+    # every target of a reachable source is reachable
+    trans = frozenset(tr for tr in a.transitions if tr[0] in keep)
+    return BuchiAutomaton(a.alphabet, states, a.initial, a.accepting & keep, trans)
 
 
-def _sccs(nodes: Sequence, adj: dict) -> list[list]:
-    """Tarjan's algorithm, iterative.  `adj` maps node -> iterable of nodes."""
+def _cyclic_sccs(roots: Iterable, succ: Callable) -> Iterator[list]:
+    """The strongly connected components that hold a cycle, among the nodes
+    reachable from `roots`; ``succ(node)`` lists a node's successors.  Each
+    is yielded as soon as Tarjan's algorithm (iterative) completes it, so a
+    caller may stop early."""
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
     stack: list = []
-    result: list[list] = []
     counter = 0
-    for root in nodes:
+    for root in roots:
         if root in index:
             continue
-        work = [(root, iter(adj.get(root, ())))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(succ(root)))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
+                    work.append((nxt, iter(succ(nxt))))
                     break
-                elif nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                result.append(comp)
-    return result
+                if nxt in on_stack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        q = stack.pop()
+                        on_stack.discard(q)
+                        comp.append(q)
+                        if q == node:
+                            break
+                    if len(comp) > 1 or node in succ(node):
+                        yield comp
 
 
-def _cycle_nodes(nodes: Sequence, adj: dict) -> set:
-    """Nodes lying on some cycle of the graph."""
-    out: set = set()
-    for comp in _sccs(nodes, adj):
-        if len(comp) > 1:
-            out.update(comp)
-        else:
-            q = comp[0]
-            if q in adj and q in set(adj[q]):
-                out.add(q)
-    return out
+def _cycle_nodes(nodes: Iterable, adj) -> set:
+    """Nodes lying on some cycle of the graph; ``adj[node]`` holds the
+    successors of each node (a dict, or a list for nodes 0..n-1)."""
+    return {q for comp in _cyclic_sccs(nodes, adj.__getitem__) for q in comp}
 
 
 def accepts_up(a: BuchiAutomaton, w: UPWord) -> bool:
     """Does the automaton accept the lasso word ``prefix . period^omega``?
 
-    Decided on the product of the automaton with the period positions: the
-    word is accepted exactly when, from some state reachable on the prefix,
-    the product reaches an accepting node that lies on a cycle.
+    Decided on the product of the automaton with the period positions, on
+    int nodes ``q*n + i`` (state q at period position i of n): the word is
+    accepted exactly when, from some state reachable on the prefix, the
+    product reaches a cycle through an accepting state.
     """
     if w.alphabet != a.alphabet:
         raise AlphabetMismatchError("word and automaton alphabets differ")
-    after_prefix = a.run_word(a.initial, w.prefix)
-    if not after_prefix:
-        return False
+    t = a._table
+    current = t.initial
+    for x in w.prefix:
+        rows = t.succ[x]
+        current = {j for i in current for j in rows[i]}
     n = len(w.period)
-    start_nodes = [(q, 0) for q in after_prefix]
-    adj: dict = {}
-    seen = set(start_nodes)
-    frontier = list(start_nodes)
-    while frontier:
-        q, i = frontier.pop()
-        nxt = [(d, (i + 1) % n) for d in a.post(q, w.period[i])]
-        adj[(q, i)] = nxt
-        for node in nxt:
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
-    cyc = _cycle_nodes(list(seen), adj)
-    return any(q in a.accepting for (q, i) in cyc)
+    cols = [t.succ[x] for x in w.period]
+    acc = t.accepting
+
+    def succ(node: int) -> list[int]:
+        q, i = divmod(node, n)
+        k = i + 1 if i + 1 < n else 0
+        return [d * n + k for d in cols[i][q]]
+
+    return any(acc[node // n] for comp in _cyclic_sccs([q * n for q in current], succ)
+               for node in comp)
 
 
 def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[UPWord]]:
@@ -403,21 +419,17 @@ def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMo
     """Generate the monoid of profiles of nonempty words, breadth-first by
     witness length.  Raises BudgetExceededError past `budget` elements."""
     n = len(a.states)
-    idx = a._index
-    rows = {x: [0] * n for x in a.alphabet}
-    acc_rows = {x: [0] * n for x in a.alphabet}
-    for src, x, dst in a.transitions:
-        i, bit = idx[src], 1 << idx[dst]
-        rows[x][i] |= bit
-        if src in a.accepting or dst in a.accepting:
-            acc_rows[x][i] |= bit
+    t = a._table
+    acc_mask = sum(1 << i for i, f in enumerate(t.accepting) if f)
     elements: list[Profile] = []
     witnesses: list[tuple[str, ...]] = []
     index: dict = {}
     letters: dict = {}
     queue: list[int] = []
     for x in a.alphabet:
-        p = Profile(tuple(rows[x]), tuple(acc_rows[x]))
+        reach = tuple(sum(1 << j for j in row) for row in t.succ[x])
+        p = Profile(reach, tuple(r if f else r & acc_mask
+                                 for r, f in zip(reach, t.accepting)))
         if p not in index:
             index[p] = len(elements)
             elements.append(p)
@@ -439,7 +451,7 @@ def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMo
                 witnesses.append(witnesses[i] + (x,))
                 queue.append(index[q])
     identity = Profile(tuple(1 << i for i in range(n)),
-                       tuple(1 << i if q in a.accepting else 0 for i, q in enumerate(a.states)))
+                       tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
     wit_words = [FiniteWord(a.alphabet, w) for w in witnesses]
     return TransitionMonoid(a, elements, wit_words, identity,
                             index.get(identity, len(elements)), index, letters, {})
@@ -467,7 +479,7 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
         return BuchiAutomaton(a.alphabet, (q,), frozenset([q]), frozenset([q]),
                               frozenset((q, x, q) for x in a.alphabet))
     monoid = transition_monoid(a, budget=state_budget)
-    init_rows = [a._index[q] for q in a.initial]
+    init_rows = a._table.initial
 
     # refusing linked pairs, grouped by the prefix profile s; the empty word
     # is linked only when it shares its profile with an element

@@ -30,8 +30,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping, Optional, Sequence, Union
 
-from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, _cycle_nodes, accepts_up,
-                    complement, intersect, is_empty, reachable_fragment, union,
+from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, _cycle_nodes, _reachable,
+                    accepts_up, complement, intersect, is_empty, union,
                     with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from .oracles import LanguageOracle
@@ -776,137 +776,153 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
         frozenset(st for st in order if not st[2]), frozenset(trans)))
 
 
-def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Language-preserving shrink applied between construction steps.
-
-    Drops states that are unreachable or cannot reach an accepting cycle,
-    quotients by forward bisimulation, and — while the automaton is small
-    enough for a quadratic pass — by direct-simulation equivalence, also
-    pruning transitions dominated by a simulating sibling.  Keeps the
-    products and complements of nested compilation from snowballing.
-    """
-    a = _live_fragment(reachable_fragment(a))
-    return _sim_reduce(_bisim_quotient(a))
-
-
-def _live_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Keep only states from which an accepting cycle is reachable."""
-    adj: dict = {q: set() for q in a.states}
-    back: dict = {q: set() for q in a.states}
-    for s, _x, d in a.transitions:
-        adj[s].add(d)
-        back[d].add(s)
-    live = set(_cycle_nodes(a.states, adj) & a.accepting)
-    frontier = list(live)
-    while frontier:
-        q = frontier.pop()
-        for p in back[q]:
-            if p not in live:
-                live.add(p)
-                frontier.append(p)
-    if live == set(a.states):
-        return a
-    return BuchiAutomaton(
-        a.alphabet, tuple(q for q in a.states if q in live),
-        a.initial & live, a.accepting & live,
-        frozenset(t for t in a.transitions if t[0] in live and t[2] in live))
-
-
-def _bisim_quotient(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by forward bisimulation (acceptance-respecting)."""
-    if not a.states:
-        return a
-    block = {q: int(q in a.accepting) for q in a.states}
-    while True:
-        signature = {
-            q: (block[q], tuple(frozenset(block[d] for d in a.post(q, x))
-                                for x in a.alphabet))
-            for q in a.states}
-        renumber: dict = {}
-        refined = {}
-        for q in a.states:
-            sig = signature[q]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            refined[q] = renumber[sig]
-        if refined == block:
-            break
-        block = refined
-    classes = len(set(block.values()))
-    if classes == len(a.states):
-        return a
-    return BuchiAutomaton(
-        a.alphabet, tuple(range(classes)),
-        frozenset(block[q] for q in a.initial),
-        frozenset(block[q] for q in a.accepting),
-        frozenset((block[s], x, block[d]) for (s, x, d) in a.transitions))
-
-
 _SIM_STATE_GATE = 200
 
 
-def _sim_quotient_classes(a: BuchiAutomaton) -> tuple[list[int], list[int], list[list[bool]]]:
-    """Direct-simulation preorder plus its equivalence classes.
+def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
+    """Language-preserving shrink applied between construction steps.
 
-    Returns (class of each state, representative of each class, preorder
-    matrix).  Direct simulation demands accepting states be matched by
-    accepting states, which is what makes quotienting and dominated-edge
-    pruning language-preserving for Büchi acceptance.
+    One pass over the state indices of the transition table, which builds a
+    single automaton at the end:
+
+    1. keep the states reachable from the initial set, and of those the live
+       ones, from which an accepting cycle is reachable;
+    2. quotient by forward bisimulation: the coarsest partition that
+       respects acceptance, found by signature refinement;
+    3. if 2 to `_SIM_STATE_GATE` classes are left, quotient by
+       direct-simulation equivalence, drop every edge whose target is
+       simulated by another target of the same source class and letter, and
+       keep the part reachable from the initial classes.
+
+    A quotient that merges states numbers its classes 0, 1, ... by first
+    member in declared order (the last reachable pass may leave gaps);
+    otherwise the states keep their labels and order.  Direct simulation demands that accepting states be matched by
+    accepting ones, which makes the quotient and the pruning
+    language-preserving for Büchi acceptance.  The reduction keeps the
+    products and complements of nested compilation from snowballing.
     """
-    n = len(a.states)
-    idx = {q: i for i, q in enumerate(a.states)}
-    acc = [q in a.accepting for q in a.states]
-    post = [[tuple(idx[d] for d in a.post(q, x)) for x in a.alphabet]
-            for q in a.states]
-    sim = [[not acc[i] or acc[j] for j in range(n)] for i in range(n)]
+    t = a._table
+    rows = [t.succ[x] for x in a.alphabet]
+    seen = _reachable(rows, t.initial)
+    reach = [i for i, s in enumerate(seen) if s]
+    adj: list = [()] * len(seen)
+    back: list = [[] for _ in seen]
+    for i in reach:
+        adj[i] = {j for r in rows for j in r[i]}
+        for j in adj[i]:
+            back[j].append(i)
+    live = [False] * len(seen)
+    frontier = [i for i in _cycle_nodes(reach, adj) if t.accepting[i]]
+    for i in frontier:
+        live[i] = True
+    while frontier:
+        for i in back[frontier.pop()]:
+            if not live[i]:
+                live[i] = True
+                frontier.append(i)
+    keep = [i for i in reach if live[i]]
+    pos = {i: k for k, i in enumerate(keep)}
+    post = [[[pos[j] for j in r[i] if live[j]] for r in rows] for i in keep]
+
+    block = [int(t.accepting[i]) for i in keep]
+    while True:
+        numbers: dict = {}
+        refined = [numbers.setdefault(
+            (block[k], tuple(frozenset(map(block.__getitem__, p)) for p in post[k])),
+            len(numbers))
+            for k in range(len(keep))]
+        if refined == block:
+            break
+        block = refined
+    first: list[int] = []
+    for k, b in enumerate(block):
+        if b == len(first):
+            first.append(k)
+    names = [a.states[i] for i in keep] if len(first) == len(keep) else range(len(first))
+    edges = [[sorted({block[j] for j in post[k][x]}) for k in first] for x in range(len(rows))]
+    acc = [t.accepting[keep[k]] for k in first]
+    init = {block[pos[i]] for i in t.initial if live[i]}
+    nodes = range(len(first))
+    if 2 <= len(first) <= _SIM_STATE_GATE:
+        reduced = _direct_sim_quotient(edges, acc, init)
+        if reduced is not None:
+            edges, acc, init = reduced
+            names = range(len(acc))
+            seen = _reachable(edges, init)
+            nodes = [c for c in names if seen[c]]
+    letters = a.alphabet.letters
+    return BuchiAutomaton(
+        a.alphabet, tuple(names[c] for c in nodes),
+        frozenset(names[c] for c in init),
+        frozenset(names[c] for c in nodes if acc[c]),
+        frozenset((names[c], letters[x], names[d])
+                  for x, row in enumerate(edges) for c in nodes for d in row[c]))
+
+
+def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
+    """Quotient a graph by direct-simulation equivalence and drop dominated
+    edges; None when that changes nothing.
+
+    ``edges[x][c]`` lists the successors of node c under the x-th letter.
+    ``sim[c]`` is the bit mask of the nodes that simulate c, the greatest
+    fixpoint of: an accepting node is simulated only by accepting ones, and
+    d simulates c only when, for every letter x and x-successor p of c, some
+    x-successor of d simulates p; that is ``sim[c] &= pre_x(sim[p])``.
+    Returns the quotient's (edges, accepting flags, initial nodes), its
+    classes numbered by first member.
+    """
+    m = len(acc)
+    full = (1 << m) - 1
+    acc_mask = sum(1 << c for c in range(m) if acc[c])
+    pre = [[0] * m for _ in edges]
+    for row, px in zip(edges, pre):
+        for c, targets in enumerate(row):
+            for d in targets:
+                px[d] |= 1 << c
+    sim = [acc_mask if f else full for f in acc]
+    letters = [(row, px, {}) for row, px in zip(edges, pre)]
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            row = sim[i]
-            for j in range(n):
-                if i == j or not row[j]:
-                    continue
-                for pi, pj in zip(post[i], post[j]):
-                    if not all(any(sim[p][q] for q in pj) for p in pi):
-                        row[j] = False
-                        changed = True
-                        break
+        for c in range(m):
+            mask = sim[c]
+            for row, px, memo in letters:
+                for p in row[c]:
+                    bits = sim[p]
+                    allowed = memo.get(bits)
+                    if allowed is None:  # pre_x(bits), remembered per mask
+                        allowed = 0
+                        rest = bits
+                        while rest:
+                            low = rest & -rest
+                            allowed |= px[low.bit_length() - 1]
+                            rest ^= low
+                        memo[bits] = allowed
+                    mask &= allowed
+            if mask != sim[c]:
+                sim[c] = mask
+                changed = True
     cls: list[int] = []
     reps: list[int] = []
-    for i in range(n):
+    for c in range(m):
         for k, r in enumerate(reps):
-            if sim[i][r] and sim[r][i]:
+            if sim[c] >> r & 1 and sim[r] >> c & 1:
                 cls.append(k)
                 break
         else:
             cls.append(len(reps))
-            reps.append(i)
-    return cls, reps, sim
-
-
-def _sim_reduce(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by direct-simulation equivalence and drop dominated edges."""
-    n = len(a.states)
-    if n < 2 or n > _SIM_STATE_GATE:
-        return a
-    cls, reps, sim = _sim_quotient_classes(a)
-    idx = {q: i for i, q in enumerate(a.states)}
-    grouped: dict = {}
-    for s, x, d in a.transitions:
-        grouped.setdefault((cls[idx[s]], x), set()).add(cls[idx[d]])
-    trans = set()
-    for (s, x), targets in grouped.items():
-        for t in targets:
-            if not any(t2 != t and sim[reps[t]][reps[t2]] for t2 in targets):
-                trans.add((s, x, t))
-    if len(reps) == n and len(trans) == len(a.transitions):
-        return a
-    return reachable_fragment(BuchiAutomaton(
-        a.alphabet, tuple(range(len(reps))),
-        frozenset(cls[idx[q]] for q in a.initial),
-        frozenset(k for k, r in enumerate(reps) if a.states[r] in a.accepting),
-        frozenset(trans)))
+            reps.append(c)
+    out = []
+    for row in edges:
+        grouped = [set() for _ in reps]
+        for c, targets in enumerate(row):
+            grouped[cls[c]].update(cls[d] for d in targets)
+        out.append([sorted(u for u in targets
+                           if not any(v != u and sim[reps[u]] >> reps[v] & 1 for v in targets))
+                    for targets in grouped])
+    if len(reps) == m and out == edges:
+        return None
+    return out, [acc[r] for r in reps], {cls[c] for c in init}
 
 
 # ---------------------------------------------------------------------------

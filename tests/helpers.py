@@ -12,11 +12,11 @@ from pathlib import Path
 
 import networkx as nx
 
-from omegaword.buchi import BuchiAutomaton, automaton
+from omegaword.buchi import BuchiAutomaton, _cycle_nodes, automaton, reachable_fragment
 from omegaword.congruence import classifier
 from omegaword.errors import DegenerateErasureError
-from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet,
-                           Formula, Implies, In, Less, Letter, Not, Or)
+from omegaword.mso import (_SIM_STATE_GATE, And, ExistsPos, ExistsSet, ForallPos,
+                           ForallSet, Formula, Implies, In, Less, Letter, Not, Or)
 from omegaword.words import Alphabet, FiniteWord, UPWord, alphabet, up_word
 
 
@@ -275,3 +275,130 @@ def ref_profile(a: BuchiAutomaton, letters) -> tuple[frozenset, frozenset]:
     reach = frozenset((p, q) for (p, q, _) in pairs)
     reach_acc = frozenset((p, q) for (p, q, acc) in pairs if acc)
     return reach, reach_acc
+
+
+def ref_reduce(a: BuchiAutomaton) -> BuchiAutomaton:
+    """The reduction of `omegaword.mso._reduce` as a chain of four whole
+    passes, each building an automaton on state labels: reachable fragment,
+    live fragment, forward-bisimulation quotient, then (between 2 and
+    `_SIM_STATE_GATE` states) the direct-simulation quotient with dominated
+    edges pruned and a last reachable fragment."""
+    a = _ref_live_fragment(reachable_fragment(a))
+    return _ref_sim_reduce(_ref_bisim_quotient(a))
+
+
+def _ref_live_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
+    """Keep only states from which an accepting cycle is reachable."""
+    adj: dict = {q: set() for q in a.states}
+    back: dict = {q: set() for q in a.states}
+    for s, _x, d in a.transitions:
+        adj[s].add(d)
+        back[d].add(s)
+    live = set(_cycle_nodes(a.states, adj) & a.accepting)
+    frontier = list(live)
+    while frontier:
+        q = frontier.pop()
+        for p in back[q]:
+            if p not in live:
+                live.add(p)
+                frontier.append(p)
+    if live == set(a.states):
+        return a
+    return BuchiAutomaton(
+        a.alphabet, tuple(q for q in a.states if q in live),
+        a.initial & live, a.accepting & live,
+        frozenset(t for t in a.transitions if t[0] in live and t[2] in live))
+
+
+def _ref_bisim_quotient(a: BuchiAutomaton) -> BuchiAutomaton:
+    """Quotient by forward bisimulation (acceptance-respecting)."""
+    if not a.states:
+        return a
+    block = {q: int(q in a.accepting) for q in a.states}
+    while True:
+        signature = {
+            q: (block[q], tuple(frozenset(block[d] for d in a.post(q, x))
+                                for x in a.alphabet))
+            for q in a.states}
+        renumber: dict = {}
+        refined = {}
+        for q in a.states:
+            sig = signature[q]
+            if sig not in renumber:
+                renumber[sig] = len(renumber)
+            refined[q] = renumber[sig]
+        if refined == block:
+            break
+        block = refined
+    classes = len(set(block.values()))
+    if classes == len(a.states):
+        return a
+    return BuchiAutomaton(
+        a.alphabet, tuple(range(classes)),
+        frozenset(block[q] for q in a.initial),
+        frozenset(block[q] for q in a.accepting),
+        frozenset((block[s], x, block[d]) for (s, x, d) in a.transitions))
+
+
+def _ref_sim_quotient_classes(a: BuchiAutomaton) -> tuple[list[int], list[int], list[list[bool]]]:
+    """Direct-simulation preorder plus its equivalence classes.
+
+    Returns (class of each state, representative of each class, preorder
+    matrix).  Direct simulation demands accepting states be matched by
+    accepting states, which is what makes quotienting and dominated-edge
+    pruning language-preserving for Büchi acceptance.
+    """
+    n = len(a.states)
+    idx = {q: i for i, q in enumerate(a.states)}
+    acc = [q in a.accepting for q in a.states]
+    post = [[tuple(idx[d] for d in a.post(q, x)) for x in a.alphabet]
+            for q in a.states]
+    sim = [[not acc[i] or acc[j] for j in range(n)] for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            row = sim[i]
+            for j in range(n):
+                if i == j or not row[j]:
+                    continue
+                for pi, pj in zip(post[i], post[j]):
+                    if not all(any(sim[p][q] for q in pj) for p in pi):
+                        row[j] = False
+                        changed = True
+                        break
+    cls: list[int] = []
+    reps: list[int] = []
+    for i in range(n):
+        for k, r in enumerate(reps):
+            if sim[i][r] and sim[r][i]:
+                cls.append(k)
+                break
+        else:
+            cls.append(len(reps))
+            reps.append(i)
+    return cls, reps, sim
+
+
+def _ref_sim_reduce(a: BuchiAutomaton) -> BuchiAutomaton:
+    """Quotient by direct-simulation equivalence and drop dominated edges."""
+    n = len(a.states)
+    if n < 2 or n > _SIM_STATE_GATE:
+        return a
+    cls, reps, sim = _ref_sim_quotient_classes(a)
+    idx = {q: i for i, q in enumerate(a.states)}
+    grouped: dict = {}
+    for s, x, d in a.transitions:
+        grouped.setdefault((cls[idx[s]], x), set()).add(cls[idx[d]])
+    trans = set()
+    for (s, x), targets in grouped.items():
+        for t in targets:
+            if not any(t2 != t and sim[reps[t]][reps[t2]] for t2 in targets):
+                trans.add((s, x, t))
+    if len(reps) == n and len(trans) == len(a.transitions):
+        return a
+    return reachable_fragment(BuchiAutomaton(
+        a.alphabet, tuple(range(len(reps))),
+        frozenset(cls[idx[q]] for q in a.initial),
+        frozenset(k for k, r in enumerate(reps) if a.states[r] in a.accepting),
+        frozenset(trans)))

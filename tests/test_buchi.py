@@ -50,6 +50,19 @@ def test_accepts_up_agrees_with_reference():
         a = random_automaton(rng)
         w = random_up(rng)
         assert accepts_up(a, w) == ref_accepts(a, w), (format_automaton(a), w.text())
+    # wider draws: up to 12 states, periods up to 6, and the tuple-labelled
+    # states of unions, intersections and complements
+    for k in range(300):
+        kind = k % 4
+        if kind == 0:
+            a = random_automaton(rng, max_states=12)
+        elif kind == 3:
+            a = complement(random_automaton(rng, max_states=3))
+        else:
+            op = union if kind == 1 else intersect
+            a = op(random_automaton(rng, max_states=6), random_automaton(rng, max_states=6))
+        w = random_up(rng, max_period=6)
+        assert accepts_up(a, w) == ref_accepts(a, w), (k, w.text())
 
 
 def test_is_empty_hand_cases():

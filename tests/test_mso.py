@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from helpers import all_up_words, random_sentence
+from helpers import all_up_words, random_automaton, random_sentence, ref_reduce
+import omegaword.mso as mso
 from omegaword.buchi import accepts_up, automaton, is_empty
-from omegaword.errors import FormatError, UnsupportedFormulaError
+from omegaword.errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet, Implies,
                            In, LAtom, Less, Letter, Not, Or, UPValuation,
                            check_scopes, code_valuation, coded_alphabet,
@@ -151,6 +152,69 @@ class TestCompile:
             compile_to_buchi(parse_formula("(< x y)"), AB, free=("x", "x"))
         with pytest.raises(FormatError):
             compile_to_buchi(parse_formula("(exists1 x (letter x z))"), AB)
+
+
+class TestReduce:
+    """`_reduce` against the four-pass reference chain `helpers.ref_reduce`:
+    equal automata (states tuple and order, initial, accepting and
+    transition sets), so no compile output can move."""
+
+    def test_matches_reference_on_random_automata(self):
+        rng = random.Random(404)
+        cases = []
+        for k in range(320):
+            accept_prob = (0.45, 1.0, 0.0, 0.2)[k % 4]
+            cases.append(random_automaton(rng, max_states=12, accept_prob=accept_prob))
+        while True:  # one automaton that is still above the gate after bisimulation
+            big = random_automaton(rng, max_states=400, accept_prob=0.3)
+            if len(ref_reduce(big).states) > mso._SIM_STATE_GATE:
+                break
+        cases.append(big)
+        sizes = []
+        for a in cases:
+            want = ref_reduce(a)
+            assert mso._reduce(a) == want
+            sizes.append(len(want.states))
+        assert sizes.count(0) > 60  # no live state: all-rejecting draws and more
+        assert any(len(a.accepting) == len(a.states) > 3 for a in cases)
+
+    def test_matches_reference_on_compile_inputs(self, monkeypatch):
+        seen = []
+        original = mso._reduce
+
+        def spy(a):
+            seen.append(a)
+            return original(a)
+
+        monkeypatch.setattr(mso, "_reduce", spy)
+        rng = random.Random(9)
+        for _ in range(20):
+            phi = random_sentence(rng, depth=5)
+            try:
+                compile_to_buchi(phi, AB, state_budget=1000)
+            except BudgetExceededError:
+                pass
+        assert len(seen) > 150
+        for a in seen:
+            assert original(a) == ref_reduce(a)
+
+    def test_unreduced_compile_accepts_the_same_words(self, monkeypatch):
+        """Independent of every reduction: a compile with `_reduce` as the
+        identity accepts exactly the lasso words a normal compile accepts."""
+        rng = random.Random(33)
+        sentences = [random_sentence(rng, depth=3) for _ in range(60)]
+        words = all_up_words("ab", 2, 2)
+        reduced = [compile_to_buchi(phi, AB) for phi in sentences]
+        monkeypatch.setattr(mso, "_reduce", lambda a: a)
+        accepted = 0
+        for phi, machine in zip(sentences, reduced):
+            plain = compile_to_buchi(phi, AB)
+            assert len(plain.states) >= len(machine.states)
+            for w in words:
+                verdict = accepts_up(machine, w)
+                assert accepts_up(plain, w) == verdict, (format_formula(phi), w.text())
+                accepted += verdict
+        assert 0 < accepted < len(sentences) * len(words)
 
 
 class TestEvaluate:
