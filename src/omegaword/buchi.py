@@ -98,17 +98,6 @@ class BuchiAutomaton:
         return Table(succ, tuple(sorted(idx[q] for q in self.initial)),
                      tuple(q in self.accepting for q in self.states))
 
-    @cached_property
-    def _adj(self) -> dict:
-        """(state, letter) -> targets in declared state order; a view of `_table`."""
-        states = self.states
-        return {(q, x): tuple(states[j] for j in row)
-                for x, rows in self._table.succ.items()
-                for q, row in zip(states, rows) if row}
-
-    def post(self, q: State, letter: str) -> tuple[State, ...]:
-        return self._adj.get((q, letter), ())
-
 
 def automaton(letters, states: Sequence[State], initial: Iterable[State],
               accepting: Iterable[State], transitions: Iterable[Transition]) -> BuchiAutomaton:
@@ -238,68 +227,45 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[UPWord]]:
     accepted lasso word: shortest prefix to the first viable accepting state
     (ties broken by declared order), then a shortest cycle through it.
     """
-    frag = reachable_fragment(a)
-    adj = {q: sorted({d for letter in frag.alphabet for d in frag.post(q, letter)},
-                     key=frag._index.__getitem__)
-           for q in frag.states}
-    cyc = _cycle_nodes(frag.states, adj)
-    targets = [q for q in frag.states if q in frag.accepting and q in cyc]
+    t = a._table
+    rows = [t.succ[x] for x in a.alphabet]
+    seen = _reachable(rows, t.initial)
+    reach = [i for i, s in enumerate(seen) if s]
+    adj = {i: {j for row in rows for j in row[i]} for i in reach}
+    targets = {i for i in _cycle_nodes(reach, adj) if t.accepting[i]}
     if not targets:
         return (True, None)
+    letters = a.alphabet.letters
+    state, prefix = _shortest_path(rows, letters, [(i, ()) for i in t.initial], targets)
+    steps = [(j, (x,)) for x, row in zip(letters, rows) for j in row[state]]
+    _, period = _shortest_path(rows, letters, steps, {state})
+    return (False, UPWord(a.alphabet, prefix, period))
 
-    def bfs_to(sources: Iterable[State], goal_set: set) -> tuple[State, tuple[str, ...]]:
-        paths = {q: () for q in sources}
-        frontier = [q for q in frag.states if q in paths]
-        for q in frontier:
-            if q in goal_set:
-                return (q, ())
-        while frontier:
-            nxt_frontier = []
-            for q in frontier:
-                for letter in frag.alphabet:
-                    for d in frag.post(q, letter):
-                        if d not in paths:
-                            paths[d] = paths[q] + (letter,)
-                            nxt_frontier.append(d)
-                            if d in goal_set:
-                                return (d, paths[d])
-            frontier = nxt_frontier
-        raise AssertionError("goal set unreachable")
 
-    state, prefix = bfs_to(frag.initial, set(targets))
-    # shortest cycle: BFS from the one-step successors of `state` back to it
-    best: Optional[tuple[str, ...]] = None
-    one_step = []
-    for letter in frag.alphabet:
-        for d in frag.post(state, letter):
-            one_step.append((d, (letter,)))
-    paths = {}
-    frontier2 = []
-    for d, word in one_step:
-        if d == state and best is None:
-            best = word
-        if d not in paths:
-            paths[d] = word
-            frontier2.append(d)
-    while best is None and frontier2:
-        nxt_frontier = []
-        for q in frontier2:
-            for letter in frag.alphabet:
-                for d in frag.post(q, letter):
-                    if d == state:
-                        best = paths[q] + (letter,)
-                        break
-                    if d not in paths:
-                        paths[d] = paths[q] + (letter,)
-                        nxt_frontier.append(d)
-                if best is not None:
-                    break
-            if best is not None:
-                break
-        frontier2 = nxt_frontier
-    if best is None:
-        raise AssertionError("accepting state lies on no cycle")
-    return (False, UPWord(a.alphabet, prefix, best))
+def _shortest_path(rows: Sequence[Sequence[list]], letters: Sequence[str],
+                   starts: Iterable[tuple[int, tuple[str, ...]]],
+                   goal: set) -> tuple[int, tuple[str, ...]]:
+    """Breadth-first search from the ordered (node, word) `starts` to a node
+    of `goal`; returns that node and the word leading to it.  A node keeps
+    the first word that reaches it: earlier starts first, then letters in
+    alphabet order, then successors in ascending order."""
+    words: dict = {}
+    queue: list[int] = []
+    for i, word in starts:
+        if i not in words:
+            if i in goal:
+                return i, word
+            words[i] = word
+            queue.append(i)
+    for i in queue:
+        for x, row in zip(letters, rows):
+            for j in row[i]:
+                if j not in words:
+                    words[j] = words[i] + (x,)
+                    if j in goal:
+                        return j, words[j]
+                    queue.append(j)
+    raise AssertionError("goal unreachable")
 
 
 # ---------------------------------------------------------------------------

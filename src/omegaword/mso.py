@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, _cycle_nodes, _reachable,
                     accepts_up, complement, intersect, is_empty, union,
@@ -129,7 +129,6 @@ class ForallSet(Formula):
 
 _QUANTIFIERS = (ExistsPos, ForallPos, ExistsSet, ForallSet)
 _POS_QUANTIFIERS = (ExistsPos, ForallPos)
-_ATOMS = (Less, In, Letter, LAtom)
 
 
 def iff(a: Formula, b: Formula) -> Formula:
@@ -492,11 +491,12 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     promise that its track is a singleton (the caller supplies it that way);
     bound position variables get the promise conjoined at their quantifier.
 
-    Structural induction: fixed atom automata, union/intersection for the
-    connectives, bit-dropping projection for existential quantifiers, and a
-    breakpoint (thread-spawning) construction for universal position
-    quantifiers.  Negations are pushed inward, so genuine automaton
-    complementation happens only at negated set quantifiers; the budget
+    One structural recursion, `_compile`, which carries negations inward as
+    a flag: fixed atom automata (negated atoms have their own), union and
+    intersection for the connectives, bit-dropping projection for
+    existential quantifiers, and a breakpoint (thread-spawning) construction
+    for universal position quantifiers.  Genuine automaton complementation
+    happens only at a set quantifier whose polarity is universal; the budget
     bounds it.  Simulation quotients keep intermediate automata small.
     """
     if has_latoms(phi):
@@ -515,202 +515,118 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     return with_canonical_names(_reduce(out))
 
 
-def _compile(phi: Formula, base: Alphabet, ctx: tuple[str, ...],
-             budget: int) -> BuchiAutomaton:
-    if isinstance(phi, Less):
-        return _atom_less(base, ctx, phi.x, phi.y)
-    if isinstance(phi, In):
-        return _atom_in(base, ctx, phi.x, phi.X)
-    if isinstance(phi, Letter):
-        if phi.a not in base:
-            raise FormatError(f"letter {phi.a!r} is not in the base alphabet")
-        return _atom_letter(base, ctx, phi.x, phi.a)
+def _compile(phi: Formula, base: Alphabet, ctx: tuple[str, ...], budget: int,
+             neg: bool = False) -> BuchiAutomaton:
+    """Automaton of `phi` (of its negation when `neg`) over the tracks of `ctx`.
+
+    The negation is pushed inward by the flag: `Not` flips it, a negated
+    connective is its dual over negated parts, and a negated quantifier is
+    its dual over a negated body.  So a position quantifier takes the
+    breakpoint construction when it is universal after the flip and the
+    singleton intersection plus projection when it is existential; a set
+    quantifier projects a body negated iff it is `ForallSet`, and
+    complements the projection iff it is universal after the flip.
+    """
     if isinstance(phi, Not):
-        return _compile_negation(phi.body, base, ctx, budget)
-    if isinstance(phi, (And, Or)):
-        combine = intersect if isinstance(phi, And) else union
-        out = _compile(phi.parts[0], base, ctx, budget)
-        for part in phi.parts[1:]:
-            out = _reduce(combine(out, _compile(part, base, ctx, budget)))
+        return _compile(phi.body, base, ctx, budget, not neg)
+    if isinstance(phi, (Less, In, Letter)):
+        return _atom(phi, base, ctx, neg)
+    if isinstance(phi, (And, Or, Implies)):
+        if isinstance(phi, Implies):
+            parts = ((phi.left, not neg), (phi.right, neg))
+        else:
+            parts = tuple((p, neg) for p in phi.parts)
+        combine = intersect if isinstance(phi, And) != neg else union
+        (first, first_neg), *rest = parts
+        out = _compile(first, base, ctx, budget, first_neg)
+        for part, part_neg in rest:
+            out = _reduce(combine(out, _compile(part, base, ctx, budget, part_neg)))
         return out
-    if isinstance(phi, Implies):
-        return _compile(Or((Not(phi.left), phi.right)), base, ctx, budget)
-    if isinstance(phi, (ExistsPos, ExistsSet)):
-        inner = _compile(phi.body, base, ctx + (phi.var,), budget)
-        if isinstance(phi, ExistsPos):
-            inner = _reduce(intersect(inner, _singleton_track(base, len(ctx) + 1)))
-        return _project(inner, base, len(ctx))
-    if isinstance(phi, ForallPos):
-        inner = _compile(phi.body, base, ctx + (phi.var,), budget)
-        return _universal_pos(inner, base, len(ctx), budget)
-    if isinstance(phi, ForallSet):
-        return _compile(Not(ExistsSet(phi.var, Not(phi.body))), base, ctx, budget)
+    if isinstance(phi, _POS_QUANTIFIERS):
+        inner = _compile(phi.body, base, ctx + (phi.var,), budget, neg)
+        if isinstance(phi, ForallPos) != neg:
+            return _universal_pos(inner, base, len(ctx), budget)
+        singleton = _track_automaton(  # exactly one 1 on the new track
+            base, len(ctx) + 1, 2,
+            lambda head, bits: ((0, 0), (1, 1)) if bits[-1] == "0" else ((0, 1),))
+        return _project(_reduce(intersect(inner, singleton)), base, len(ctx))
+    if isinstance(phi, (ExistsSet, ForallSet)):
+        universal = isinstance(phi, ForallSet)
+        inner = _compile(phi.body, base, ctx + (phi.var,), budget, universal)
+        out = _project(inner, base, len(ctx))
+        if universal != neg:
+            out = _reduce(complement(out, state_budget=budget))
+        return out
     raise FormatError(f"unknown formula node {type(phi).__name__}")
 
 
-def _compile_negation(body: Formula, base: Alphabet, ctx: tuple[str, ...],
-                      budget: int) -> BuchiAutomaton:
-    """Compile ``not body``, pushing the negation inward.
+def _track_automaton(base: Alphabet, m: int, k: int,
+                     edges: Callable[[str, str], Sequence[tuple[int, int]]]) -> BuchiAutomaton:
+    """Automaton over `m` tracks on states s0..s{k-1}, with s0 initial and
+    the last one accepting; ``edges(head, bits)`` lists the (source, target)
+    numbers of the transitions on each coded letter."""
+    alpha = coded_alphabet(base, m)
+    states = tuple(f"s{i}" for i in range(k))
+    trans = frozenset((states[s], letter, states[d]) for letter in alpha
+                      for s, d in edges(*_split_coded(letter, m)))
+    return BuchiAutomaton(alpha, states, frozenset(states[:1]), frozenset(states[-1:]),
+                          trans)
 
-    Connectives dualize, universal quantifiers cancel, a negated position
-    existential becomes a universal-placement construction, and negated
-    atoms have direct automata (exact complements on promise-respecting
-    words; at the position variable's binding quantifier the singleton
-    intersection screens the rest out).  Only a negated *set* existential
-    costs a genuine automaton complementation.
+
+# x < y on (x bit, y bit): s1 once x is seen, s2 once y follows it
+_LESS = {("0", "0"): ((0, 0), (1, 1), (2, 2)), ("1", "0"): ((0, 1), (1, 1), (2, 2)),
+         ("0", "1"): ((1, 2), (2, 2)), ("1", "1"): ((1, 2), (2, 2))}
+# y at or before x: s1 once y is seen, s2 once x is seen with or after it
+_NOT_LESS = {("0", "0"): ((0, 0), (1, 1), (2, 2)), ("0", "1"): ((0, 1), (1, 1), (2, 2)),
+             ("1", "0"): ((1, 2), (2, 2)), ("1", "1"): ((0, 2), (1, 2), (2, 2))}
+
+
+def _atom(phi: Formula, base: Alphabet, ctx: tuple[str, ...],
+          neg: bool) -> BuchiAutomaton:
+    """Automaton of an atom, or of its negation when `neg`.
+
+    A negated atom is the exact complement only on words whose position
+    tracks are singletons; at the position variable's binding quantifier
+    the singleton intersection screens the rest out.
     """
-    if isinstance(body, Not):
-        return _compile(body.body, base, ctx, budget)
-    if isinstance(body, And):
-        return _compile(Or(tuple(Not(p) for p in body.parts)), base, ctx, budget)
-    if isinstance(body, Or):
-        return _compile(And(tuple(Not(p) for p in body.parts)), base, ctx, budget)
-    if isinstance(body, Implies):
-        return _compile(And((body.left, Not(body.right))), base, ctx, budget)
-    if isinstance(body, ForallPos):
-        return _compile(ExistsPos(body.var, Not(body.body)), base, ctx, budget)
-    if isinstance(body, ForallSet):
-        return _compile(ExistsSet(body.var, Not(body.body)), base, ctx, budget)
-    if isinstance(body, ExistsPos):
-        inner = _compile(Not(body.body), base, ctx + (body.var,), budget)
-        return _universal_pos(inner, base, len(ctx), budget)
-    if isinstance(body, Less):
-        return _atom_not_less(base, ctx, body.x, body.y)
-    if isinstance(body, In):
-        return _atom_not_in(base, ctx, body.x, body.X)
-    if isinstance(body, Letter):
-        if body.a not in base:
-            raise FormatError(f"letter {body.a!r} is not in the base alphabet")
-        return _atom_not_letter(base, ctx, body.x, body.a)
-    return _reduce(complement(_compile(body, base, ctx, budget),
-                              state_budget=budget))
+    ix = ctx.index(phi.x)
+    if isinstance(phi, Less):
+        iy = ctx.index(phi.y)
+        table = _NOT_LESS if neg else _LESS
+        return _track_automaton(base, len(ctx), 3,
+                                lambda head, bits: table[bits[ix], bits[iy]])
+    if isinstance(phi, In):
+        iX = ctx.index(phi.X)
 
+        def holds(head: str, bits: str) -> bool:
+            return bits[iX] == "1"
+    else:
+        if phi.a not in base:
+            raise FormatError(f"letter {phi.a!r} is not in the base alphabet")
 
-def _atom_less(base: Alphabet, ctx: tuple[str, ...], x: str, y: str) -> BuchiAutomaton:
-    m = len(ctx)
-    ix, iy = ctx.index(x), ctx.index(y)
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        bits = _split_coded(letter, m)[1]
-        bx, by = bits[ix], bits[iy]
-        if by == "0":
-            trans.add(("s0", letter, "s1" if bx == "1" else "s0"))
-            trans.add(("s1", letter, "s1"))
-        else:
-            trans.add(("s1", letter, "s2"))
-        trans.add(("s2", letter, "s2"))
-    return BuchiAutomaton(alpha, ("s0", "s1", "s2"), frozenset({"s0"}),
-                          frozenset({"s2"}), frozenset(trans))
+        def holds(head: str, bits: str) -> bool:
+            return head == phi.a
 
-
-def _atom_in(base: Alphabet, ctx: tuple[str, ...], x: str, big: str) -> BuchiAutomaton:
-    m = len(ctx)
-    ix, iX = ctx.index(x), ctx.index(big)
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        bits = _split_coded(letter, m)[1]
+    def edges(head: str, bits: str):  # s1 once the test held at x
         if bits[ix] == "0":
-            trans.add(("s0", letter, "s0"))
-        elif bits[iX] == "1":
-            trans.add(("s0", letter, "s1"))
-        trans.add(("s1", letter, "s1"))
-    return BuchiAutomaton(alpha, ("s0", "s1"), frozenset({"s0"}),
-                          frozenset({"s1"}), frozenset(trans))
+            return ((0, 0), (1, 1))
+        return ((0, 1), (1, 1)) if holds(head, bits) != neg else ((1, 1),)
+
+    return _track_automaton(base, len(ctx), 2, edges)
 
 
-def _atom_letter(base: Alphabet, ctx: tuple[str, ...], x: str, a: str) -> BuchiAutomaton:
-    m = len(ctx)
-    ix = ctx.index(x)
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        head, bits = _split_coded(letter, m)
-        if bits[ix] == "0":
-            trans.add(("s0", letter, "s0"))
-        elif head == a:
-            trans.add(("s0", letter, "s1"))
-        trans.add(("s1", letter, "s1"))
-    return BuchiAutomaton(alpha, ("s0", "s1"), frozenset({"s0"}),
-                          frozenset({"s1"}), frozenset(trans))
-
-
-def _atom_not_less(base: Alphabet, ctx: tuple[str, ...], x: str, y: str) -> BuchiAutomaton:
-    # y at or before x; exact on singleton tracks, which the binders enforce
-    m = len(ctx)
-    ix, iy = ctx.index(x), ctx.index(y)
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        bits = _split_coded(letter, m)[1]
-        bx, by = bits[ix], bits[iy]
-        if bx == "0":
-            trans.add(("s0", letter, "s1" if by == "1" else "s0"))
-        elif by == "1":
-            trans.add(("s0", letter, "s2"))
-        trans.add(("s1", letter, "s2" if bx == "1" else "s1"))
-        trans.add(("s2", letter, "s2"))
-    return BuchiAutomaton(alpha, ("s0", "s1", "s2"), frozenset({"s0"}),
-                          frozenset({"s2"}), frozenset(trans))
-
-
-def _atom_not_in(base: Alphabet, ctx: tuple[str, ...], x: str, big: str) -> BuchiAutomaton:
-    m = len(ctx)
-    ix, iX = ctx.index(x), ctx.index(big)
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        bits = _split_coded(letter, m)[1]
-        if bits[ix] == "0":
-            trans.add(("s0", letter, "s0"))
-        elif bits[iX] == "0":
-            trans.add(("s0", letter, "s1"))
-        trans.add(("s1", letter, "s1"))
-    return BuchiAutomaton(alpha, ("s0", "s1"), frozenset({"s0"}),
-                          frozenset({"s1"}), frozenset(trans))
-
-
-def _atom_not_letter(base: Alphabet, ctx: tuple[str, ...], x: str, a: str) -> BuchiAutomaton:
-    m = len(ctx)
-    ix = ctx.index(x)
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        head, bits = _split_coded(letter, m)
-        if bits[ix] == "0":
-            trans.add(("s0", letter, "s0"))
-        elif head != a:
-            trans.add(("s0", letter, "s1"))
-        trans.add(("s1", letter, "s1"))
-    return BuchiAutomaton(alpha, ("s0", "s1"), frozenset({"s0"}),
-                          frozenset({"s1"}), frozenset(trans))
-
-
-def _singleton_track(base: Alphabet, m: int) -> BuchiAutomaton:
-    """Exactly one 1 on the last of m tracks."""
-    alpha = coded_alphabet(base, m)
-    trans = set()
-    for letter in alpha:
-        if _split_coded(letter, m)[1][-1] == "0":
-            trans.add(("s0", letter, "s0"))
-            trans.add(("s1", letter, "s1"))
-        else:
-            trans.add(("s0", letter, "s1"))
-    return BuchiAutomaton(alpha, ("s0", "s1"), frozenset({"s0"}),
-                          frozenset({"s1"}), frozenset(trans))
+def _drop_last_bit(letter: str, outer: int) -> tuple[str, str]:
+    """A letter over ``outer + 1`` tracks as (the letter over the first
+    `outer` tracks, the last bit)."""
+    head, bits = _split_coded(letter, outer + 1)
+    return (f"{head}|{bits[:-1]}" if outer else head), bits[-1]
 
 
 def _project(a: BuchiAutomaton, base: Alphabet, outer: int) -> BuchiAutomaton:
     """Existential projection: drop the last indicator bit of every label."""
-    alpha = coded_alphabet(base, outer)
-
-    def drop(letter: str) -> str:
-        head, bits = _split_coded(letter, outer + 1)
-        return f"{head}|{bits[:-1]}" if outer else head
-
-    trans = frozenset((s, drop(x), d) for (s, x, d) in a.transitions)
-    return _reduce(BuchiAutomaton(alpha, a.states, a.initial, a.accepting, trans))
+    trans = frozenset((s, _drop_last_bit(x, outer)[0], d) for (s, x, d) in a.transitions)
+    return _reduce(BuchiAutomaton(coded_alphabet(base, outer), a.states, a.initial,
+                                  a.accepting, trans))
 
 
 _SPAWN_COMBO_CAP = 20000
@@ -732,9 +648,8 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     post0: dict = {}
     post1: dict = {}
     for s, x, d in a.transitions:
-        head, bits = _split_coded(x, outer + 1)
-        olet = f"{head}|{bits[:-1]}" if outer else head
-        target = post0 if bits[-1] == "0" else post1
+        olet, bit = _drop_last_bit(x, outer)
+        target = post0 if bit == "0" else post1
         target.setdefault((s, olet), set()).add(d)
     acc = a.accepting
     init = (frozenset(a.initial), frozenset(), frozenset())
@@ -965,7 +880,7 @@ def evaluate(phi: Formula, val: UPValuation,
         if isinstance(f, Letter):
             return letter_at(word, pos_of(f.x)) == f.a
         if isinstance(f, LAtom):
-            return _eval_latom(f, val, oracles)
+            return _eval_latom(f, set_of, oracles)
         if isinstance(f, Not):
             return not ev(f.body)
         if isinstance(f, And):
@@ -999,7 +914,7 @@ def _compile_cached(phi: Formula, base: Alphabet, ctx: tuple[str, ...],
     return compile_to_buchi(phi, base, ctx, state_budget=budget)
 
 
-def _eval_latom(atom: LAtom, val: UPValuation,
+def _eval_latom(atom: LAtom, set_of: Callable[[str], UPWord],
                 oracles: Optional[Mapping[str, LanguageOracle]]) -> bool:
     table = oracles or {}
     if atom.symbol not in table:
@@ -1010,12 +925,7 @@ def _eval_latom(atom: LAtom, val: UPValuation,
         raise UnsupportedFormulaError(
             f"predicate {atom.symbol!r} takes {len(oracle.alphabet)} sets, "
             f"got {len(atom.args)}")
-    tracks = []
-    for v in atom.args:
-        if v not in val.sets:
-            raise FormatError(f"valuation does not bind set variable {v!r}")
-        tracks.append(val.sets[v])
-    coded = decode_partition(tracks, oracle.alphabet)
+    coded = decode_partition([set_of(v) for v in atom.args], oracle.alphabet)
     if coded is None:
         return False
     return oracle.member(coded)

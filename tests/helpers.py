@@ -76,17 +76,27 @@ def random_classifier(rng: random.Random, max_states: int = 4,
     return classifier(alphabet("ab"), states, "s0", delta, classes)
 
 
+def _post(a: BuchiAutomaton):
+    """``post(q, x)``: the x-successors of state q, read off the transition
+    set, so that no reference shares the successor table it checks."""
+    succ: dict = {}
+    for s, x, d in a.transitions:
+        succ.setdefault((s, x), []).append(d)
+    return lambda q, x: succ.get((q, x), ())
+
+
 def ref_accepts(a: BuchiAutomaton, w: UPWord) -> bool:
     """Independent lasso membership via networkx reachability and SCCs."""
+    post = _post(a)
     current = set(a.initial)
     for x in w.prefix:
-        current = {d for q in current for d in a.post(q, x)}
+        current = {d for q in current for d in post(q, x)}
     n = len(w.period)
     g = nx.DiGraph()
     for q in a.states:
         for i in range(n):
             g.add_node((q, i))
-            for d in a.post(q, w.period[i]):
+            for d in post(q, w.period[i]):
                 g.add_edge((q, i), (d, (i + 1) % n))
     reach = set()
     for s in ((q, 0) for q in current):
@@ -265,11 +275,12 @@ def random_sentence(rng: random.Random, letters: str = "ab",
 def ref_profile(a: BuchiAutomaton, letters) -> tuple[frozenset, frozenset]:
     """Independent word profile: (pairs with a path, pairs with a path through
     an accepting state, endpoints included), by direct dynamic programming."""
+    post = _post(a)
     pairs = {(q, q, q in a.accepting) for q in a.states}
     for x in letters:
         nxt = set()
         for (p, q, acc) in pairs:
-            for d in a.post(q, x):
+            for d in post(q, x):
                 nxt.add((p, d, acc or d in a.accepting))
         pairs = nxt
     reach = frozenset((p, q) for (p, q, _) in pairs)
@@ -314,10 +325,11 @@ def _ref_bisim_quotient(a: BuchiAutomaton) -> BuchiAutomaton:
     """Quotient by forward bisimulation (acceptance-respecting)."""
     if not a.states:
         return a
+    post = _post(a)
     block = {q: int(q in a.accepting) for q in a.states}
     while True:
         signature = {
-            q: (block[q], tuple(frozenset(block[d] for d in a.post(q, x))
+            q: (block[q], tuple(frozenset(block[d] for d in post(q, x))
                                 for x in a.alphabet))
             for q in a.states}
         renumber: dict = {}
@@ -351,7 +363,8 @@ def _ref_sim_quotient_classes(a: BuchiAutomaton) -> tuple[list[int], list[int], 
     n = len(a.states)
     idx = {q: i for i, q in enumerate(a.states)}
     acc = [q in a.accepting for q in a.states]
-    post = [[tuple(idx[d] for d in a.post(q, x)) for x in a.alphabet]
+    succ = _post(a)
+    post = [[tuple(idx[d] for d in succ(q, x)) for x in a.alphabet]
             for q in a.states]
     sim = [[not acc[i] or acc[j] for j in range(n)] for i in range(n)]
     changed = True

@@ -4,12 +4,13 @@ satisfiability, and the game-sentence constructor."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from helpers import all_up_words, random_automaton, random_sentence, ref_reduce
 import omegaword.mso as mso
-from omegaword.buchi import accepts_up, automaton, is_empty
+from omegaword.buchi import accepts_up, automaton, complement, is_empty
 from omegaword.errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet, Implies,
                            In, LAtom, Less, Letter, Not, Or, UPValuation,
@@ -152,6 +153,55 @@ class TestCompile:
             compile_to_buchi(parse_formula("(< x y)"), AB, free=("x", "x"))
         with pytest.raises(FormatError):
             compile_to_buchi(parse_formula("(exists1 x (letter x z))"), AB)
+
+    def test_atoms_match_direct_semantics(self):
+        """Every atom and its negation, compiled over the tracks (x, y, X),
+        against `evaluate`'s direct atom semantics on valuations whose
+        position tracks are singletons."""
+        ctx = ("x", "y", "X")
+        atoms = [parse_formula(text) for text in (
+            "(< x y)", "(< y x)", "(< x x)", "(in x X)", "(in y X)",
+            "(letter x a)", "(letter y b)")]
+        sets = [indicator_set("", "0"), indicator_set("", "1"), indicator_set("01", "0"),
+                indicator_set("1", "01"), indicator_set("", "10")]
+        words = [up_word("", "a", AB), up_word("ab", "b", AB), up_word("b", "ab", AB)]
+        verdicts = []
+        for atom in atoms:
+            for phi in (atom, Not(atom)):
+                machine = compile_to_buchi(phi, AB, ctx)
+                for word, big, i, j in product(words, sets, range(4), range(4)):
+                    val = UPValuation(word=word, positions={"x": i, "y": j}, sets={"X": big})
+                    coded = code_valuation(word, [singleton_set(i), singleton_set(j), big])
+                    want = evaluate(phi, val)
+                    assert accepts_up(machine, coded) == want, (format_formula(phi), i, j)
+                    verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+        for phi in (Letter("x", "c"), Not(Letter("x", "c"))):
+            with pytest.raises(FormatError):
+                compile_to_buchi(phi, AB, ctx)
+
+    def test_negated_compile_matches_complement(self):
+        """The negation pushed inward by the compiler against the
+        profile-monoid complement of the plain compile, an independent path:
+        both accept the same lassos with |u|, |v| <= 2.  Sentences whose
+        complement exceeds the budget are skipped (4 of the 40)."""
+        rng = random.Random(5)
+        words = all_up_words("ab", 2, 2)
+        checked = accepted = 0
+        for _ in range(40):
+            phi = random_sentence(rng, depth=3)
+            try:
+                other = complement(compile_to_buchi(phi, AB), state_budget=1000)
+            except BudgetExceededError:
+                continue
+            negated = compile_to_buchi(Not(phi), AB)
+            checked += 1
+            for w in words:
+                verdict = accepts_up(other, w)
+                assert accepts_up(negated, w) == verdict, (format_formula(phi), w.text())
+                accepted += verdict
+        assert checked >= 36
+        assert 0 < accepted < checked * len(words)
 
 
 class TestReduce:
