@@ -624,9 +624,23 @@ def _drop_last_bit(letter: str, outer: int) -> tuple[str, str]:
 
 def _project(a: BuchiAutomaton, base: Alphabet, outer: int) -> BuchiAutomaton:
     """Existential projection: drop the last indicator bit of every label."""
-    trans = frozenset((s, _drop_last_bit(x, outer)[0], d) for (s, x, d) in a.transitions)
-    return _reduce(BuchiAutomaton(coded_alphabet(base, outer), a.states, a.initial,
-                                  a.accepting, trans))
+    states = a.states
+    trans: set = set()
+    for x, rows in a._table.succ.items():
+        olet = _drop_last_bit(x, outer)[0]
+        trans.update((states[i], olet, states[j]) for i, row in enumerate(rows) for j in row)
+    return _reduce(BuchiAutomaton(coded_alphabet(base, outer), states, a.initial,
+                                  a.accepting, frozenset(trans)))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 _SPAWN_COMBO_CAP = 20000
@@ -636,59 +650,107 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
                    budget: int) -> BuchiAutomaton:
     """Automaton for "every placement of the last (position) track accepts".
 
-    A breakpoint construction over the inner automaton: a deterministic
-    subset component follows all runs that have not yet seen the variable's
-    1-bit; at each position one thread per surviving run choice is spawned
-    with the bit set there, and threads in the same state merge.  An
-    obligation set, reset whenever it empties, makes every thread visit an
-    accepting state infinitely often.  Bypasses complementation entirely for
-    first-order universal quantifiers, which otherwise dominate the cost.
+    A breakpoint construction over the inner automaton (Miyano & Hayashi
+    1984): a state (S, T, O) holds in S the runs that have not yet seen the
+    variable's 1-bit, a deterministic subset component; at each position one
+    thread per surviving run choice is spawned with the bit set there, and
+    threads in the same state merge into T.  The obligation set O, reset to
+    T whenever it empties, makes every thread visit an accepting state
+    infinitely often; the states with O empty accept.  Bypasses
+    complementation entirely for first-order universal quantifiers, which
+    otherwise dominate the cost.
+
+    S, T and O are int bit masks over the inner states, bit r standing for
+    the state of rank r in ``sorted(a.states)``, and each outer letter has
+    two successor masks per inner state, one per value of the dropped bit.
+    The search visits letters in alphabet order, thread choices in product
+    order over the threads by rank, and spawn targets by rank, which is the
+    order of a walk over `sorted` label sets when `sorted` orders the labels
+    totally; the states are numbered in order of discovery.  Only at the
+    end do states become labels ``(frozenset S, frozenset T, frozenset O)``
+    of inner labels, and only the live ones: `_reduce` drops the others
+    first and keeps the order of the rest, so its result is unchanged.
     """
     alpha = coded_alphabet(base, outer)
-    post0: dict = {}
-    post1: dict = {}
-    for s, x, d in a.transitions:
+    t = a._table
+    n = len(a.states)
+    by_rank = sorted(range(n), key=a.states.__getitem__)
+    rank = [0] * n
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    letter_no = {x: k for k, x in enumerate(alpha)}
+    post = ([[0] * n for _ in alpha], [[0] * n for _ in alpha])  # [bit][letter][rank]
+    for x, rows in t.succ.items():
         olet, bit = _drop_last_bit(x, outer)
-        target = post0 if bit == "0" else post1
-        target.setdefault((s, olet), set()).add(d)
-    acc = a.accepting
-    init = (frozenset(a.initial), frozenset(), frozenset())
+        masks = post[bit == "1"][letter_no[olet]]
+        for i, row in enumerate(rows):
+            for j in row:
+                masks[rank[i]] |= 1 << rank[j]
+    # [letter][rank]: the one-bit masks of the bit-0 successors, a thread's choices
+    ones = [[[1 << c for c in _bits(m)] for m in post0] for post0 in post[0]]
+    subset_steps: dict = {}  # S -> [(letter, S2, one-bit spawn masks)] where some spawn
+
+    def steps_of(S: int) -> list:
+        steps = []
+        for k, (post0, post1) in enumerate(zip(*post)):
+            S2 = spawn = 0
+            for r in _bits(S):
+                S2 |= post0[r]
+                spawn |= post1[r]
+            if spawn:  # else some placement has no run: reject along this branch
+                steps.append((k, S2, [1 << c for c in _bits(spawn)]))
+        return steps
+
+    acc = sum(1 << rank[i] for i in range(n) if t.accepting[i])
+    init = (sum(1 << rank[i] for i in t.initial), 0, 0)
     order = [init]
-    seen = {init}
-    trans = set()
+    seen = {init: 0}
+    succ: list = []  # [state][letter]: successor numbers
     i = 0
     while i < len(order):
         S, T, O = order[i]
-        i += 1
-        for olet in alpha:
-            spawn = sorted({d for q in S for d in post1.get((q, olet), ())})
-            if not spawn:
-                continue  # some placement has no run: reject along this branch
-            threads = sorted(T)
-            choices = [sorted(post0.get((t, olet), ())) for t in threads]
-            if any(not alts for alts in choices):
+        steps = subset_steps.get(S)
+        if steps is None:
+            steps = subset_steps[S] = steps_of(S)
+        threads = [(r, O >> r & 1) for r in _bits(T)]
+        out: list = [()] * len(alpha)
+        for k, S2, spawn in steps:
+            choices = [(ones[k][r], chased) for r, chased in threads]
+            if any(not alts for alts, _ in choices):
                 continue  # a mandatory thread dies under every choice
-            combos = len(spawn) * math.prod(len(alts) for alts in choices)
+            combos = len(spawn) * math.prod(len(alts) for alts, _ in choices)
             if combos > _SPAWN_COMBO_CAP:
                 raise BudgetExceededError(
                     f"universal-position branching {combos} exceeds cap")
-            S2 = frozenset(d for q in S for d in post0.get((q, olet), ()))
-            for picked in product(*choices):
-                chased = frozenset(c for t, c in zip(threads, picked) if t in O)
-                for newcomer in spawn:
-                    T2 = frozenset(picked) | {newcomer}
-                    O2 = (chased if O else T2) - acc
-                    st = (S2, T2, O2)
-                    trans.add(((S, T, O), olet, st))
-                    if st not in seen:
-                        seen.add(st)
-                        order.append(st)
-                        if len(order) > budget:
-                            raise BudgetExceededError(
-                                f"universal-position automaton exceeds {budget} states")
+            picks = [(0, 0)]  # (T mask, O mask) of the picked threads, product order
+            for alts, chased in choices:
+                picks = list(dict.fromkeys(
+                    (tm | c, om | c if chased else om)
+                    for tm, om in picks for c in alts))
+            targets = out[k] = set()
+            for T2, om in dict.fromkeys((tm | c, om) for tm, om in picks for c in spawn):
+                st = (S2, T2, (om if O else T2) & ~acc)
+                j = seen.get(st)
+                if j is None:
+                    j = seen[st] = len(order)
+                    order.append(st)
+                    if len(order) > budget:
+                        raise BudgetExceededError(
+                            f"universal-position automaton exceeds {budget} states")
+                targets.add(j)
+        succ.append(out)
+        i += 1
+    live = _live(list(zip(*succ)), (0,), [not O for _, _, O in order])
+    kept = [i for i, f in enumerate(live) if f]
+    labels = [a.states[q] for q in by_rank]
+    sets = {m: frozenset(labels[r] for r in _bits(m)) for i in kept for m in order[i]}
+    names = {i: tuple(map(sets.__getitem__, order[i])) for i in kept}
+    letters = alpha.letters
     return _reduce(BuchiAutomaton(
-        alpha, tuple(order), frozenset({init}),
-        frozenset(st for st in order if not st[2]), frozenset(trans)))
+        alpha, tuple(names.values()), frozenset([names[0]] if live[0] else []),
+        frozenset(q for i, q in names.items() if not order[i][2]),
+        frozenset((q, letters[k], names[j]) for i, q in names.items()
+                  for k, targets in enumerate(succ[i]) for j in targets if live[j])))
 
 
 _SIM_STATE_GATE = 200
@@ -703,7 +765,9 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     1. keep the states reachable from the initial set, and of those the live
        ones, from which an accepting cycle is reachable;
     2. quotient by forward bisimulation: the coarsest partition that
-       respects acceptance, found by signature refinement;
+       respects acceptance, found by signature refinement, where a state's
+       signature is its block plus, per letter, the bit mask of the blocks
+       of its successors;
     3. if 2 to `_SIM_STATE_GATE` classes are left, quotient by
        direct-simulation equivalence, drop every edge whose target is
        simulated by another target of the same source class and letter, and
@@ -711,41 +775,33 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
 
     A quotient that merges states numbers its classes 0, 1, ... by first
     member in declared order (the last reachable pass may leave gaps);
-    otherwise the states keep their labels and order.  Direct simulation demands that accepting states be matched by
-    accepting ones, which makes the quotient and the pruning
-    language-preserving for Büchi acceptance.  The reduction keeps the
-    products and complements of nested compilation from snowballing.
+    otherwise the states keep their labels and order.
+
+    Direct simulation demands that accepting states be matched by accepting
+    ones, which makes the quotient and the pruning language-preserving for
+    Büchi acceptance.  The reduction keeps the products and complements of
+    nested compilation from snowballing.
     """
     t = a._table
     rows = [t.succ[x] for x in a.alphabet]
-    seen = _reachable(rows, t.initial)
-    reach = [i for i, s in enumerate(seen) if s]
-    adj: list = [()] * len(seen)
-    back: list = [[] for _ in seen]
-    for i in reach:
-        adj[i] = {j for r in rows for j in r[i]}
-        for j in adj[i]:
-            back[j].append(i)
-    live = [False] * len(seen)
-    frontier = [i for i in _cycle_nodes(reach, adj) if t.accepting[i]]
-    for i in frontier:
-        live[i] = True
-    while frontier:
-        for i in back[frontier.pop()]:
-            if not live[i]:
-                live[i] = True
-                frontier.append(i)
-    keep = [i for i in reach if live[i]]
+    live = _live(rows, t.initial, t.accepting)
+    keep = [i for i, f in enumerate(live) if f]
     pos = {i: k for k, i in enumerate(keep)}
     post = [[[pos[j] for j in r[i] if live[j]] for r in rows] for i in keep]
 
     block = [int(t.accepting[i]) for i in keep]
-    while True:
+    while True:  # signature: own block, then per letter the mask of successor blocks
+        bit = [1 << b for b in block]
         numbers: dict = {}
-        refined = [numbers.setdefault(
-            (block[k], tuple(frozenset(map(block.__getitem__, p)) for p in post[k])),
-            len(numbers))
-            for k in range(len(keep))]
+        refined = []
+        for b, succ in zip(block, post):
+            sig = [b]
+            for p in succ:
+                mask = 0
+                for j in p:
+                    mask |= bit[j]
+                sig.append(mask)
+            refined.append(numbers.setdefault(tuple(sig), len(numbers)))
         if refined == block:
             break
         block = refined
@@ -772,6 +828,31 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
         frozenset(names[c] for c in nodes if acc[c]),
         frozenset((names[c], letters[x], names[d])
                   for x, row in enumerate(edges) for c in nodes for d in row[c]))
+
+
+def _live(rows: Sequence[Sequence], initial: Sequence[int],
+          accepting: Sequence[bool]) -> list[bool]:
+    """Per node: is it reachable from the `initial` nodes, and does a cycle
+    through an accepting node lie ahead of it?  ``rows[x][i]`` holds the
+    successors of node i under the x-th letter."""
+    seen = _reachable(rows, initial)
+    reach = [i for i, s in enumerate(seen) if s]
+    adj: list = [()] * len(seen)
+    back: list = [[] for _ in seen]
+    for i in reach:
+        adj[i] = {j for r in rows for j in r[i]}
+        for j in adj[i]:
+            back[j].append(i)
+    live = [False] * len(seen)
+    frontier = [i for i in _cycle_nodes(reach, adj) if accepting[i]]
+    for i in frontier:
+        live[i] = True
+    while frontier:
+        for i in back[frontier.pop()]:
+            if not live[i]:
+                live[i] = True
+                frontier.append(i)
+    return live
 
 
 def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:

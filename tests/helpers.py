@@ -3,6 +3,7 @@ implementations used to cross-check the library."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -14,9 +15,10 @@ import networkx as nx
 
 from omegaword.buchi import BuchiAutomaton, _cycle_nodes, automaton, reachable_fragment
 from omegaword.congruence import classifier
-from omegaword.errors import DegenerateErasureError
-from omegaword.mso import (_SIM_STATE_GATE, And, ExistsPos, ExistsSet, ForallPos,
-                           ForallSet, Formula, Implies, In, Less, Letter, Not, Or)
+from omegaword.errors import BudgetExceededError, DegenerateErasureError
+from omegaword.mso import (_SIM_STATE_GATE, _SPAWN_COMBO_CAP, And, ExistsPos, ExistsSet,
+                           ForallPos, ForallSet, Formula, Implies, In, Less, Letter, Not, Or,
+                           _drop_last_bit, coded_alphabet)
 from omegaword.words import Alphabet, FiniteWord, UPWord, alphabet, up_word
 
 
@@ -415,3 +417,56 @@ def _ref_sim_reduce(a: BuchiAutomaton) -> BuchiAutomaton:
         frozenset(cls[idx[q]] for q in a.initial),
         frozenset(k for k, r in enumerate(reps) if a.states[r] in a.accepting),
         frozenset(trans)))
+
+
+def ref_universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
+                      budget: int) -> BuchiAutomaton:
+    """The breakpoint construction of `omegaword.mso._universal_pos` on
+    state labels: S, T and O are frozensets, successors are looked up per
+    (state, outer letter), and every set is walked in `sorted` order.  The
+    result goes through `ref_reduce`."""
+    alpha = coded_alphabet(base, outer)
+    post0: dict = {}
+    post1: dict = {}
+    for s, x, d in a.transitions:
+        olet, bit = _drop_last_bit(x, outer)
+        target = post0 if bit == "0" else post1
+        target.setdefault((s, olet), set()).add(d)
+    acc = a.accepting
+    init = (frozenset(a.initial), frozenset(), frozenset())
+    order = [init]
+    seen = {init}
+    trans = set()
+    i = 0
+    while i < len(order):
+        S, T, O = order[i]
+        i += 1
+        for olet in alpha:
+            spawn = sorted({d for q in S for d in post1.get((q, olet), ())})
+            if not spawn:
+                continue  # some placement has no run: reject along this branch
+            threads = sorted(T)
+            choices = [sorted(post0.get((t, olet), ())) for t in threads]
+            if any(not alts for alts in choices):
+                continue  # a mandatory thread dies under every choice
+            combos = len(spawn) * math.prod(len(alts) for alts in choices)
+            if combos > _SPAWN_COMBO_CAP:
+                raise BudgetExceededError(
+                    f"universal-position branching {combos} exceeds cap")
+            S2 = frozenset(d for q in S for d in post0.get((q, olet), ()))
+            for picked in product(*choices):
+                chased = frozenset(c for t, c in zip(threads, picked) if t in O)
+                for newcomer in spawn:
+                    T2 = frozenset(picked) | {newcomer}
+                    O2 = (chased if O else T2) - acc
+                    st = (S2, T2, O2)
+                    trans.add(((S, T, O), olet, st))
+                    if st not in seen:
+                        seen.add(st)
+                        order.append(st)
+                        if len(order) > budget:
+                            raise BudgetExceededError(
+                                f"universal-position automaton exceeds {budget} states")
+    return ref_reduce(BuchiAutomaton(
+        alpha, tuple(order), frozenset({init}),
+        frozenset(st for st in order if not st[2]), frozenset(trans)))

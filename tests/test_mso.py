@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from helpers import all_up_words, random_automaton, random_sentence, ref_reduce
+from helpers import (all_up_words, random_automaton, random_sentence, ref_reduce,
+                     ref_universal_pos)
 import omegaword.mso as mso
 from omegaword.buchi import accepts_up, automaton, complement, is_empty
 from omegaword.errors import BudgetExceededError, FormatError, UnsupportedFormulaError
@@ -265,6 +266,67 @@ class TestReduce:
                 assert accepts_up(plain, w) == verdict, (format_formula(phi), w.text())
                 accepted += verdict
         assert 0 < accepted < len(sentences) * len(words)
+
+
+class TestUniversalPos:
+    """The breakpoint construction against the frozenset construction
+    `helpers.ref_universal_pos`: equal automata (states tuple and labels,
+    initial, accepting and transition sets), or the same exception type and
+    message."""
+
+    @staticmethod
+    def outcome(construct, a, base, outer, budget):
+        try:
+            return construct(a, base, outer, budget)
+        except BudgetExceededError as exc:
+            return type(exc), str(exc)
+
+    def test_matches_reference_on_random_automata(self):
+        rng = random.Random(606)
+        raised = built = 0
+        for k in range(240):
+            outer = k % 2
+            a = random_automaton(rng, max_states=8, accept_prob=(0.45, 1.0, 0.2)[k % 3],
+                                 letters=coded_alphabet(AB, outer + 1).letters)
+            # labels whose sorted order is not the declared order
+            n = len(a.states)
+            names = [(f"p{i}", i, (i % 2, f"p{i}"))[k % 3] for i in rng.sample(range(n), n)]
+            to = dict(zip(a.states, names))
+            a = automaton(a.alphabet, names, {to[q] for q in a.initial},
+                          {to[q] for q in a.accepting},
+                          {(to[s], x, to[d]) for s, x, d in a.transitions})
+            budget = rng.choice((12, 40, 1000))
+            want = self.outcome(ref_universal_pos, a, AB, outer, budget)
+            assert self.outcome(mso._universal_pos, a, AB, outer, budget) == want
+            if isinstance(want, tuple):
+                raised += 1
+            else:
+                built += bool(want.states)
+        assert raised > 20 and built > 20
+
+    def test_matches_reference_on_compile_inputs(self, monkeypatch):
+        seen = []
+        original = mso._universal_pos
+
+        def spy(a, base, outer, budget):
+            seen.append((a, base, outer, budget))
+            return original(a, base, outer, budget)
+
+        monkeypatch.setattr(mso, "_universal_pos", spy)
+        rng = random.Random(9)
+        for _ in range(20):
+            phi = random_sentence(rng, depth=5)
+            try:
+                compile_to_buchi(phi, AB, state_budget=1000)
+            except BudgetExceededError:
+                pass
+        assert len(seen) > 30
+        raised = 0
+        for args in seen:
+            want = self.outcome(ref_universal_pos, *args)
+            assert self.outcome(original, *args) == want
+            raised += isinstance(want, tuple)
+        assert raised > 0
 
 
 class TestEvaluate:
