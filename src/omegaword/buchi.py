@@ -296,10 +296,11 @@ def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
         for q in b.states:
             states.append((p, q, 1))
             states.append((p, q, 2))
-    for (p, x, p2) in a.transitions:
-        for (q, y, q2) in b.transitions:
-            if x != y:
-                continue
+    b_moves: dict = {x: [] for x in b.alphabet}
+    for q, y, q2 in b.transitions:
+        b_moves[y].append((q, q2))
+    for p, x, p2 in a.transitions:
+        for q, q2 in b_moves[x]:
             trans.add(((p, q, 1), x, (p2, q2, 2 if p in a.accepting else 1)))
             trans.add(((p, q, 2), x, (p2, q2, 1 if q in b.accepting else 2)))
     initial = frozenset((p, q, 1) for p in a.initial for q in b.initial)
@@ -324,17 +325,17 @@ class Profile(NamedTuple):
 
 
 def compose_profiles(p: Profile, q: Profile) -> Profile:
+    qr, qa = q.reach, q.reach_acc
     reach = []
     reach_acc = []
     for row, acc in zip(p.reach, p.reach_acc):
         r = ra = 0
-        j = 0
         while row:
-            if row & 1:
-                r |= q.reach[j]
-                ra |= q.reach[j] if acc >> j & 1 else q.reach_acc[j]
-            row >>= 1
-            j += 1
+            low = row & -row
+            j = low.bit_length() - 1
+            r |= qr[j]
+            ra |= qr[j] if acc & low else qa[j]
+            row ^= low
         reach.append(r)
         reach_acc.append(ra)
     return Profile(tuple(reach), tuple(reach_acc))
@@ -346,7 +347,15 @@ class TransitionMonoid:
     witness words (discovered breadth-first, so length-lexicographic).
     Elements are addressed by index.  `identity` is the empty word's profile
     and `unit` its index: the element sharing that profile if there is one,
-    else ``len(elements)``; `compose` accepts `unit` on either side."""
+    else ``len(elements)``; `compose` accepts `unit` on either side.
+
+    The breadth-first search keeps the right Cayley table (Froidure & Pin,
+    *Algorithms for computing finite semigroups*, 1997): ``_right[i][c]`` is
+    the index of ``elements[i]`` times the profile of the c-th alphabet
+    letter, and ``_columns[j]`` spells the witness of j as alphabet
+    positions.  Since ``elements[j]`` is the product of its witness's letter
+    profiles, associativity makes ``compose(i, j)`` a walk from i along
+    those columns, one list lookup per letter."""
 
     automaton: BuchiAutomaton
     elements: list
@@ -355,7 +364,8 @@ class TransitionMonoid:
     unit: int
     _index: dict
     _letters: dict
-    _compose_cache: dict
+    _right: list
+    _columns: list
 
     def letter(self, a: str) -> int:
         return self._letters[a]
@@ -365,11 +375,10 @@ class TransitionMonoid:
             return j
         if j == self.unit:
             return i
-        got = self._compose_cache.get((i, j))
-        if got is None:
-            got = self._index[compose_profiles(self.elements[i], self.elements[j])]
-            self._compose_cache[(i, j)] = got
-        return got
+        right = self._right
+        for c in self._columns[j]:
+            i = right[i][c]
+        return i
 
     def idempotents(self) -> list[int]:
         return [i for i in range(len(self.elements)) if self.compose(i, i) == i]
@@ -383,44 +392,40 @@ class TransitionMonoid:
 
 def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMonoid:
     """Generate the monoid of profiles of nonempty words, breadth-first by
-    witness length.  Raises BudgetExceededError past `budget` elements."""
+    witness length, with its right Cayley table.  Raises BudgetExceededError
+    past `budget` elements."""
     n = len(a.states)
     t = a._table
     acc_mask = sum(1 << i for i, f in enumerate(t.accepting) if f)
     elements: list[Profile] = []
-    witnesses: list[tuple[str, ...]] = []
+    columns: list[tuple[int, ...]] = []
     index: dict = {}
-    letters: dict = {}
-    queue: list[int] = []
-    for x in a.alphabet:
-        reach = tuple(sum(1 << j for j in row) for row in t.succ[x])
-        p = Profile(reach, tuple(r if f else r & acc_mask
-                                 for r, f in zip(reach, t.accepting)))
-        if p not in index:
-            index[p] = len(elements)
+
+    def add(p: Profile, witness: tuple[int, ...]) -> int:
+        k = index.get(p)
+        if k is None:
+            if len(elements) >= budget:
+                raise BudgetExceededError(f"transition monoid exceeded {budget} elements")
+            k = index[p] = len(elements)
             elements.append(p)
-            witnesses.append((x,))
-            queue.append(index[p])
-        letters[x] = index[p]
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        for x, k in letters.items():
-            q = compose_profiles(elements[i], elements[k])
-            if q not in index:
-                if len(elements) >= budget:
-                    raise BudgetExceededError(
-                        f"transition monoid exceeded {budget} elements")
-                index[q] = len(elements)
-                elements.append(q)
-                witnesses.append(witnesses[i] + (x,))
-                queue.append(index[q])
+            columns.append(witness)
+        return k
+
+    letters: dict = {}
+    for c, x in enumerate(a.alphabet):
+        reach = tuple(sum(1 << j for j in row) for row in t.succ[x])
+        letters[x] = add(Profile(reach, tuple(r if f else r & acc_mask
+                                              for r, f in zip(reach, t.accepting))), (c,))
+    gens = list(enumerate(letters.values()))
+    right: list[list[int]] = []
+    for p, wit in zip(elements, columns):  # both lists grow while this runs
+        right.append([add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens])
     identity = Profile(tuple(1 << i for i in range(n)),
                        tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
-    wit_words = [FiniteWord(a.alphabet, w) for w in witnesses]
+    names = a.alphabet.letters
+    wit_words = [FiniteWord(a.alphabet, tuple(names[c] for c in col)) for col in columns]
     return TransitionMonoid(a, elements, wit_words, identity,
-                            index.get(identity, len(elements)), index, letters, {})
+                            index.get(identity, len(elements)), index, letters, right, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +442,9 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
     automaton guesses a refusing pair, reads u inside a profile tracker, and
     then checks the factorization: blocks are certified one at a time by a
     reset edge available exactly when the running block profile equals t.
-    Only the reachable part is ever built.
+    Only the reachable part is ever built.  Every monoid product here is a
+    walk on the monoid's right Cayley table: a track or check step is one
+    lookup, and the test ``s*t = s`` one lookup per letter of t's witness.
     """
     a = reachable_fragment(a)
     if not a.states or not a.initial:

@@ -7,6 +7,7 @@ from omegaword.buchi import (
     accepts_up,
     automaton,
     complement,
+    compose_profiles,
     format_automaton,
     intersect,
     inverse_map_letters,
@@ -151,6 +152,40 @@ def test_transition_monoid_properties():
                 # concatenating witnesses witnesses the composition
                 joined = m.witnesses[i].letters + m.witnesses[j].letters
                 assert m.profile_of(joined) == m.elements[k]
+
+
+def test_monoid_compose_matches_profiles():
+    """The Cayley-table walk against the profile product, `unit` on either
+    side included (pairs sampled past 300 elements), and the idempotents
+    against the profile-level list: on random automata of up to 12 states
+    and on the tuple-labelled outputs of union and intersect."""
+    rng = random.Random(77)
+    cases = [random_automaton(rng, max_states=4 if k < 30 else 12) for k in range(40)]
+    for _ in range(10):
+        a, b = random_automaton(rng), random_automaton(rng)
+        cases += [union(a, b), intersect(a, b)]
+    for a in cases:
+        m = transition_monoid(a)
+        ids = list(range(len(m.elements))) + [m.unit]
+        pairs = [(i, j) for i in ids for j in ids] if len(ids) <= 300 else [
+            (rng.choice(ids), rng.choice(ids)) for _ in range(5000)]
+        pairs += [(m.unit, j) for j in ids] + [(i, m.unit) for i in ids]
+
+        def profile(i):
+            return m.identity if i == m.unit else m.elements[i]
+
+        for i, j in pairs:
+            prod = compose_profiles(profile(i), profile(j))
+            assert m.compose(i, j) == (m.unit if prod == m.identity else m._index[prod])
+        assert m.idempotents() == [i for i, p in enumerate(m.elements)
+                                   if compose_profiles(p, p) == p]
+
+
+def test_monoid_budget_counts_letter_profiles():
+    a = automaton("ab", ["q"], ["q"], ["q"], [("q", "a", "q")])
+    with pytest.raises(BudgetExceededError, match="transition monoid exceeded 1 elements"):
+        transition_monoid(a, budget=1)
+    assert len(transition_monoid(a, budget=2).elements) == 2
 
 
 def test_profiles_match_reference():

@@ -1,11 +1,16 @@
-"""One digest over outputs that speed-ups of the automaton core must keep.
+"""Digests over outputs that speed-ups of the automaton core must keep.
 
-The digest covers the serialized `compile_to_buchi` automata and the
+`PINNED` covers the serialized `compile_to_buchi` automata and the
 `mso_satisfiable` witnesses of the 60 seed-9 depth-5 sentences at budget
 1000 (the compile timings of the roadmap and the benchmark's sentence set),
 and the `is_empty` witnesses of 300 seeded random automata.  A failing call
 contributes its error class name.  A change that alters any state order,
 transition set or witness changes the digest.
+
+`PINNED_COMPLEMENT` covers the profile monoid and the complement of 300
+more seeded random automata: each monoid's witness words, idempotent
+indices and `unit`, and each serialized complement at state budget 2000.
+A failing call contributes its error class and message.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ import hashlib
 import random
 
 from helpers import random_automaton, random_sentence
-from omegaword.buchi import format_automaton, is_empty
+from omegaword.buchi import (complement, format_automaton, is_empty, transition_monoid,
+                             with_canonical_names)
 from omegaword.errors import OmegawordError
 from omegaword.mso import compile_to_buchi, mso_satisfiable
 from omegaword.words import format_word
 
 PINNED = "0df2d3e2730cf494b19300c456b9e66f9ecc3c92e77d0bf53ce207e704fa3021"
+PINNED_COMPLEMENT = "99fc7b78126d7ea52df58c9e2f5265df97d7479d16f6743329e3343261f5659d"
 
 
 def _outcome(call) -> str:
@@ -56,3 +63,29 @@ def output_lines() -> list[str]:
 def test_outputs_match_pinned_digest():
     digest = hashlib.sha256("\n".join(output_lines()).encode()).hexdigest()
     assert digest == PINNED
+
+
+def _monoid_text(a) -> str:
+    m = transition_monoid(a, budget=2000)
+    witnesses = " ".join("".join(w.letters) for w in m.witnesses)
+    return f"{witnesses} | {m.idempotents()} | {m.unit}"
+
+
+def complement_lines() -> list[str]:
+    lines = []
+    rng = random.Random(7)
+    for count, max_states, letters in ((200, 4, "ab"), (60, 6, "ab"), (40, 4, "abc")):
+        for _ in range(count):
+            a = random_automaton(rng, max_states=max_states, letters=letters)
+            for call in (lambda: _monoid_text(a), lambda: format_automaton(
+                    with_canonical_names(complement(a, state_budget=2000)))):
+                try:
+                    lines.append(call())
+                except OmegawordError as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+def test_complement_and_monoid_match_pinned_digest():
+    digest = hashlib.sha256("\n".join(complement_lines()).encode()).hexdigest()
+    assert digest == PINNED_COMPLEMENT
