@@ -47,7 +47,7 @@ from .words import (
     FiniteWord,
     UPWord,
     Word,
-    canonical,
+    canonical_parts,
     omega_product,
 )
 
@@ -557,16 +557,22 @@ def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
     """Membership of prefix.period^omega given as raw letter tuples, asking
     the oracle once per distinct infinite word.  The memo is keyed by the
     canonical period, then by the canonical prefix, so that the many words
-    sharing a period hold no key pair each."""
+    sharing a period hold no key pair each.
+
+    The raw tuples are canonicalized as they are; a validated `UPWord` is
+    built only on a memo miss, for the oracle.  Every raw word is still
+    checked against the alphabet: its canonical form has exactly its
+    letters, so a memo hit means those letters were checked when that form
+    was first inserted.  An empty period raises `FormatError`."""
     alpha = oracle.alphabet
     memo: dict = {}
 
     def member(prefix: tuple, period: tuple) -> bool:
-        c = canonical(UPWord(alpha, prefix, period))
-        by_prefix = memo.setdefault(c.period, {})
-        got = by_prefix.get(c.prefix)
+        cprefix, cperiod = canonical_parts(prefix, period)
+        by_prefix = memo.setdefault(cperiod, {})
+        got = by_prefix.get(cprefix)
         if got is None:
-            got = by_prefix[c.prefix] = _word_member(oracle, c)[0]
+            got = by_prefix[cprefix] = _word_member(oracle, UPWord(alpha, cprefix, cperiod))[0]
         return got
 
     return member

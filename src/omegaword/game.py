@@ -24,6 +24,7 @@ immediate forfeit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -42,8 +43,8 @@ from .words import (
     Word,
     alphabet,
     finite_word,
+    first_other_letter,
     format_word,
-    letter_at,
     next_letter_run,
     parse_word,
 )
@@ -90,14 +91,16 @@ class IntervalFamily:
         return tuple(self._cache[:n])
 
     def next_after(self, pos: int) -> Interval:
-        """First family member whose positions all lie beyond `pos`."""
-        i = 0
-        while True:
-            if i == len(self._cache):
-                self.materialize(len(self._cache) + 1)
-            if self._cache[i].first > pos:
-                return self._cache[i]
-            i += 1
+        """First family member whose positions all lie beyond `pos`.  The
+        members' starts increase, so a binary search finds it among the
+        materialized ones; otherwise members are materialized one at a time
+        until one starts beyond `pos`."""
+        i = bisect_right(self._cache, pos, key=lambda v: v.first)
+        while i == len(self._cache):
+            self.materialize(i + 1)
+            if self._cache[i].first <= pos:
+                i += 1
+        return self._cache[i]
 
     @property
     def materialized(self) -> tuple[Interval, ...]:
@@ -160,7 +163,11 @@ class Forfeit:
 
 def validate_transcript(t: GameTranscript) -> list[str]:
     """All rule violations in the recorded rounds (empty list: legal play).
-    Rounds cut short by a forfeit are simply absent and not judged."""
+    Rounds cut short by a forfeit are simply absent and not judged.
+
+    The round-2 label check reports the first non-a position of each V_i.
+    It asks `first_other_letter`, which on a growing block word jumps from
+    segment to segment instead of reading every position of V_i."""
     out = []
     for a, b in zip(t.family, t.family[1:]):
         if not a < b:
@@ -179,10 +186,9 @@ def validate_transcript(t: GameTranscript) -> list[str]:
         if not a < b:
             out.append(f"round2 interleaving: {a} not before {b}")
     for i, v in enumerate(t.chosen, 1):
-        for p in range(v.first, v.last + 1):
-            if letter_at(t.word, p) != "a":
-                out.append(f"round2 labels: V_{i} covers a non-a position {p}")
-                break
+        p = first_other_letter(t.word, "a", v.first, v.last)
+        if p is not None:
+            out.append(f"round2 labels: V_{i} covers a non-a position {p}")
     for i, (w, iv) in enumerate(zip(t.spoiler_words, t.selected), 1):
         if len(w) >= len(iv):
             out.append(f"round3 length bound: |w_{i}| = {len(w)} vs |W_{i}| = {len(iv)}")
@@ -481,7 +487,11 @@ class DivergingSpoiler(_Strategy):
     asks the oracle's violation finder for a pair of product-separated
     sequences against it, and realizes that witness inside the transcript;
     when the witness needs rounds beyond the horizon, a direct scheme search
-    over the materialized rounds stands in (noted in the transcript).
+    over the materialized rounds stands in (noted in the transcript).  That
+    search tries the single-index cycles, then the two-index ones, and puts
+    each distinct cycle of (w_i, v_i) pairs to the oracle once: a repeat of
+    a tried cycle has the same two products.  Its oracle calls are thus
+    bounded by the distinct pair contents, not by the horizon squared.
     """
 
     def __init__(self, vocab_bound: int = 2):
@@ -554,10 +564,17 @@ class DivergingSpoiler(_Strategy):
 
     def _scheme_search(self, w_words, v_words) -> Optional[IndexScheme]:
         n = self.horizon
-        singles = [IndexScheme((), (i,)) for i in range(1, n + 1)]
-        pairs = [IndexScheme((), (i, j))
-                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for scheme in singles + pairs:
+        pair_ids: dict = {}
+        ids = [pair_ids.setdefault(wv, len(pair_ids)) for wv in zip(w_words, v_words)]
+        singles = [(i,) for i in range(1, n + 1)]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        tried = set()
+        for cycle in singles + pairs:
+            key = tuple(ids[i - 1] for i in cycle)
+            if key in tried:
+                continue
+            tried.add(key)
+            scheme = IndexScheme((), cycle)
             if self._separates(scheme, w_words, v_words):
                 return scheme
         return None

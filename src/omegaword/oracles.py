@@ -50,7 +50,7 @@ from .words import (
     Word,
     alphabet,
     apply_hom,
-    canonical,
+    canonical_parts,
     erasing_hom,
     max_letter_run,
     parse_word,
@@ -207,7 +207,7 @@ class PrimeBlocksOracle(LanguageOracle):
     alphabet = AB
 
     def membership_up(self, w: UPWord) -> bool:
-        root = canonical(w).period
+        root = canonical_parts(w.prefix, w.period)[1]
         return root.count("b") == 1 and _is_prime(len(root) - 1)
 
     def membership_block(self, w: BlockWord) -> bool:
@@ -232,8 +232,7 @@ class SingletonOracle(LanguageOracle):
             if not t.lengths.bounded():
                 return False
             t = to_up_word(t)
-        cw, ct = canonical(w), canonical(with_alphabet(t, self.alphabet))
-        return (cw.prefix, cw.period) == (ct.prefix, ct.period)
+        return canonical_parts(w.prefix, w.period) == canonical_parts(t.prefix, t.period)
 
     def membership_block(self, w: BlockWord) -> bool:
         if w.lengths.bounded():

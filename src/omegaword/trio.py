@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 from .errors import AlphabetMismatchError, FormatError
 from .oracles import LanguageOracle
-from .words import Alphabet, FiniteWord, UPWord, alphabet, canonical, to_up_word
+from .words import Alphabet, FiniteWord, UPWord, alphabet, canonical_parts, to_up_word
 
 SEPARATOR = "#"
 MARKED_SEPARATOR = "%#"
@@ -431,7 +431,7 @@ class _LoopOracle(LanguageOracle):
         self.name = f"loop:{language.name}"
 
     def membership_up(self, w: UPWord) -> bool:
-        root = canonical(w).period
+        root = canonical_parts(w.prefix, w.period)[1]
         rotations = {root[i:] + root[:i] for i in range(len(root))}
         for r in sorted(rotations):
             for k in range(1, self.power_bound + 1):

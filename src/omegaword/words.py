@@ -223,6 +223,20 @@ class BlockWord:
         r, o = self.lengths.rate, self.lengths.offset  # type: ignore[union-attr]
         return r * m * (m + 1) // 2 + (o + 1) * m
 
+    def _segment_of(self, i: int) -> int:
+        """The segment (block m and its separator) holding position i, for
+        strictly growing blocks: the first m whose end exceeds i."""
+        lo, hi = 1, 2
+        while self._segment_end(hi) <= i:
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._segment_end(mid) > i:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
     @cached_property
     def _up_form(self) -> Optional[UPWord]:
         if isinstance(self.lengths, AffineLengths):
@@ -282,19 +296,34 @@ def letter_at(w: Word, i: int) -> str:
     up = w._up_form
     if up is not None:
         return letter_at(up, i)
-    # strictly growing blocks: locate the containing segment by search
-    lo, hi = 1, 2
-    while w._segment_end(hi) <= i:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if w._segment_end(mid) > i:
-            hi = mid
+    # strictly growing blocks: segment m ends with its separator
+    return w.block if i < w._segment_end(w._segment_of(i)) - 1 else w.sep
+
+
+def first_other_letter(w: Word, letter: str, first: int, last: int) -> Optional[int]:
+    """The first position in first..last whose letter is not `letter`, or None.
+
+    On a growing block word the segment holding `first` is searched once;
+    from there each step jumps to the next letter change, so the cost
+    follows the number of segments the window spans, not its length.  Other
+    presentations are scanned position by position.
+    """
+    if not (isinstance(w, BlockWord) and w._up_form is None):
+        return next((p for p in range(first, last + 1) if letter_at(w, p) != letter), None)
+    if first < 0:
+        raise IndexError("negative position")
+    m, p = w._segment_of(first), first
+    while p <= last:
+        sep = w._segment_end(m) - 1  # blocks of segment m lie before sep
+        if p < sep:
+            if letter != w.block:
+                return p
+            p = sep
+        elif letter != w.sep:
+            return p
         else:
-            lo = mid + 1
-    m = lo  # first segment index whose end exceeds i
-    start = w._segment_end(m - 1)
-    return w.block if i - start < w.lengths.nth(m) else w.sep
+            m, p = m + 1, p + 1
+    return None
 
 
 def prefix_of(w: Word, n: int) -> tuple[str, ...]:
@@ -310,14 +339,24 @@ def _primitive_root(v: tuple[str, ...]) -> tuple[str, ...]:
     return v  # unreachable
 
 
-def canonical(w: UPWord) -> UPWord:
-    """Shortest-prefix, primitive-period presentation of the same word."""
-    period = _primitive_root(w.period)
-    prefix = w.prefix
+def canonical_parts(prefix: tuple[str, ...],
+                    period: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Shortest prefix and primitive period of prefix.period^omega, as raw
+    letter tuples.  The result uses exactly the letters of the input: the
+    primitive root and its rotations keep the period's letters, and a
+    dropped prefix letter equals a period letter."""
+    if not period:
+        raise FormatError("the period of a lasso word must be nonempty")
+    period = _primitive_root(period)
     while prefix and prefix[-1] == period[-1]:
         prefix = prefix[:-1]
         period = (period[-1],) + period[:-1]
-    return UPWord(w.alphabet, prefix, period)
+    return prefix, period
+
+
+def canonical(w: UPWord) -> UPWord:
+    """Shortest-prefix, primitive-period presentation of the same word."""
+    return UPWord(w.alphabet, *canonical_parts(w.prefix, w.period))
 
 
 def up_equal(u: UPWord, v: UPWord) -> bool:

@@ -151,6 +151,33 @@ def all_separated_words(letters: str = "ab", max_tokens: int = 10):
             yield SeparatedWord(alpha, lw, tuple(segment[seg] for seg in right))
 
 
+def ref_first_other_letter(w, letter: str, first: int, last: int):
+    """The first position in first..last whose letter is not `letter`, or
+    None, by asking `letter_at` at every position in turn."""
+    from omegaword.words import letter_at
+
+    for p in range(first, last + 1):
+        if letter_at(w, p) != letter:
+            return p
+    return None
+
+
+def ref_scheme_search(spoiler, w_words, v_words):
+    """The diverging spoiler's direct scheme search without deduplication:
+    every single-index cycle, then every two-index cycle, each put to the
+    oracle, until one separates."""
+    from omegaword.game import IndexScheme
+
+    n = spoiler.horizon
+    singles = [IndexScheme((), (i,)) for i in range(1, n + 1)]
+    pairs = [IndexScheme((), (i, j))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for scheme in singles + pairs:
+        if spoiler._separates(scheme, w_words, v_words):
+            return scheme
+    return None
+
+
 def ref_bounded_classes(oracle, kind: str, word_bound: int, context_bound: int):
     """Independent pairwise bounded congruence ("arnold" or "right").
 

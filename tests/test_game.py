@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import ref_first_other_letter, ref_scheme_search
 from omegaword.errors import FormatError, IllegalMoveError, UnsupportedWordError
 from omegaword.game import (
     DUPLICATOR,
@@ -60,6 +61,17 @@ class TestIntervals:
         assert fam.next_after(1) == Interval(3, 3)
         assert fam.next_after(100).first > 100
 
+    def test_next_after_returns_first_member_beyond(self):
+        fam = IntervalFamily(lambda i: Interval(3 * i, 3 * i + (i % 2)), "steps")
+        assert fam.next_after(10) == Interval(12, 12)
+        assert fam.materialized[-1] == Interval(12, 12)  # nothing read past it
+        for pos in range(-1, 40):
+            got = fam.next_after(pos)
+            assert got == next(v for v in fam.materialized if v.first > pos)
+            assert fam.materialized[-1].first <= max(pos + 3, 12)
+        assert fam.next_after(3) == Interval(6, 6)
+        assert fam.next_after(2) == Interval(3, 4)
+
     def test_family_must_increase(self):
         fam = IntervalFamily(lambda i: Interval(0, 1), "broken")
         with pytest.raises(FormatError):
@@ -95,6 +107,18 @@ class TestValidate:
         t = _with(t, chosen=(Interval(1, 1),))
         msgs = validate_transcript(t)
         assert any("round2" in m and "label" in m for m in msgs)
+
+    def test_round2_label_message_names_first_non_a_position(self):
+        # blocks(a,b;affine 1 0) = a b aa b aaa b ...: position 4 is a b
+        t = _with(legal_transcript(), word=affine_word(), chosen=(Interval(2, 5),))
+        assert [m for m in validate_transcript(t) if "labels" in m] == [
+            "round2 labels: V_1 covers a non-a position 4"]
+        far = Interval(10 ** 5, 10 ** 5 + 2000)
+        t = _with(t, chosen=(far,))
+        p = ref_first_other_letter(t.word, "a", far.first, far.last)
+        assert p is not None
+        assert [m for m in validate_transcript(t) if "labels" in m] == [
+            f"round2 labels: V_1 covers a non-a position {p}"]
 
     def test_round2_interleaving(self):
         t = _with(legal_transcript(), chosen=(Interval(1, 2),))  # overlaps W_1
@@ -207,6 +231,38 @@ class TestPlays:
         with pytest.raises(UnsupportedWordError):
             play_bounded(affine_word(), LassoOracle(),
                          DivergingSpoiler(), CopyDuplicator(), horizon=3)
+
+
+class TestSchemeSearch:
+    def test_matches_undeduplicated_search(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for oracle in (UnboundedBlocksOracle(), NeutralUnboundedBlocksOracle()):
+            letters = oracle.alphabet.letters
+            for kind in ("copy", "near copy", "random", "constant"):
+                for _ in range(8):
+                    h = rng.randint(1, 30)
+                    spoiler = DivergingSpoiler()
+                    spoiler.begin(affine_word(), oracle, h)
+
+                    def word():
+                        k = rng.choice([0, 1, 1, 2, rng.randint(0, 4)])
+                        return finite_word([rng.choice(letters) for _ in range(k)],
+                                           oracle.alphabet)
+
+                    w_words = [word() for _ in range(h)]
+                    if kind == "copy":
+                        v_words = list(w_words)
+                    elif kind == "near copy":  # a few answers differ
+                        v_words = [w if rng.random() < 0.9 else word() for w in w_words]
+                    elif kind == "random":
+                        v_words = [word() for _ in range(h)]
+                    else:
+                        v_words = [finite_word(rng.choice(letters), oracle.alphabet)] * h
+                    got = spoiler._scheme_search(w_words, v_words)
+                    assert got == ref_scheme_search(spoiler, w_words, v_words)
+                    outcomes.add(None if got is None else len(got.cycle))
+        assert outcomes == {None, 1, 2}
 
 
 class TestAdjudication:

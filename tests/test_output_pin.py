@@ -11,22 +11,36 @@ transition set or witness changes the digest.
 more seeded random automata: each monoid's witness words, idempotent
 indices and `unit`, and each serialized complement at state budget 2000.
 A failing call contributes its error class and message.
+
+`PINNED_GAME` covers bounded plays of the interval game: every word of the
+benchmark's game workload against `U` and `Uprime` under every strategy pair
+at horizons 10 and 50 (rng seed 0), and the diverging spoiler against the
+copy duplicator on `blocks(a,b;affine 1 0)` at horizon 200.  Each play adds
+its `transcript_to_json` text, then the `validate_transcript` messages of
+copies whose V_i are shifted or stretched over non-a positions and of one
+copy with an out-of-range scheme.  The transcript includes the materialized
+family prefix, so the digest also pins how far round 2 reads the family.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 from helpers import random_automaton, random_sentence
 from omegaword.buchi import (complement, format_automaton, is_empty, transition_monoid,
                              with_canonical_names)
 from omegaword.errors import OmegawordError
+from omegaword.game import (IndexScheme, Interval, get_duplicator, get_spoiler, play_bounded,
+                            transcript_to_json, validate_transcript)
 from omegaword.mso import compile_to_buchi, mso_satisfiable
-from omegaword.words import format_word
+from omegaword.oracles import get_oracle
+from omegaword.words import format_word, parse_word
 
 PINNED = "0df2d3e2730cf494b19300c456b9e66f9ecc3c92e77d0bf53ce207e704fa3021"
 PINNED_COMPLEMENT = "99fc7b78126d7ea52df58c9e2f5265df97d7479d16f6743329e3343261f5659d"
+PINNED_GAME = "9d575646973b4c217d840fd9752bc0f3dfeb08353c7c9db6afb7519c2257552a"
 
 
 def _outcome(call) -> str:
@@ -89,3 +103,42 @@ def complement_lines() -> list[str]:
 def test_complement_and_monoid_match_pinned_digest():
     digest = hashlib.sha256("\n".join(complement_lines()).encode()).hexdigest()
     assert digest == PINNED_COMPLEMENT
+
+
+GAME_WORDS = ("blocks(a,b;affine 1 0)", "blocks(a,b;affine 2 1)", "(aab)^w",
+              "blocks(a,b;constant 3)", "b(aaaab)^w")
+GAME_STRATEGIES = (("random", "copy"), ("random", "random"), ("random", "constant"),
+                   ("diverging", "copy"), ("diverging", "random"),
+                   ("diverging", "constant"))
+
+
+def _tampered(t) -> list:
+    """Illegal copies of a played transcript: V_i moved one position either
+    way, V_i stretched by seven positions, and a scheme past the horizon."""
+    def chosen(f):
+        return replace(t, chosen=tuple(f(v) for v in t.chosen))
+
+    return [chosen(lambda v: Interval(v.first + 1, v.last + 1)),
+            chosen(lambda v: Interval(max(v.first - 1, 0), v.last - 1 if v.first else v.last)),
+            chosen(lambda v: Interval(v.first, v.last + 7)),
+            replace(t, scheme=IndexScheme((), (t.horizon + 1,)))]
+
+
+def game_lines() -> list[str]:
+    plays = [(w, o, sp, du, h) for h in (10, 50) for w in GAME_WORDS
+             for o in ("U", "Uprime") for sp, du in GAME_STRATEGIES]
+    plays.append(("blocks(a,b;affine 1 0)", "U", "diverging", "copy", 200))
+    lines = []
+    for w, o, sp, du, h in plays:
+        rng = random.Random(0)
+        t = play_bounded(parse_word(w), get_oracle(o), get_spoiler(sp, rng),
+                         get_duplicator(du, rng), horizon=h)
+        lines.append(transcript_to_json(t))
+        for bad in _tampered(t):
+            lines.append(" | ".join(validate_transcript(bad)))
+    return lines
+
+
+def test_game_plays_match_pinned_digest():
+    digest = hashlib.sha256("\n".join(game_lines()).encode()).hexdigest()
+    assert digest == PINNED_GAME

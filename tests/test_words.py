@@ -11,6 +11,7 @@ from omegaword.errors import (
     UnsupportedHomomorphismError,
     UnsupportedWordError,
 )
+from helpers import ref_first_other_letter
 from omegaword.words import (
     AffineLengths,
     Alphabet,
@@ -25,6 +26,7 @@ from omegaword.words import (
     concat,
     erasing_hom,
     finite_word,
+    first_other_letter,
     format_word,
     homomorphism,
     letter_at,
@@ -72,6 +74,70 @@ def test_letter_at_growing_blocks_deep():
         expanded.extend(["a"] * (2 * n + 1) + ["b"])
     for i in [0, 5, 100, 777, len(expanded) - 1]:
         assert letter_at(w, i) == expanded[i]
+
+
+def _random_block_or_lasso(rng: random.Random):
+    kind = rng.choice(["affine", "constant", "ep", "lasso"])
+    if kind == "lasso":
+        return _random_lasso(rng, rng.choice(["ab", "abc"]))
+    block, sep = rng.sample("ab", 2)
+    if kind == "affine":
+        rate = rng.randint(1, 3)
+        lengths = AffineLengths(rate, rng.randint(-rate, 4))
+    elif kind == "constant":
+        lengths = ConstantLengths(rng.randint(0, 4))
+    else:
+        lengths = EventuallyPeriodicLengths(
+            tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3))),
+            tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 3))))
+    return BlockWord(AB, block, sep, lengths)
+
+
+def _expanded(w: BlockWord, n: int) -> list[str]:
+    """The first n letters of a block word, written out segment by segment."""
+    out, m = [], 1
+    while len(out) < n:
+        out += [w.block] * w.lengths.nth(m) + [w.sep]
+        m += 1
+    return out[:n]
+
+
+def test_first_other_letter_matches_letter_scan():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(300):
+        w = _random_block_or_lasso(rng)
+        letters = w.alphabet.letters
+        ends = []
+        if isinstance(w, BlockWord) and w._up_form is None:
+            ends = [w._segment_end(m) for m in rng.sample(range(1, 150), 3)]
+        for _ in range(12):
+            start = rng.choice([rng.randint(0, 60), rng.randint(0, 3000),
+                                rng.randint(10 ** 4, 2 * 10 ** 4)]
+                               + [e - 1 for e in ends])  # separators of growing words
+            last = start + rng.choice([0, 1, rng.randint(0, 8), rng.randint(0, 400)])
+            for letter in letters:
+                got = first_other_letter(w, letter, start, last)
+                assert got == ref_first_other_letter(w, letter, start, last)
+                outcomes.add(got is None)
+        assert first_other_letter(w, letters[0], 9, 8) is None
+        if isinstance(w, BlockWord):
+            # letter_at against the written-out schedule, far positions included
+            plain = _expanded(w, 12000)
+            for i in rng.sample(range(12000), 40):
+                assert letter_at(w, i) == plain[i]
+    assert outcomes == {True, False}
+
+
+def test_first_other_letter_on_growing_blocks():
+    w = BlockWord(AB, "a", "b", AffineLengths(1, 0))  # a b aa b aaa b ...
+    assert first_other_letter(w, "a", 2, 3) is None
+    assert first_other_letter(w, "a", 2, 9) == 4
+    assert first_other_letter(w, "b", 4, 4) is None
+    assert first_other_letter(w, "b", 4, 6) == 5
+    empty_first = BlockWord(AB, "a", "b", AffineLengths(1, -1))  # b ab aab ...
+    assert first_other_letter(empty_first, "b", 0, 5) == 1
+    assert first_other_letter(empty_first, "a", 0, 5) == 0
 
 
 def test_constant_blocks_equal_lasso():
