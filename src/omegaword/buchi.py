@@ -9,6 +9,15 @@ word admits a path, and whether it admits a path through an accepting state
 pairs (s, t) with s*t = s and t*t = t classify every infinite word, and the
 complement is the union of the word classes of the non-accepting pairs.
 
+An automaton is stored as its state labels plus one `Table`: successor
+lists on state indices, the initial indices and one acceptance flag per
+state.  Every algorithm here and in the formula compiler reads and writes
+that table; the frozensets of labels `initial`, `accepting` and
+`transitions` are views derived from it on first read.  Input is validated
+where it enters: the public constructor `BuchiAutomaton(...)`, `automaton`
+and `parse_automaton` check their labels, and the constructions, which
+build index tables directly, go through the unchecked `_of_table`.
+
 The textual format, one automaton per file::
 
     alphabet a b
@@ -41,62 +50,80 @@ DEFAULT_STATE_BUDGET = 10**6
 
 class Table(NamedTuple):
     """An automaton's transitions on state indices (declared order):
-    ``succ[x][i]`` lists the x-successors of state i in ascending order,
-    `initial` the initial indices in ascending order, and ``accepting[i]``
-    whether state i accepts.  Shared by every reader; never mutated."""
+    ``succ[x][i]`` lists the x-successors of state i in ascending order
+    without repeats, `initial` the initial indices in ascending order, and
+    ``accepting[i]`` whether state i accepts.  Rows may be shared between
+    automata; never mutated."""
 
     succ: dict
     initial: tuple[int, ...]
     accepting: tuple[bool, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BuchiAutomaton:
+    """State labels plus the index `Table`, the one stored form.
+
+    ``BuchiAutomaton(alphabet, states, initial, accepting, transitions)``
+    checks its labels (no duplicate state, every named state declared, every
+    letter in the alphabet) and builds the table; constructions that hold a
+    table go through the unchecked `_of_table`.  `initial`, `accepting` and
+    `transitions` are label frozensets derived from the table on first read.
+    Equality compares the alphabet, the states and the table."""
+
     alphabet: Alphabet
     states: tuple[State, ...]
-    initial: frozenset
-    accepting: frozenset
-    transitions: frozenset
+    _table: Table
 
-    def __post_init__(self):
-        declared = set(self.states)
-        if len(declared) != len(self.states):
+    def __init__(self, alphabet: Alphabet, states: tuple[State, ...], initial: frozenset,
+                 accepting: frozenset, transitions: frozenset):
+        idx = {q: i for i, q in enumerate(states)}
+        if len(idx) != len(states):
             raise FormatError("duplicate state")
-        for q in self.initial | self.accepting:
-            if q not in declared:
+        for q in initial | accepting:
+            if q not in idx:
                 raise FormatError(f"undeclared state {q!r}")
-        for src, letter, dst in self.transitions:
-            if src not in declared or dst not in declared:
+        succ = {x: [set() for _ in states] for x in alphabet}
+        for src, letter, dst in transitions:
+            if src not in idx or dst not in idx:
                 raise FormatError(f"transition uses undeclared state: {(src, letter, dst)!r}")
-            if letter not in self.alphabet:
+            if letter not in alphabet:
                 raise FormatError(f"transition letter {letter!r} not in alphabet")
+            succ[letter][idx[src]].add(idx[dst])
+        self.__dict__.update(alphabet=alphabet, states=states, _table=Table(
+            {x: [sorted(row) for row in rows] for x, rows in succ.items()},
+            tuple(sorted(idx[q] for q in initial)), tuple(q in accepting for q in states)))
+
+    @classmethod
+    def _of_table(cls, alphabet: Alphabet, states: tuple[State, ...],
+                  table: Table) -> BuchiAutomaton:
+        """The automaton of a table that already has `Table`'s form; no check."""
+        a = object.__new__(cls)
+        a.__dict__.update(alphabet=alphabet, states=states, _table=table)
+        return a
+
+    @cached_property
+    def initial(self) -> frozenset:
+        return frozenset(self.states[i] for i in self._table.initial)
+
+    @cached_property
+    def accepting(self) -> frozenset:
+        return frozenset(q for q, f in zip(self.states, self._table.accepting) if f)
+
+    @cached_property
+    def transitions(self) -> frozenset:
+        states = self.states
+        return frozenset((states[i], x, states[j]) for x, rows in self._table.succ.items()
+                         for i, row in enumerate(rows) for j in row)
 
     def __eq__(self, other):
         if not isinstance(other, BuchiAutomaton):
             return NotImplemented
         return (self.alphabet == other.alphabet and self.states == other.states
-                and self.initial == other.initial and self.accepting == other.accepting
-                and self.transitions == other.transitions)
+                and self._table == other._table)
 
     def __hash__(self):
-        return hash((self.alphabet, self.states, self.initial, self.accepting))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {q: i for i, q in enumerate(self.states)}
-
-    @cached_property
-    def _table(self) -> Table:
-        """The transitions on state indices; the one source of successors."""
-        idx = self._index
-        succ = {x: [[] for _ in self.states] for x in self.alphabet}
-        for src, letter, dst in self.transitions:
-            succ[letter][idx[src]].append(idx[dst])
-        for rows in succ.values():
-            for row in rows:
-                row.sort()
-        return Table(succ, tuple(sorted(idx[q] for q in self.initial)),
-                     tuple(q in self.accepting for q in self.states))
+        return hash((self.alphabet, self.states, self._table.initial, self._table.accepting))
 
 
 def automaton(letters, states: Sequence[State], initial: Iterable[State],
@@ -131,11 +158,15 @@ def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
     """Restrict to states reachable from the initial set (declared order kept)."""
     t = a._table
     seen = _reachable(list(t.succ.values()), t.initial)
-    states = tuple(q for q, s in zip(a.states, seen) if s)
-    keep = set(states)
-    # every target of a reachable source is reachable
-    trans = frozenset(tr for tr in a.transitions if tr[0] in keep)
-    return BuchiAutomaton(a.alphabet, states, a.initial, a.accepting & keep, trans)
+    if all(seen):
+        return a
+    keep = [i for i, s in enumerate(seen) if s]
+    pos = {i: k for k, i in enumerate(keep)}
+    # every target of a reachable source is reachable; renumbering keeps rows ascending
+    succ = {x: [[pos[j] for j in rows[i]] for i in keep] for x, rows in t.succ.items()}
+    return BuchiAutomaton._of_table(
+        a.alphabet, tuple(a.states[i] for i in keep),
+        Table(succ, tuple(pos[i] for i in t.initial), tuple(t.accepting[i] for i in keep)))
 
 
 def _cyclic_sccs(roots: Iterable, succ: Callable) -> Iterator[list]:
@@ -275,38 +306,44 @@ def _shortest_path(rows: Sequence[Sequence[list]], letters: Sequence[str],
 def union(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("union needs a shared alphabet")
-    states = tuple((0, q) for q in a.states) + tuple((1, q) for q in b.states)
-    trans = {((0, s), x, (0, d)) for s, x, d in a.transitions}
-    trans |= {((1, s), x, (1, d)) for s, x, d in b.transitions}
-    return BuchiAutomaton(
-        a.alphabet, states,
-        frozenset({(0, q) for q in a.initial} | {(1, q) for q in b.initial}),
-        frozenset({(0, q) for q in a.accepting} | {(1, q) for q in b.accepting}),
-        frozenset(trans))
+    ta, tb = a._table, b._table
+    na = len(a.states)
+    succ = {x: rows + [[j + na for j in row] for row in tb.succ[x]]
+            for x, rows in ta.succ.items()}
+    return BuchiAutomaton._of_table(
+        a.alphabet, tuple((0, q) for q in a.states) + tuple((1, q) for q in b.states),
+        Table(succ, ta.initial + tuple(i + na for i in tb.initial),
+              ta.accepting + tb.accepting))
 
 
 def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """Two-phase product: phase 1 waits for an accepting state of `a`, phase 2
-    for one of `b`; meeting phase 2's goal is the acceptance condition."""
+    for one of `b`; meeting phase 2's goal is the acceptance condition.  Only
+    the reachable states (p, q, phase) are built, in the order p, q, phase."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersection needs a shared alphabet")
-    states = []
-    trans = set()
-    for p in a.states:
-        for q in b.states:
-            states.append((p, q, 1))
-            states.append((p, q, 2))
-    b_moves: dict = {x: [] for x in b.alphabet}
-    for q, y, q2 in b.transitions:
-        b_moves[y].append((q, q2))
-    for p, x, p2 in a.transitions:
-        for q, q2 in b_moves[x]:
-            trans.add(((p, q, 1), x, (p2, q2, 2 if p in a.accepting else 1)))
-            trans.add(((p, q, 2), x, (p2, q2, 1 if q in b.accepting else 2)))
-    initial = frozenset((p, q, 1) for p in a.initial for q in b.initial)
-    accepting = frozenset((p, q, 2) for p in a.states for q in b.states if q in b.accepting)
-    return reachable_fragment(
-        BuchiAutomaton(a.alphabet, tuple(states), initial, accepting, frozenset(trans)))
+    ta, tb = a._table, b._table
+    nb = len(b.states)
+    pairs = [(ta.succ[x], tb.succ[x]) for x in a.alphabet]
+    start = [(p * nb + q) * 2 for p in ta.initial for q in tb.initial]
+    out: dict = {}  # reached number -> per letter its successor numbers, ascending
+    frontier = list(start)
+    while frontier:
+        node = frontier.pop()
+        if node not in out:
+            p, q = divmod(node // 2, nb)
+            bit = not tb.accepting[q] if node & 1 else ta.accepting[p]  # the next phase
+            out[node] = [[(p2 * nb + q2) * 2 + bit for p2 in ra[p] for q2 in rb[q]]
+                         for ra, rb in pairs]
+            frontier += [k for row in out[node] for k in row if k not in out]
+    order = sorted(out)  # number (p * |b| + q) * 2 + phase - 1 ranks (p, q, phase)
+    pos = {k: i for i, k in enumerate(order)}
+    states = tuple((a.states[k // 2 // nb], b.states[k // 2 % nb], k % 2 + 1) for k in order)
+    succ = {x: [[pos[k] for k in out[node][c]] for node in order]
+            for c, x in enumerate(a.alphabet)}
+    accepting = tuple(k % 2 == 1 and tb.accepting[k // 2 % nb] for k in order)
+    return BuchiAutomaton._of_table(
+        a.alphabet, states, Table(succ, tuple(pos[k] for k in start), accepting))
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +396,18 @@ class TransitionMonoid:
 
     automaton: BuchiAutomaton
     elements: list
-    witnesses: list
     identity: Profile
     unit: int
     _index: dict
     _letters: dict
     _right: list
     _columns: list
+
+    @cached_property
+    def witnesses(self) -> list[FiniteWord]:
+        """The shortest witness word of each element, spelled from `_columns`."""
+        alpha = self.automaton.alphabet
+        return [FiniteWord(alpha, tuple(alpha.letters[c] for c in col)) for col in self._columns]
 
     def letter(self, a: str) -> int:
         return self._letters[a]
@@ -422,9 +464,7 @@ def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMo
         right.append([add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens])
     identity = Profile(tuple(1 << i for i in range(n)),
                        tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
-    names = a.alphabet.letters
-    wit_words = [FiniteWord(a.alphabet, tuple(names[c] for c in col)) for col in columns]
-    return TransitionMonoid(a, elements, wit_words, identity,
+    return TransitionMonoid(a, elements, identity,
                             index.get(identity, len(elements)), index, letters, right, columns)
 
 
@@ -447,10 +487,10 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
     lookup, and the test ``s*t = s`` one lookup per letter of t's witness.
     """
     a = reachable_fragment(a)
+    letters = a.alphabet.letters
     if not a.states or not a.initial:
-        q = "all"
-        return BuchiAutomaton(a.alphabet, (q,), frozenset([q]), frozenset([q]),
-                              frozenset((q, x, q) for x in a.alphabet))
+        return BuchiAutomaton._of_table(
+            a.alphabet, ("all",), Table({x: [[0]] for x in letters}, (0,), (True,)))
     monoid = transition_monoid(a, budget=state_budget)
     init_rows = a._table.initial
 
@@ -465,44 +505,36 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
             if monoid.compose(s, t) == s and not any(p.reach[i] & loops for i in init_rows):
                 jumps.setdefault(s, []).append(t)
 
+    gens = [monoid.letter(x) for x in letters]
     start = ("track", monoid.unit)
-    states: dict = {start: None}
+    index = {start: 0}
     order = [start]
-    trans = set()
+    moves: dict = {}  # node -> per letter its successor nodes
     frontier = [start]
     while frontier:
         node = frontier.pop()
-        new_nodes = []
         if node[0] == "track":
             m = node[1]
-            for x in a.alphabet:
-                nxt = ("track", monoid.compose(m, monoid.letter(x)))
-                trans.add((node, x, nxt))
-                new_nodes.append(nxt)
-                for t in jumps.get(m, ()):
-                    jt = ("check", monoid.letter(x), t, False)
-                    trans.add((node, x, jt))
-                    new_nodes.append(jt)
+            out = moves[node] = [[("track", monoid.compose(m, g))]
+                                 + [("check", g, t, False) for t in jumps.get(m, ())]
+                                 for g in gens]
         else:
             _, m, t, _fresh = node
-            for x in a.alphabet:
-                nxt = ("check", monoid.compose(m, monoid.letter(x)), t, False)
-                trans.add((node, x, nxt))
-                new_nodes.append(nxt)
-                if m == t:
-                    reset = ("check", monoid.letter(x), t, True)
-                    trans.add((node, x, reset))
-                    new_nodes.append(reset)
-        for nn in new_nodes:
-            if nn not in states:
-                if len(states) >= state_budget:
+            out = moves[node] = [[("check", monoid.compose(m, g), t, False)]
+                                 + ([("check", g, t, True)] if m == t else [])
+                                 for g in gens]
+        for nn in (nn for targets in out for nn in targets):
+            if nn not in index:
+                if len(order) >= state_budget:
                     raise BudgetExceededError(f"complement exceeded {state_budget} states")
-                states[nn] = None
+                index[nn] = len(order)
                 order.append(nn)
                 frontier.append(nn)
-    accepting = frozenset(n for n in order if n[0] == "check" and n[3])
-    return BuchiAutomaton(a.alphabet, tuple(order), frozenset([start]),
-                          accepting, frozenset(trans))
+    succ = {x: [sorted({index[nn] for nn in moves[node][c]}) for node in order]
+            for c, x in enumerate(letters)}
+    return BuchiAutomaton._of_table(
+        a.alphabet, tuple(order),
+        Table(succ, (0,), tuple(n[0] == "check" and n[3] for n in order)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +548,19 @@ def map_letters(a: BuchiAutomaton, h: Homomorphism) -> BuchiAutomaton:
     for x in h.source:
         if len(h.image(x)) != 1:
             raise FormatError("map_letters needs a letter-to-letter homomorphism")
-    trans = frozenset((s, h.image(x)[0], d) for s, x, d in a.transitions)
-    return BuchiAutomaton(h.target, a.states, a.initial, a.accepting, trans)
+    return _relabel(a, h.target, lambda x: h.image(x)[0])
+
+
+def _relabel(a: BuchiAutomaton, alpha: Alphabet, image: Callable[[str], str]) -> BuchiAutomaton:
+    """Read each letter x as the letter ``image(x)`` of `alpha`; letters
+    with one image merge their rows.  Unchecked; see `map_letters`."""
+    t = a._table
+    merged: dict = {y: [] for y in alpha}
+    for x, rows in t.succ.items():
+        merged[image(x)].append(rows)
+    succ = {y: [sorted({j for rows in group for j in rows[i]}) for i in range(len(a.states))]
+            for y, group in merged.items()}
+    return BuchiAutomaton._of_table(alpha, a.states, Table(succ, t.initial, t.accepting))
 
 
 def inverse_map_letters(a: BuchiAutomaton, h: Homomorphism) -> BuchiAutomaton:
@@ -528,23 +571,15 @@ def inverse_map_letters(a: BuchiAutomaton, h: Homomorphism) -> BuchiAutomaton:
     for x in h.source:
         if len(h.image(x)) != 1:
             raise FormatError("inverse_map_letters needs a letter-to-letter homomorphism")
-    trans = set()
-    for g in h.source:
-        img = h.image(g)[0]
-        for (s, x, d) in a.transitions:
-            if x == img:
-                trans.add((s, g, d))
-    return BuchiAutomaton(h.source, a.states, a.initial, a.accepting, frozenset(trans))
+    t = a._table
+    succ = {g: t.succ[h.image(g)[0]] for g in h.source}
+    return BuchiAutomaton._of_table(h.source, a.states, Table(succ, t.initial, t.accepting))
 
 
 def with_canonical_names(a: BuchiAutomaton) -> BuchiAutomaton:
     """Rename states to q0, q1, ... in declared order (for serialization)."""
-    names = {q: f"q{i}" for i, q in enumerate(a.states)}
-    return BuchiAutomaton(
-        a.alphabet, tuple(names[q] for q in a.states),
-        frozenset(names[q] for q in a.initial),
-        frozenset(names[q] for q in a.accepting),
-        frozenset((names[s], x, names[d]) for s, x, d in a.transitions))
+    return BuchiAutomaton._of_table(
+        a.alphabet, tuple(f"q{i}" for i in range(len(a.states))), a._table)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +613,15 @@ def format_automaton(a: BuchiAutomaton) -> str:
         if not isinstance(q, str) or not q or any(c.isspace() for c in q):
             raise FormatError(
                 "serialization needs string state names; see with_canonical_names")
-    idx = a._index
-    order = sorted(a.transitions, key=lambda t: (idx[t[0]], a.alphabet.index(t[1]), idx[t[2]]))
+    t = a._table
+    letters = a.alphabet.letters
     lines = [
-        "alphabet " + " ".join(a.alphabet.letters),
+        "alphabet " + " ".join(letters),
         "states " + " ".join(a.states),
-        "initial " + " ".join(sorted(a.initial, key=idx.__getitem__)),
-        "accepting " + " ".join(sorted(a.accepting, key=idx.__getitem__)),
+        "initial " + " ".join(a.states[i] for i in t.initial),
+        "accepting " + " ".join(q for q, f in zip(a.states, t.accepting) if f),
     ]
-    lines += [f"{s} {x} {d}" for s, x, d in order]
+    rows = [t.succ[x] for x in letters]
+    lines += [f"{q} {x} {a.states[j]}" for i, q in enumerate(a.states)
+              for x, row in zip(letters, rows) for j in row[i]]
     return "\n".join(lines) + "\n"

@@ -30,9 +30,9 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, _cycle_nodes, _reachable,
-                    accepts_up, complement, intersect, is_empty, union,
-                    with_canonical_names)
+from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _cycle_nodes, _reachable,
+                    _relabel, accepts_up, complement, intersect, is_empty,
+                    reachable_fragment, union, with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from .oracles import LanguageOracle
 from .words import Alphabet, UPWord, alphabet, letter_at, up_word
@@ -566,11 +566,10 @@ def _track_automaton(base: Alphabet, m: int, k: int,
     the last one accepting; ``edges(head, bits)`` lists the (source, target)
     numbers of the transitions on each coded letter."""
     alpha = coded_alphabet(base, m)
-    states = tuple(f"s{i}" for i in range(k))
-    trans = frozenset((states[s], letter, states[d]) for letter in alpha
-                      for s, d in edges(*_split_coded(letter, m)))
-    return BuchiAutomaton(alpha, states, frozenset(states[:1]), frozenset(states[-1:]),
-                          trans)
+    pairs = {x: set(edges(*_split_coded(x, m))) for x in alpha}
+    succ = {x: [sorted(d for s, d in pairs[x] if s == i) for i in range(k)] for x in alpha}
+    return BuchiAutomaton._of_table(alpha, tuple(f"s{i}" for i in range(k)),
+                                    Table(succ, (0,), tuple(i == k - 1 for i in range(k))))
 
 
 # x < y on (x bit, y bit): s1 once x is seen, s2 once y follows it
@@ -624,13 +623,8 @@ def _drop_last_bit(letter: str, outer: int) -> tuple[str, str]:
 
 def _project(a: BuchiAutomaton, base: Alphabet, outer: int) -> BuchiAutomaton:
     """Existential projection: drop the last indicator bit of every label."""
-    states = a.states
-    trans: set = set()
-    for x, rows in a._table.succ.items():
-        olet = _drop_last_bit(x, outer)[0]
-        trans.update((states[i], olet, states[j]) for i, row in enumerate(rows) for j in row)
-    return _reduce(BuchiAutomaton(coded_alphabet(base, outer), states, a.initial,
-                                  a.accepting, frozenset(trans)))
+    return _reduce(_relabel(a, coded_alphabet(base, outer),
+                            lambda x: _drop_last_bit(x, outer)[0]))
 
 
 def _bits(mask: int) -> list[int]:
@@ -744,13 +738,12 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     kept = [i for i, f in enumerate(live) if f]
     labels = [a.states[q] for q in by_rank]
     sets = {m: frozenset(labels[r] for r in _bits(m)) for i in kept for m in order[i]}
-    names = {i: tuple(map(sets.__getitem__, order[i])) for i in kept}
-    letters = alpha.letters
-    return _reduce(BuchiAutomaton(
-        alpha, tuple(names.values()), frozenset([names[0]] if live[0] else []),
-        frozenset(q for i, q in names.items() if not order[i][2]),
-        frozenset((q, letters[k], names[j]) for i, q in names.items()
-                  for k, targets in enumerate(succ[i]) for j in targets if live[j])))
+    pos = {i: k for k, i in enumerate(kept)}
+    table = Table({x: [sorted(pos[j] for j in succ[i][k] if live[j]) for i in kept]
+                   for k, x in enumerate(alpha)},
+                  (0,) if live[0] else (), tuple(not order[i][2] for i in kept))
+    return _reduce(BuchiAutomaton._of_table(
+        alpha, tuple(tuple(map(sets.__getitem__, order[i])) for i in kept), table))
 
 
 _SIM_STATE_GATE = 200
@@ -759,8 +752,8 @@ _SIM_STATE_GATE = 200
 def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     """Language-preserving shrink applied between construction steps.
 
-    One pass over the state indices of the transition table, which builds a
-    single automaton at the end:
+    One pass over the state indices of the transition table, which builds
+    the quotient's table at the end:
 
     1. keep the states reachable from the initial set, and of those the live
        ones, from which an accepting cycle is reachable;
@@ -770,8 +763,9 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
        of its successors;
     3. if 2 to `_SIM_STATE_GATE` classes are left, quotient by
        direct-simulation equivalence, drop every edge whose target is
-       simulated by another target of the same source class and letter, and
-       keep the part reachable from the initial classes.
+       simulated by another target of the same source class and letter;
+       `reachable_fragment` then keeps the part reachable from the initial
+       classes.
 
     A quotient that merges states numbers its classes 0, 1, ... by first
     member in declared order (the last reachable pass may leave gaps);
@@ -813,21 +807,14 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     edges = [[sorted({block[j] for j in post[k][x]}) for k in first] for x in range(len(rows))]
     acc = [t.accepting[keep[k]] for k in first]
     init = {block[pos[i]] for i in t.initial if live[i]}
-    nodes = range(len(first))
     if 2 <= len(first) <= _SIM_STATE_GATE:
         reduced = _direct_sim_quotient(edges, acc, init)
         if reduced is not None:
             edges, acc, init = reduced
             names = range(len(acc))
-            seen = _reachable(edges, init)
-            nodes = [c for c in names if seen[c]]
-    letters = a.alphabet.letters
-    return BuchiAutomaton(
-        a.alphabet, tuple(names[c] for c in nodes),
-        frozenset(names[c] for c in init),
-        frozenset(names[c] for c in nodes if acc[c]),
-        frozenset((names[c], letters[x], names[d])
-                  for x, row in enumerate(edges) for c in nodes for d in row[c]))
+    return reachable_fragment(BuchiAutomaton._of_table(
+        a.alphabet, tuple(names), Table(dict(zip(a.alphabet, edges)), tuple(sorted(init)),
+                                        tuple(acc))))
 
 
 def _live(rows: Sequence[Sequence], initial: Sequence[int],

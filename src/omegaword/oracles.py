@@ -42,7 +42,6 @@ from .errors import (
     UnsupportedWordError,
 )
 from .words import (
-    AffineLengths,
     Alphabet,
     BlockWord,
     FiniteWord,
@@ -54,7 +53,6 @@ from .words import (
     erasing_hom,
     max_letter_run,
     parse_word,
-    to_up_word,
     with_alphabet,
 )
 
@@ -66,7 +64,9 @@ class LanguageOracle:
     """Base class: dispatch plus alphabet embedding.
 
     Words whose letters all belong to the oracle's alphabet are accepted
-    regardless of the (possibly smaller) alphabet they were built over.
+    regardless of the (possibly smaller) alphabet they were built over.  A
+    block word with bounded lengths is the lasso word it spells and goes to
+    `membership_up`; `membership_block` sees growing blocks only.
     """
 
     name: str = "?"
@@ -77,6 +77,8 @@ class LanguageOracle:
         if isinstance(w, FiniteWord):
             raise UnsupportedWordError("a finite word is not an infinite word")
         w = self._embed(w)
+        if isinstance(w, BlockWord) and w.lengths.bounded():
+            w = w._up_form
         if isinstance(w, UPWord):
             return self.membership_up(w)
         return self.membership_block(w)
@@ -149,21 +151,9 @@ class NeutralUnboundedBlocksOracle(LanguageOracle):
         return max_letter_run(erased, "a") is None
 
     def membership_block(self, w: BlockWord) -> bool:
-        if w.block != "1" and w.sep != "1":
-            return max_letter_run(apply_hom(self._erase, w), "a") is None
-        if w.block == "1":
-            # erasure keeps one separator per segment: sep^omega
-            return w.sep == "a"
-        # sep == "1": erasure concatenates all blocks
-        if isinstance(w.lengths, AffineLengths):
-            total_infinite = True
-        else:
-            up = to_up_word(w)
-            total_infinite = any(x != "1" for x in up.period)
-        if not total_infinite:
-            raise DegenerateErasureError(
-                "erasing the neutral letter leaves a finite word")
-        return w.block == "a"
+        # erasure leaves sep^omega when the block letter is neutral; otherwise
+        # it keeps the growing blocks, whose runs are the unbounded ones
+        return (w.sep if w.block == "1" else w.block) == "a"
 
     def find_condition2_violation(self, c: Classifier) -> Condition2ViolationWitness:
         return _unbounded_runs_violation(self, c)
@@ -181,7 +171,7 @@ class LassoOracle(LanguageOracle):
         return True
 
     def membership_block(self, w: BlockWord) -> bool:
-        return w.lengths.bounded()
+        return False
 
 
 def _is_prime(n: int) -> bool:
@@ -211,9 +201,7 @@ class PrimeBlocksOracle(LanguageOracle):
         return root.count("b") == 1 and _is_prime(len(root) - 1)
 
     def membership_block(self, w: BlockWord) -> bool:
-        if not w.lengths.bounded():
-            return False
-        return self.membership_up(to_up_word(self._embed(w)))
+        return False
 
 
 class SingletonOracle(LanguageOracle):
@@ -225,22 +213,16 @@ class SingletonOracle(LanguageOracle):
         self.target = target
         self.alphabet = target.alphabet
         self.name = f"singleton:{target.text()}"
+        up = target._up_form if isinstance(target, BlockWord) else target
+        self._lasso = None if up is None else canonical_parts(up.prefix, up.period)
 
     def membership_up(self, w: UPWord) -> bool:
-        t = self.target
-        if isinstance(t, BlockWord):
-            if not t.lengths.bounded():
-                return False
-            t = to_up_word(t)
-        return canonical_parts(w.prefix, w.period) == canonical_parts(t.prefix, t.period)
+        return canonical_parts(w.prefix, w.period) == self._lasso
 
     def membership_block(self, w: BlockWord) -> bool:
-        if w.lengths.bounded():
-            return self.membership_up(to_up_word(w))
         t = self.target
-        if not (isinstance(t, BlockWord) and not t.lengths.bounded()):
-            return False
-        return (w.block, w.sep, w.lengths) == (t.block, t.sep, t.lengths)
+        return (isinstance(t, BlockWord)
+                and (w.block, w.sep, w.lengths) == (t.block, t.sep, t.lengths))
 
 
 class RegularOracle(LanguageOracle):
@@ -255,10 +237,7 @@ class RegularOracle(LanguageOracle):
         return accepts_up(self.automaton, w)
 
     def membership_block(self, w: BlockWord) -> bool:
-        if not w.lengths.bounded():
-            raise UnsupportedWordError(
-                "automaton oracles decide lasso-presentable words only")
-        return self.membership_up(to_up_word(w))
+        raise UnsupportedWordError("automaton oracles decide lasso-presentable words only")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 from .errors import AlphabetMismatchError, FormatError
 from .oracles import LanguageOracle
-from .words import Alphabet, FiniteWord, UPWord, alphabet, canonical_parts, to_up_word
+from .words import Alphabet, FiniteWord, UPWord, alphabet, canonical_parts
 
 SEPARATOR = "#"
 MARKED_SEPARATOR = "%#"
@@ -269,17 +269,20 @@ def right_congruence_finite(language: FiniteLanguageOracle,
     """Are u and v right-congruent for the language (u·s and v·s always
     agree on membership)?
 
-    A distinguishing suffix up to the bound settles it negatively with a
-    witness; otherwise the oracle's own class decision is used when it has
-    one, and as a last resort the bounded search's failure is reported as an
-    inexact positive.
+    An oracle that knows the pair congruent settles it at once.  Otherwise a
+    distinguishing suffix up to the bound settles it negatively with a
+    witness; failing that, the oracle's own negative decision is used when it
+    has one, and as a last resort the bounded search's failure is reported as
+    an inexact positive.
     """
     u = _coerce_finite(u, language.alphabet)
     v = _coerce_finite(v, language.alphabet)
+    known = language.same_class(u, v)
+    if known:
+        return CongruenceVerdict(True, True, None)
     witness = _distinguishing_suffix(language, u, v, bound)
     if witness is not None:
         return CongruenceVerdict(False, True, witness)
-    known = language.same_class(u, v)
     if known is not None:
         return CongruenceVerdict(known, True, None)
     return CongruenceVerdict(True, False, None)
@@ -440,9 +443,7 @@ class _LoopOracle(LanguageOracle):
         return False
 
     def membership_block(self, w) -> bool:
-        if not w.lengths.bounded():
-            return False  # growing blocks are never ultimately periodic
-        return self.membership_up(to_up_word(w))
+        return False  # growing blocks are never ultimately periodic
 
 
 def loop_representation(language: FiniteLanguageOracle, *,

@@ -212,12 +212,6 @@ class BlockWord:
     def text(self) -> str:
         return format_word(self)
 
-    @cached_property
-    def _affine_params(self) -> Optional[tuple[int, int]]:
-        if isinstance(self.lengths, AffineLengths):
-            return (self.lengths.rate, self.lengths.offset)
-        return None
-
     def _segment_end(self, m: int) -> int:
         """Number of positions used by blocks 1..m and their separators."""
         r, o = self.lengths.rate, self.lengths.offset  # type: ignore[union-attr]
@@ -557,7 +551,7 @@ def next_letter_run(w: InfiniteWord, letter: str, min_len: int,
         if letter != w.block:
             raise UnsupportedWordError(
                 "run search on growing block words supports only the block letter")
-        m = 1
+        m = w._segment_of(start)  # every earlier block ends before start
         while True:
             k = w.lengths.nth(m)
             s = w._segment_end(m - 1)

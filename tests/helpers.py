@@ -8,7 +8,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import networkx as nx
@@ -138,17 +138,34 @@ def _segment_groups(letters: tuple[str, ...], budget: int):
 
 def all_separated_words(letters: str = "ab", max_tokens: int = 10):
     """Every separated word of token length <= max_tokens, counting each
-    letter and each separator (the marked one included) as one token."""
+    letter and each separator (the marked one included) as one token.
+
+    The right-hand groups of each remaining budget come in `_segment_groups`
+    order, built from the groups of the smaller budgets.  They are kept for
+    the budgets below ``max_tokens - 1``, which recur; the two largest are
+    asked for at most twice and are streamed each time."""
     from omegaword.trio import SeparatedWord
 
     alpha = alphabet(letters)
     base = tuple(letters)
     segment = {seg: FiniteWord(alpha, seg)
                for n in range(max_tokens) for seg in product(base, repeat=n)}
+    kept: dict = {}
+
+    def right_groups(budget: int):
+        if budget in kept:
+            return kept[budget]
+        groups = chain([()], ((segment[seg],) + rest for n in range(budget)
+                              for seg in product(base, repeat=n)
+                              for rest in right_groups(budget - n - 1)))
+        if budget < max_tokens - 1:
+            groups = kept[budget] = list(groups)
+        return groups
+
     for left, used in _segment_groups(base, max_tokens):
         lw = tuple(segment[seg] for seg in left)
-        for right, _ in _segment_groups(base, max_tokens - used):
-            yield SeparatedWord(alpha, lw, tuple(segment[seg] for seg in right))
+        for rw in right_groups(max_tokens - used):
+            yield SeparatedWord(alpha, lw, rw)
 
 
 def ref_first_other_letter(w, letter: str, first: int, last: int):
@@ -315,6 +332,22 @@ def ref_profile(a: BuchiAutomaton, letters) -> tuple[frozenset, frozenset]:
     reach = frozenset((p, q) for (p, q, _) in pairs)
     reach_acc = frozenset((p, q) for (p, q, acc) in pairs if acc)
     return reach, reach_acc
+
+
+def ref_intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
+    """The two-phase product of `omegaword.buchi.intersect` on state labels:
+    every (p, q, phase) state in the order p, q, phase, every transition
+    between them, then the reachable fragment."""
+    states = [(p, q, phase) for p in a.states for q in b.states for phase in (1, 2)]
+    trans = set()
+    for p, x, p2 in a.transitions:
+        for q, y, q2 in b.transitions:
+            if x == y:
+                trans.add(((p, q, 1), x, (p2, q2, 2 if p in a.accepting else 1)))
+                trans.add(((p, q, 2), x, (p2, q2, 1 if q in b.accepting else 2)))
+    return reachable_fragment(automaton(
+        a.alphabet, states, [(p, q, 1) for p in a.initial for q in b.initial],
+        [(p, q, 2) for p in a.states for q in b.accepting], trans))
 
 
 def ref_reduce(a: BuchiAutomaton) -> BuchiAutomaton:

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from helpers import random_automaton, random_up, ref_accepts, ref_profile, run_python
+from helpers import (random_automaton, random_up, ref_accepts, ref_intersect, ref_profile,
+                     run_python)
 from omegaword.buchi import (
+    BuchiAutomaton,
     accepts_up,
     automaton,
     complement,
@@ -216,6 +218,46 @@ def test_monoid_witnesses_are_shortest():
     for i, wit in enumerate(m.witnesses):
         assert m.profile_of(wit.letters) == m.elements[i]
         assert len(wit) <= 3  # two states: short witnesses suffice
+
+
+def revalidated(a):
+    """`a` rebuilt from its label views by the validating constructor."""
+    return BuchiAutomaton(a.alphabet, a.states, a.initial, a.accepting, a.transitions)
+
+
+def test_constructions_match_the_validating_constructor():
+    """Every construction builds its index table without the label checks.
+    Its result, rebuilt from the label views through the checked
+    constructor, is equal: the same states in the same order and the same
+    table, so rows are ascending and free of repeats.  `intersect` also
+    equals the full labelled product cut to its reachable part."""
+    rng = random.Random(515)
+    ab1 = alphabet("ab1")
+    homs = [homomorphism({"a": "a", "b": "a"}, AB, alphabet("a")),
+            homomorphism({"a": "b", "b": "a"}, AB, AB),
+            homomorphism({"a": "c", "b": "a"}, AB, alphabet("abc"))]  # b gets no rows
+    back = homomorphism({"a": "a", "b": "b", "1": "a"}, ab1, AB)
+    checked = 0
+    for k in range(150):
+        a, b = (random_automaton(rng, max_states=5, accept_prob=(0.45, 1.0, 0.2)[k % 3])
+                for _ in range(2))
+        # several initial states, some of them unreachable from the others
+        a = automaton(AB, a.states, rng.sample(a.states, rng.randrange(len(a.states) + 1)),
+                      a.accepting, a.transitions)
+        product = intersect(a, b)
+        assert product == ref_intersect(a, b)
+        outputs = [union(a, b), product, reachable_fragment(a), inverse_map_letters(a, back),
+                   with_canonical_names(union(b, a))]
+        outputs += [map_letters(a, h) for h in homs]
+        try:
+            outputs.append(complement(a, state_budget=2000))
+        except BudgetExceededError:
+            pass
+        for out in outputs:
+            again = revalidated(out)
+            assert again == out and hash(again) == hash(out)
+            checked += 1
+    assert checked > 1300
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from helpers import (all_up_words, random_automaton, random_sentence, ref_reduce,
                      ref_universal_pos)
 import omegaword.mso as mso
-from omegaword.buchi import accepts_up, automaton, complement, is_empty
+from omegaword.buchi import BuchiAutomaton, accepts_up, automaton, complement, is_empty
 from omegaword.errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet, Implies,
                            In, LAtom, Less, Letter, Not, Or, UPValuation,
@@ -327,6 +327,54 @@ class TestUniversalPos:
             assert self.outcome(original, *args) == want
             raised += isinstance(want, tuple)
         assert raised > 0
+
+
+def compile_seed9_set():
+    """Compile the 60 seed-9 depth-5 sentences at budget 1000 (the pinned set)."""
+    rng = random.Random(9)
+    for _ in range(60):
+        phi = random_sentence(rng, depth=5)
+        try:
+            compile_to_buchi(phi, AB, state_budget=1000)
+        except BudgetExceededError:
+            pass
+
+
+class TestTrustedConstruction:
+    """The compiler builds every automaton from an index table and never runs
+    the label checks of the public constructor."""
+
+    def test_compile_runs_no_label_validation(self, monkeypatch):
+        calls = []
+        original = BuchiAutomaton.__init__
+
+        def spy(self, *args):
+            calls.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(BuchiAutomaton, "__init__", spy)
+        compile_seed9_set()
+        assert calls == []
+        automaton(AB, ["q"], ["q"], ["q"], [("q", "a", "q")])  # the spy sees the public path
+        assert len(calls) == 1
+
+    def test_compile_steps_match_the_validating_constructor(self, monkeypatch):
+        """Every `_track_automaton`, `_universal_pos` and `_reduce` result of
+        the seed-9 compile, rebuilt from its label views through the checked
+        constructor, is an equal automaton."""
+        outputs = []
+        for name in ("_track_automaton", "_universal_pos", "_reduce"):
+            def spy(*args, original=getattr(mso, name)):
+                out = original(*args)
+                outputs.append(out)
+                return out
+
+            monkeypatch.setattr(mso, name, spy)
+        compile_seed9_set()
+        assert len(outputs) > 1000
+        for a in outputs:
+            assert BuchiAutomaton(a.alphabet, a.states, a.initial, a.accepting,
+                                  a.transitions) == a
 
 
 class TestEvaluate:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -194,6 +195,31 @@ class TestRegularOracle:
             assert o.member(word) == accepts_up(a, word)
         with pytest.raises(UnsupportedWordError):
             o.member(w("blocks(a,b;affine 1 0)"))
+
+
+def test_bounded_block_words_are_decided_as_their_lassos():
+    """Every oracle gives a block word with bounded lengths over its
+    alphabet the verdict, or the error, of the lasso word it spells."""
+    from omegaword.trio import AnBnOracle, loop_representation
+    from omegaword.words import to_up_word
+
+    rng = random.Random(17)
+    oracles = [get_oracle(name) for name in ("U", "Uprime", "P", "primes")]
+    oracles += [SingletonOracle(w("a(ab)^w")), SingletonOracle(w("blocks(a,b;ep 1|1 2)")),
+                RegularOracle(random_automaton(rng)), loop_representation(AnBnOracle())]
+
+    def outcome(o, word):
+        try:
+            return o.member(word)
+        except (DegenerateErasureError, UnsupportedWordError, AlphabetMismatchError) as exc:
+            return type(exc), str(exc)
+
+    specs = ["constant 0", "constant 2", "ep 1|1 2", "ep 3 0|0 1", "ep 2|0"]
+    for o in oracles:
+        pairs = [(x, y) for x in o.alphabet for y in o.alphabet if x != y]
+        for (block, sep), spec in product(pairs, specs):
+            word = w(f"blocks({block},{sep};{spec})")
+            assert outcome(o, word) == outcome(o, to_up_word(word)), (o.name, word)
 
 
 class TestRegistry:

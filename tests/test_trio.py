@@ -122,6 +122,22 @@ class TestRightCongruence:
         v = right_congruence_finite(just_aa, "ab", "ba", bound=3)
         assert v.equivalent and not v.exact  # no witness below the bound
 
+    def test_known_congruent_pair_asks_no_member(self):
+        class Counted(AnBnOracle):
+            def __init__(self):
+                self.calls = 0
+
+            def member(self, w):
+                self.calls += 1
+                return super().member(w)
+
+        o = Counted()
+        assert member_L1(o, "aab#aaabb") == CongruenceVerdict(True, True, None)
+        assert o.calls == 0
+        v = member_L1(o, "a#aa")  # a known distinct pair still gets its witness
+        assert not v and v.exact and v.witness.letters == ("b",)
+        assert o.calls > 0
+
     def test_registry(self):
         assert get_finite_oracle("anbn").name == "anbn"
         with pytest.raises(FormatError):

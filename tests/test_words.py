@@ -327,6 +327,30 @@ def test_run_search_on_growing_blocks():
     assert max_letter_run(w, "b") == 1
 
 
+def test_run_search_on_growing_blocks_matches_scan(monkeypatch):
+    """Against the position scan at every start before 200 on several
+    growing schedules; a far start reads only the segment ends its segment
+    search needs, not every segment before it."""
+    for lengths in (AffineLengths(1, 0), AffineLengths(1, -1), AffineLengths(2, 1),
+                    AffineLengths(3, -2)):
+        w = BlockWord(AB, "a", "b", lengths)
+        for start in range(200):
+            for min_len in (1, 2, 5):
+                got = next_letter_run(w, "a", min_len, start)
+                assert got == _naive_next_run(w, "a", min_len, start), (lengths, start)
+    w = BlockWord(AB, "a", "b", AffineLengths(1, 0))
+    calls = []
+    segment_end = BlockWord._segment_end
+
+    def counted(self, m):
+        calls.append(m)
+        return segment_end(self, m)
+
+    monkeypatch.setattr(BlockWord, "_segment_end", counted)
+    assert next_letter_run(w, "a", 3, 19900) == (19900, 19902)
+    assert len(calls) < 40
+
+
 def test_run_search_all_letter_period():
     w = up_word("b", "a", AB)
     assert max_letter_run(w, "a") is None
