@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from .buchi import BuchiAutomaton, transition_monoid
@@ -47,6 +47,7 @@ from .words import (
     FiniteWord,
     UPWord,
     Word,
+    _check_letters,
     canonical_parts,
     omega_product,
 )
@@ -280,31 +281,52 @@ def _transformation_monoid(c: Classifier, budget: int) -> list[tuple[tuple, tupl
     return [(g, w) for g, w in elements.items()]
 
 
-def _left_violations(c: Classifier, budget: int) -> list[Condition1Violation]:
+def _left_violations(c: Classifier, budget: int) -> Optional[Condition1Violation]:
+    """The smallest left violation, or None.
+
+    Two monoid elements of one class (witnesses wu before wu2 in
+    length-lexicographic order) are separated by the first reachable state
+    s, in declared order, on which they land in different classes; the
+    context w is the shortest word reaching s.  Candidates are compared by
+    (total length, wu, wu2, w) as raw tuples and only the smallest becomes a
+    `Condition1Violation`.  No two candidates tie, since every monoid
+    element has one witness."""
     order = list(c.reachable)
     pos = {q: i for i, q in enumerate(order)}
+    names = [c.class_of_state(q) for q in order]
     reps = state_representatives(c)
-    elements = _transformation_monoid(c, budget)
     init = pos[c.initial]
     by_class: dict = {}
-    for g, wit in elements:
-        by_class.setdefault(c.class_of_state(order[g[init]]), []).append((g, wit))
-    found = []
+    for g, wit in _transformation_monoid(c, budget):
+        # the class reached from each state: two elements are separated
+        # exactly where these rows differ
+        row = tuple(names[x] for x in g)
+        by_class.setdefault(row[init], []).append((row, wit))
+    best = None
     for group in by_class.values():
-        group.sort(key=lambda gw: (len(gw[1]), gw[1]))
-        for i, (g, wu) in enumerate(group):
-            for (h, wu2) in group[i + 1:]:
-                for s_idx, s in enumerate(order):
-                    cg = c.class_of_state(order[g[s_idx]])
-                    ch = c.class_of_state(order[h[s_idx]])
-                    if cg != ch:
-                        w = reps[s]
-                        found.append(Condition1Violation(
-                            "left", FiniteWord(c.alphabet, wu),
-                            FiniteWord(c.alphabet, wu2), FiniteWord(c.alphabet, w),
-                            c.classify(wu), (cg, ch)))
-                        break
-    return found
+        if len({rg for rg, _ in group}) == 1:
+            continue  # no pair of the group is separated
+        group.sort(key=lambda rw: (len(rw[1]), rw[1]))
+        for i, (rg, wu) in enumerate(group):
+            # witnesses only grow along the group: once wu plus the next
+            # witness outgrows the best total, no later pair can beat it
+            if best is not None and 2 * len(wu) > best[0][0]:
+                break
+            for rh, wu2 in itertools.islice(group, i + 1, None):
+                if best is not None and len(wu) + len(wu2) > best[0][0]:
+                    break
+                if rg == rh:
+                    continue
+                s_idx = next(k for k, (x, y) in enumerate(zip(rg, rh)) if x != y)
+                w = reps[order[s_idx]]
+                key = (len(wu) + len(wu2) + len(w), wu, wu2, w)
+                if best is None or key < best[0]:
+                    best = (key, rg[init], (rg[s_idx], rh[s_idx]))
+    if best is None:
+        return None
+    (_, wu, wu2, w), before, after = best
+    return Condition1Violation("left", FiniteWord(c.alphabet, wu), FiniteWord(c.alphabet, wu2),
+                               FiniteWord(c.alphabet, w), before, after)
 
 
 def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Condition1Violation]:
@@ -315,7 +337,10 @@ def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Conditi
     violations the smallest is returned, ordered by total witness length,
     then by side (right before left), then by the words themselves.
     """
-    found = _right_violations(c) + _left_violations(c, budget)
+    found = _right_violations(c)
+    left = _left_violations(c, budget)
+    if left is not None:
+        found.append(left)
     if not found:
         return None
     return min(found, key=lambda v: (
@@ -553,22 +578,43 @@ def _contexts_up_to(alpha: Alphabet, bound: int):
     return finite, tails
 
 
+def _eraser(oracle) -> Callable[[tuple], tuple]:
+    """Deletes the oracle's neutral letter from a raw letter tuple; the
+    identity when the oracle declares none."""
+    neutral = getattr(oracle, "neutral_letter", None)
+    if neutral is None:
+        return lambda z: z
+    return lambda z: tuple(x for x in z if x != neutral) if neutral in z else z
+
+
 def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
     """Membership of prefix.period^omega given as raw letter tuples, asking
     the oracle once per distinct infinite word.  The memo is keyed by the
     canonical period, then by the canonical prefix, so that the many words
     sharing a period hold no key pair each.
 
+    When the oracle declares a neutral letter, it is erased from the prefix
+    and the period first, so the oracle is asked once per distinct erasure
+    (see `LanguageOracle.neutral_letter`).  A word whose period erases to
+    nothing is no infinite word after erasure and answers False without a
+    query, as `_word_member` does.
+
     The raw tuples are canonicalized as they are; a validated `UPWord` is
     built only on a memo miss, for the oracle.  Every raw word is still
     checked against the alphabet: its canonical form has exactly its
-    letters, so a memo hit means those letters were checked when that form
-    was first inserted.  An empty period raises `FormatError`."""
+    non-neutral letters, so a memo hit means those letters were checked when
+    that form was first inserted; a word answered False by erasure has its
+    prefix checked directly.  An empty period raises `FormatError`."""
     alpha = oracle.alphabet
+    erase = _eraser(oracle)
     memo: dict = {}
 
     def member(prefix: tuple, period: tuple) -> bool:
-        cprefix, cperiod = canonical_parts(prefix, period)
+        erased = erase(period)
+        if period and not erased:
+            _check_letters(prefix, alpha)
+            return False
+        cprefix, cperiod = canonical_parts(erase(prefix), erased)
         by_prefix = memo.setdefault(cperiod, {})
         got = by_prefix.get(cprefix)
         if got is None:
@@ -576,6 +622,22 @@ def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
         return got
 
     return member
+
+
+def _rows_by_erasure(oracle, build: Callable[[tuple], tuple]) -> Callable[[tuple], tuple]:
+    """build(z), computed once per erasure of z: with a neutral letter every
+    membership verdict depends on the erasure only, so the row does too."""
+    erase = _eraser(oracle)
+    rows: dict = {}
+
+    def row(z: tuple) -> tuple:
+        key = erase(z)
+        got = rows.get(key)
+        if got is None:
+            got = rows[key] = build(z)
+        return got
+
+    return row
 
 
 def _right_row(u: tuple, tails: list, member) -> tuple:
@@ -646,23 +708,29 @@ def _partition(words: list[FiniteWord], rows: list[tuple]) -> BoundedPartition:
 def arnold_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
     """Partition all words up to `word_bound` letters by the bounded
     two-sided congruence of the oracle's language: contexts w _ x(y)^omega
-    and powers w(_ v)^omega with pieces up to `context_bound` letters."""
+    and powers w(_ v)^omega with pieces up to `context_bound` letters.
+
+    The right row of w u is built once per erasure of w u (once per word
+    when the oracle has no neutral letter), since the word w u is shared by
+    many pairs (w, u).  The wildcard slots of the powers look at the raw
+    words u and v."""
     words = _words_up_to(oracle.alphabet, word_bound)
     finite, tails = _contexts_up_to(oracle.alphabet, context_bound)
     member = _memo_member(oracle)
-    # w u is the same word for many pairs (w, u): build its right row once
-    right_row = cache(lambda z: _right_row(z, tails, member))
+    right_row = _rows_by_erasure(oracle, lambda z: _right_row(z, tails, member))
     return _partition(words, [_arnold_row(u.letters, finite, member, right_row)
                               for u in words])
 
 
 def right_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
     """Partition all words up to `word_bound` letters by the bounded right
-    congruence of the oracle's language: contexts _ x(y)^omega only."""
+    congruence of the oracle's language: contexts _ x(y)^omega only.  One
+    row is built per erasure of the word."""
     words = _words_up_to(oracle.alphabet, word_bound)
     _, tails = _contexts_up_to(oracle.alphabet, context_bound)
     member = _memo_member(oracle)
-    return _partition(words, [_right_row(u.letters, tails, member) for u in words])
+    right_row = _rows_by_erasure(oracle, lambda z: _right_row(z, tails, member))
+    return _partition(words, [right_row(u.letters) for u in words])
 
 
 # ---------------------------------------------------------------------------

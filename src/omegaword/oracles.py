@@ -30,6 +30,7 @@ from .congruence import (
     Condition2ViolationWitness,
     GrowingBlockSequence,
     PeriodicWordSequence,
+    _eraser,
     _product_or_none,
     class_representatives,
     product_member,
@@ -65,20 +66,25 @@ class LanguageOracle:
 
     Words whose letters all belong to the oracle's alphabet are accepted
     regardless of the (possibly smaller) alphabet they were built over.  A
-    block word with bounded lengths is the lasso word it spells and goes to
-    `membership_up`; `membership_block` sees growing blocks only.
+    block word with bounded lengths is the lasso word it spells: it goes to
+    `membership_up`, and only the letters it spells must embed (all blocks
+    may be empty).  `membership_block` sees growing blocks only.
     """
 
     name: str = "?"
     alphabet: Alphabet = AB
     neutral_letter: Optional[str] = None
+    """A letter whose insertion or deletion never changes membership, or
+    None.  The bounded partitions of the congruence module rely on this
+    contract: they ask the oracle only about the words with that letter
+    erased.  `neutral_letter_check` tests the contract by sampling."""
 
     def member(self, w: Word) -> bool:
         if isinstance(w, FiniteWord):
             raise UnsupportedWordError("a finite word is not an infinite word")
-        w = self._embed(w)
         if isinstance(w, BlockWord) and w.lengths.bounded():
             w = w._up_form
+        w = self._embed(w)
         if isinstance(w, UPWord):
             return self.membership_up(w)
         return self.membership_block(w)
@@ -293,12 +299,6 @@ def neutral_letter_check(oracle: LanguageOracle, *, samples: int,
 # violation finder for the unbounded-runs languages
 
 
-def _erased_letters(oracle: LanguageOracle, letters: tuple[str, ...]) -> tuple[str, ...]:
-    if oracle.neutral_letter is None:
-        return letters
-    return tuple(x for x in letters if x != oracle.neutral_letter)
-
-
 def _unbounded_runs_violation(oracle: LanguageOracle,
                               c: Classifier) -> Condition2ViolationWitness:
     """A product-recognition violation against any finite classifier.
@@ -355,7 +355,7 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
     # sequence at that index flips the verdicts
     for j in range(start, start + lam):
         r = rep_after(j)
-        if "a" in _erased_letters(oracle, r.letters):
+        if "a" in _eraser(oracle)(r.letters):
             u = FiniteWord(c.alphabet, ("a",) * j + ("b",))
             original_b = PeriodicWordSequence((), (u,))
             replaced_b = PeriodicWordSequence((), (r,))

@@ -316,7 +316,7 @@ class SeparatedWord:
 
     def __post_init__(self):
         for seg in self.left + self.right:
-            if seg.alphabet != self.alphabet:
+            if seg.alphabet is not self.alphabet and seg.alphabet != self.alphabet:
                 raise AlphabetMismatchError(
                     "separated-word segments must share the base alphabet")
 

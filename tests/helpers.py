@@ -257,6 +257,65 @@ def ref_bounded_classes(oracle, kind: str, word_bound: int, context_bound: int):
     return classes, bad[:10]
 
 
+def _ref_left_violations(c, budget: int) -> list:
+    from omegaword.congruence import (Condition1Violation, _transformation_monoid,
+                                      state_representatives)
+
+    order = list(c.reachable)
+    pos = {q: i for i, q in enumerate(order)}
+    reps = state_representatives(c)
+    elements = _transformation_monoid(c, budget)
+    init = pos[c.initial]
+    by_class: dict = {}
+    for g, wit in elements:
+        by_class.setdefault(c.class_of_state(order[g[init]]), []).append((g, wit))
+    found = []
+    for group in by_class.values():
+        group.sort(key=lambda gw: (len(gw[1]), gw[1]))
+        for i, (g, wu) in enumerate(group):
+            for (h, wu2) in group[i + 1:]:
+                for s_idx, s in enumerate(order):
+                    cg = c.class_of_state(order[g[s_idx]])
+                    ch = c.class_of_state(order[h[s_idx]])
+                    if cg != ch:
+                        w = reps[s]
+                        found.append(Condition1Violation(
+                            "left", FiniteWord(c.alphabet, wu),
+                            FiniteWord(c.alphabet, wu2), FiniteWord(c.alphabet, w),
+                            c.classify(wu), (cg, ch)))
+                        break
+    return found
+
+
+def ref_check_condition1(c, *, budget: int = 200000):
+    """Condition (1) the eager way: every right and every left violation is
+    built as a validated instance, and the smallest is kept by `min`
+    (total witness length, right before left, then the words)."""
+    from omegaword.congruence import _right_violations
+
+    found = _right_violations(c) + _ref_left_violations(c, budget)
+    if not found:
+        return None
+    return min(found, key=lambda v: (
+        len(v.u) + len(v.u_prime) + len(v.w),
+        v.side != "right",
+        v.u.letters, v.u_prime.letters, v.w.letters))
+
+
+def ref_lemma_repair(c, *, budget: int = 200000):
+    """`lemma_repair`'s merge loop driven by `ref_check_condition1`."""
+    from omegaword.congruence import Classifier
+
+    while True:
+        violation = ref_check_condition1(c, budget=budget)
+        if violation is None:
+            return c
+        x, y = violation.contexts()
+        keep, drop = sorted((c.classify(x), c.classify(y)))
+        relabeled = tuple((q, keep if name == drop else name) for q, name in c.classes)
+        c = Classifier(c.alphabet, c.states, c.initial, c.delta, relabeled)
+
+
 def random_sentence(rng: random.Random, letters: str = "ab",
                     depth: int = 4) -> Formula:
     """Closed predicate-free sentence: a Boolean combination of quantified

@@ -23,10 +23,11 @@ from omegaword.congruence import (
     validate_condition2_witness,
 )
 from omegaword.errors import FormatError
-from omegaword.oracles import RegularOracle, get_oracle
+from omegaword.oracles import LanguageOracle, RegularOracle, get_oracle
 from omegaword.words import FiniteWord, alphabet, finite_word, up_word
 
-from helpers import random_automaton, random_classifier, ref_bounded_classes
+from helpers import (random_automaton, random_classifier, ref_bounded_classes,
+                     ref_check_condition1, ref_lemma_repair)
 
 AB = alphabet("ab")
 
@@ -78,6 +79,21 @@ class UnboundedRunsStub:
 
     def member(self, w):
         return "b" not in w.period and len(w.period) > 0
+
+
+class CountingOracle(LanguageOracle):
+    """Forwards `member` to a registry oracle and counts the calls; the
+    neutral letter is declared as the wrapped oracle declares it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.neutral_letter = inner.neutral_letter
+        self.calls = 0
+
+    def member(self, w):
+        self.calls += 1
+        return self.inner.member(w)
 
 
 class TestCondition1:
@@ -133,6 +149,34 @@ class TestRepair:
             assert repaired.index >= 1
             assert before - repaired.index <= before - 1
 
+
+def condition1_instances():
+    """The 40 classifiers of the benchmark corpus (seed 1, up to 5 states)
+    and 300 seeded random classifiers of up to 4 states."""
+    rng = random.Random(1)
+    corpus = [random_classifier(rng, max_states=5) for _ in range(40)]
+    rng = random.Random(23)
+    return corpus + [random_classifier(rng) for _ in range(300)]
+
+
+def violation_key(v):
+    if v is None:
+        return None
+    return (v.side, v.u, v.u_prime, v.w, v.class_before, v.classes_after)
+
+
+class TestCondition1Reference:
+    def test_check_condition1_matches_eager_reference(self):
+        sides = set()
+        for c in condition1_instances():
+            got, want = check_condition1(c), ref_check_condition1(c)
+            assert violation_key(got) == violation_key(want)
+            sides.add(None if want is None else want.side)
+        assert sides == {None, "left", "right"}
+
+    def test_lemma_repair_matches_eager_reference(self):
+        for c in condition1_instances():
+            assert format_classifier(lemma_repair(c)) == format_classifier(ref_lemma_repair(c))
 
 
 class TestRepresentatives:
@@ -272,13 +316,44 @@ class TestBoundedCongruences:
         assert len(part.non_transitive) > 0
         assert len(part.classes) == 1  # closure merges all three
 
-    @pytest.mark.parametrize("name", ["U", "P", "primes", "Uprime"])
+    @pytest.mark.parametrize("name,word_bound", [
+        pytest.param("U", 2, id="U"), pytest.param("P", 2, id="P"),
+        pytest.param("primes", 2, id="primes"), pytest.param("Uprime", 2, id="Uprime"),
+        pytest.param("Uprime", 3, id="Uprime-3")])
     @pytest.mark.parametrize("kind", ["arnold", "right"])
-    def test_partition_matches_pairwise_reference(self, kind, name):
+    def test_partition_matches_pairwise_reference(self, kind, name, word_bound):
         build = arnold_classes_bounded if kind == "arnold" else right_classes_bounded
         oracle = get_oracle(name)
-        part = build(oracle, word_bound=2, context_bound=2)
-        assert partition_texts(part) == ref_bounded_classes(oracle, kind, 2, 2)
+        part = build(oracle, word_bound=word_bound, context_bound=2)
+        assert partition_texts(part) == ref_bounded_classes(oracle, kind, word_bound, 2)
+
+    @pytest.mark.parametrize("bounds", [(2, 2), (3, 2)], ids=["2/2", "3/2"])
+    @pytest.mark.parametrize("build", [arnold_classes_bounded, right_classes_bounded])
+    def test_neutral_letter_oracle_asked_as_often_as_without(self, build, bounds):
+        # Uprime is U with the neutral letter 1: asked only about erasures,
+        # it needs exactly U's queries
+        calls = {}
+        for name in ("U", "Uprime"):
+            oracle = CountingOracle(get_oracle(name))
+            build(oracle, word_bound=bounds[0], context_bound=bounds[1])
+            calls[name] = oracle.calls
+        assert calls["Uprime"] == calls["U"] > 0
+
+    def test_oracle_without_neutral_letter_gets_raw_partition(self):
+        # "some 1 occurs": the letter 1 is not neutral here, and no
+        # neutral letter is declared, so no word may be erased
+        a = automaton("ab1", ["p", "q"], ["p"], ["q"],
+                      [("p", "a", "p"), ("p", "b", "p"), ("p", "1", "q"),
+                       ("q", "a", "q"), ("q", "b", "q"), ("q", "1", "q")])
+        oracle = RegularOracle(a)
+        assert oracle.neutral_letter is None
+        for kind, build in (("arnold", arnold_classes_bounded),
+                            ("right", right_classes_bounded)):
+            part = build(oracle, word_bound=2, context_bound=1)
+            assert partition_texts(part) == ref_bounded_classes(oracle, kind, 2, 1)
+            classes = [{w.text() for w in cls} for cls in part.classes]
+            assert {"eps", "a", "b"} in [cls & {"eps", "a", "b"} for cls in classes]
+            assert not any({"eps", "1"} <= cls for cls in classes)
 
     def test_non_transitive_partitions_match_pairwise_reference(self):
         rng = random.Random(5)

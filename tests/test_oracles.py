@@ -73,6 +73,16 @@ class TestUnboundedBlocks:
         with pytest.raises(AlphabetMismatchError):
             u.member(up_word("", "ac", alphabet("abc")))
 
+    def test_bounded_block_word_embeds_by_the_letters_it_spells(self):
+        # every block of 1s is empty: the word is a^omega and never shows a 1
+        u = get_oracle("U")
+        assert u.member(w("blocks(1,a;constant 0)")) is u.member(w("(a)^w")) is True
+        assert u.member(w("blocks(1,b;ep 0|0)")) is u.member(w("(b)^w")) is False
+        with pytest.raises(AlphabetMismatchError):
+            u.member(w("blocks(1,a;constant 1)"))
+        with pytest.raises(AlphabetMismatchError):
+            u.member(w("blocks(1,a;affine 1 0)"))
+
 
 class TestNeutralUnboundedBlocks:
     def test_erasure_semantics(self):
