@@ -53,7 +53,9 @@ class Table(NamedTuple):
     ``succ[x][i]`` lists the x-successors of state i in ascending order
     without repeats, `initial` the initial indices in ascending order, and
     ``accepting[i]`` whether state i accepts.  Rows may be shared between
-    automata; never mutated."""
+    automata, and between the letters of one table (the letter-class
+    constructions give every letter of a class its representative's rows);
+    they are never mutated."""
 
     succ: dict
     initial: tuple[int, ...]
@@ -133,6 +135,33 @@ def automaton(letters, states: Sequence[State], initial: Iterable[State],
                           frozenset(accepting), frozenset(transitions))
 
 
+def _letter_classes(columns: Iterable[Hashable]) -> tuple[list[int], list[int]]:
+    """Letter classes: letters whose successor columns are equal.
+
+    ``columns`` gives one hashable column per letter in alphabet order.
+    Returns ``(reps, cls)``: ``reps`` lists the first letter of each class in
+    alphabet order, and ``cls[c]`` is the class of letter c, so that
+    ``reps[cls[c]]`` is the first letter with c's column.  A per-letter
+    construction that visits letters in alphabet order can compute one
+    result per class and copy it to the class's other letters: a later
+    letter with the same column finds only states, elements and witnesses
+    its representative already made."""
+    first: dict = {}
+    reps: list[int] = []
+    cls = []
+    for c, col in enumerate(columns):
+        k = first.setdefault(col, len(reps))
+        if k == len(reps):
+            reps.append(c)
+        cls.append(k)
+    return reps, cls
+
+
+def _column(rows: Sequence[Sequence[int]]) -> tuple:
+    """One letter's successor rows as a hashable column, for `_letter_classes`."""
+    return tuple(map(tuple, rows))
+
+
 # ---------------------------------------------------------------------------
 # reachability, SCCs, membership, emptiness
 
@@ -155,15 +184,18 @@ def _reachable(rows: Sequence[Sequence[list]], sources: Iterable[int]) -> list[b
 
 
 def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Restrict to states reachable from the initial set (declared order kept)."""
+    """Restrict to states reachable from the initial set (declared order kept).
+    Letters that share their rows keep sharing them, restricted once."""
     t = a._table
-    seen = _reachable(list(t.succ.values()), t.initial)
+    shared = {id(rows): rows for rows in t.succ.values()}
+    seen = _reachable(list(shared.values()), t.initial)
     if all(seen):
         return a
     keep = [i for i, s in enumerate(seen) if s]
     pos = {i: k for k, i in enumerate(keep)}
     # every target of a reachable source is reachable; renumbering keeps rows ascending
-    succ = {x: [[pos[j] for j in rows[i]] for i in keep] for x, rows in t.succ.items()}
+    new = {k: [[pos[j] for j in rows[i]] for i in keep] for k, rows in shared.items()}
+    succ = {x: new[id(rows)] for x, rows in t.succ.items()}
     return BuchiAutomaton._of_table(
         a.alphabet, tuple(a.states[i] for i in keep),
         Table(succ, tuple(pos[i] for i in t.initial), tuple(t.accepting[i] for i in keep)))
@@ -319,14 +351,18 @@ def union(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
 def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """Two-phase product: phase 1 waits for an accepting state of `a`, phase 2
     for one of `b`; meeting phase 2's goal is the acceptance condition.  Only
-    the reachable states (p, q, phase) are built, in the order p, q, phase."""
+    the reachable states (p, q, phase) are built, in the order p, q, phase.
+    One product row is built per letter class of (a column, b column)
+    pairs, and the letters of a class share it."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersection needs a shared alphabet")
     ta, tb = a._table, b._table
     nb = len(b.states)
-    pairs = [(ta.succ[x], tb.succ[x]) for x in a.alphabet]
+    reps, cls = _letter_classes((_column(ta.succ[x]), _column(tb.succ[x])) for x in a.alphabet)
+    letters = a.alphabet.letters
+    pairs = [(ta.succ[letters[c]], tb.succ[letters[c]]) for c in reps]
     start = [(p * nb + q) * 2 for p in ta.initial for q in tb.initial]
-    out: dict = {}  # reached number -> per letter its successor numbers, ascending
+    out: dict = {}  # reached number -> per class its successor numbers, ascending
     frontier = list(start)
     while frontier:
         node = frontier.pop()
@@ -339,8 +375,8 @@ def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     order = sorted(out)  # number (p * |b| + q) * 2 + phase - 1 ranks (p, q, phase)
     pos = {k: i for i, k in enumerate(order)}
     states = tuple((a.states[k // 2 // nb], b.states[k // 2 % nb], k % 2 + 1) for k in order)
-    succ = {x: [[pos[k] for k in out[node][c]] for node in order]
-            for c, x in enumerate(a.alphabet)}
+    rows = [[[pos[k] for k in out[node][r]] for node in order] for r in range(len(reps))]
+    succ = {x: rows[r] for x, r in zip(letters, cls)}
     accepting = tuple(k % 2 == 1 and tb.accepting[k // 2 % nb] for k in order)
     return BuchiAutomaton._of_table(
         a.alphabet, states, Table(succ, tuple(pos[k] for k in start), accepting))
@@ -435,7 +471,11 @@ class TransitionMonoid:
 def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMonoid:
     """Generate the monoid of profiles of nonempty words, breadth-first by
     witness length, with its right Cayley table.  Raises BudgetExceededError
-    past `budget` elements."""
+    past `budget` elements.
+
+    Letters with equal successor columns have one profile, so each element's
+    right Cayley row is computed once per letter class and copied to the
+    class's other letters; witnesses spell only each class's first letter."""
     n = len(a.states)
     t = a._table
     acc_mask = sum(1 << i for i, f in enumerate(t.accepting) if f)
@@ -458,10 +498,13 @@ def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMo
         reach = tuple(sum(1 << j for j in row) for row in t.succ[x])
         letters[x] = add(Profile(reach, tuple(r if f else r & acc_mask
                                               for r, f in zip(reach, t.accepting))), (c,))
-    gens = list(enumerate(letters.values()))
+    ids = list(letters.values())
+    reps, cls = _letter_classes(ids)
+    gens = [(c, ids[c]) for c in reps]
     right: list[list[int]] = []
     for p, wit in zip(elements, columns):  # both lists grow while this runs
-        right.append([add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens])
+        row = [add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens]
+        right.append([row[r] for r in cls])
     identity = Profile(tuple(1 << i for i in range(n)),
                        tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
     return TransitionMonoid(a, elements, identity,
@@ -485,6 +528,8 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
     Only the reachable part is ever built.  Every monoid product here is a
     walk on the monoid's right Cayley table: a track or check step is one
     lookup, and the test ``s*t = s`` one lookup per letter of t's witness.
+    Letters with one profile form a class: each node's moves and each
+    successor row are built once per class, and its letters share the row.
     """
     a = reachable_fragment(a)
     letters = a.alphabet.letters
@@ -505,11 +550,12 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
             if monoid.compose(s, t) == s and not any(p.reach[i] & loops for i in init_rows):
                 jumps.setdefault(s, []).append(t)
 
-    gens = [monoid.letter(x) for x in letters]
+    reps, cls = _letter_classes(monoid.letter(x) for x in letters)
+    gens = [monoid.letter(letters[c]) for c in reps]
     start = ("track", monoid.unit)
     index = {start: 0}
     order = [start]
-    moves: dict = {}  # node -> per letter its successor nodes
+    moves: dict = {}  # node -> per letter class its successor nodes
     frontier = [start]
     while frontier:
         node = frontier.pop()
@@ -530,8 +576,9 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
                 index[nn] = len(order)
                 order.append(nn)
                 frontier.append(nn)
-    succ = {x: [sorted({index[nn] for nn in moves[node][c]}) for node in order]
-            for c, x in enumerate(letters)}
+    rows = [[sorted({index[nn] for nn in moves[node][r]}) for node in order]
+            for r in range(len(reps))]
+    succ = {x: rows[r] for x, r in zip(letters, cls)}
     return BuchiAutomaton._of_table(
         a.alphabet, tuple(order),
         Table(succ, (0,), tuple(n[0] == "check" and n[3] for n in order)))

@@ -208,14 +208,26 @@ class Condition1Violation:
         return (self.w.letters + self.u.letters, self.w.letters + self.u_prime.letters)
 
 
-def _right_violations(c: Classifier) -> list[Condition1Violation]:
+def _right_violations(c: Classifier) -> Optional[Condition1Violation]:
+    """The smallest right violation, or None.
+
+    Each pair of reachable states of one class (p before q in declared
+    order) is separated by its shortest suffix w, the first hit of a
+    breadth-first search on state pairs; u and u2 are the shortest words
+    reaching p and q, in length-lexicographic order.  Candidates are
+    compared by (total length, u, u2, w) as raw tuples and only the
+    smallest becomes a `Condition1Violation`.  No two candidates tie, since
+    distinct states have distinct shortest words."""
     reps = state_representatives(c)
     order = list(c.reachable)
-    found = []
+    best = None
     for i, p in enumerate(order):
         for q in order[i + 1:]:
             if c.class_of_state(p) != c.class_of_state(q):
                 continue
+            u, u2 = sorted((reps[p], reps[q]), key=lambda x: (len(x), x))
+            if best is not None and len(u) + len(u2) + 1 > best[0]:
+                continue  # even a one-letter suffix is too long
             # BFS on state pairs for a separating suffix
             start = (p, q)
             back: dict = {start: None}
@@ -245,12 +257,15 @@ def _right_violations(c: Classifier) -> list[Condition1Violation]:
                 node, a = back[node]
                 letters.append(a)
             w = tuple(reversed(letters))
-            u, u2 = sorted((reps[p], reps[q]), key=lambda x: (len(x), x))
-            found.append(Condition1Violation(
-                "right", FiniteWord(c.alphabet, u), FiniteWord(c.alphabet, u2),
-                FiniteWord(c.alphabet, w), c.class_of_state(p),
-                (c.classify(u + w), c.classify(u2 + w))))
-    return found
+            key = (len(u) + len(u2) + len(w), u, u2, w)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    _, u, u2, w = best
+    return Condition1Violation(
+        "right", FiniteWord(c.alphabet, u), FiniteWord(c.alphabet, u2),
+        FiniteWord(c.alphabet, w), c.classify(u), (c.classify(u + w), c.classify(u2 + w)))
 
 
 def _transformation_monoid(c: Classifier, budget: int) -> list[tuple[tuple, tuple[str, ...]]]:
@@ -337,10 +352,7 @@ def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Conditi
     violations the smallest is returned, ordered by total witness length,
     then by side (right before left), then by the words themselves.
     """
-    found = _right_violations(c)
-    left = _left_violations(c, budget)
-    if left is not None:
-        found.append(left)
+    found = [v for v in (_right_violations(c), _left_violations(c, budget)) if v is not None]
     if not found:
         return None
     return min(found, key=lambda v: (

@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _cycle_nodes, _reachable,
-                    _relabel, accepts_up, complement, intersect, is_empty,
-                    reachable_fragment, union, with_canonical_names)
+from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _column, _cycle_nodes,
+                    _letter_classes, _reachable, _relabel, accepts_up, complement,
+                    intersect, is_empty, reachable_fragment, union, with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from .oracles import LanguageOracle
 from .words import Alphabet, UPWord, alphabet, letter_at, up_word
@@ -198,46 +198,45 @@ def is_closed(phi: Formula) -> bool:
     return not p and not s
 
 
-def check_scopes(phi: Formula, *, free_positions: Sequence[str] = (),
-                 free_sets: Sequence[str] = ()) -> list[str]:
+def check_scopes(phi: Formula, *, free_positions: Iterable[str] = (),
+                 free_sets: Iterable[str] = ()) -> list[str]:
     """Scope and sort problems; an empty list means well-formed.
 
     Rules: every occurrence must be bound by an enclosing quantifier or
     declared free; no quantifier rebinds a name already in scope on the same
     path (reuse across sibling branches is fine); position slots take
-    position variables and set slots take set variables.
+    position variables and set slots take set variables.  The atom a
+    problem names is rendered only once the problem is found.
     """
     problems: list[str] = []
 
     def use(v: str, want_pos: bool, pos_pool: frozenset, set_pool: frozenset,
-            where: str) -> None:
+            atom: Formula) -> None:
+        if v in (pos_pool if want_pos else set_pool):
+            return
+        where = render_formula(atom)
         if want_pos:
-            if v in pos_pool:
-                return
             if v in set_pool:
                 problems.append(f"set variable {v!r} used as a position in {where}")
             else:
                 problems.append(f"unbound position variable {v!r} in {where}")
+        elif v in pos_pool:
+            problems.append(f"position variable {v!r} used as a set in {where}")
         else:
-            if v in set_pool:
-                return
-            if v in pos_pool:
-                problems.append(f"position variable {v!r} used as a set in {where}")
-            else:
-                problems.append(f"unbound set variable {v!r} in {where}")
+            problems.append(f"unbound set variable {v!r} in {where}")
 
     def walk(f: Formula, pos_pool: frozenset, set_pool: frozenset) -> None:
         if isinstance(f, Less):
-            use(f.x, True, pos_pool, set_pool, render_formula(f))
-            use(f.y, True, pos_pool, set_pool, render_formula(f))
+            use(f.x, True, pos_pool, set_pool, f)
+            use(f.y, True, pos_pool, set_pool, f)
         elif isinstance(f, In):
-            use(f.x, True, pos_pool, set_pool, render_formula(f))
-            use(f.X, False, pos_pool, set_pool, render_formula(f))
+            use(f.x, True, pos_pool, set_pool, f)
+            use(f.X, False, pos_pool, set_pool, f)
         elif isinstance(f, Letter):
-            use(f.x, True, pos_pool, set_pool, render_formula(f))
+            use(f.x, True, pos_pool, set_pool, f)
         elif isinstance(f, LAtom):
             for v in f.args:
-                use(v, False, pos_pool, set_pool, render_formula(f))
+                use(v, False, pos_pool, set_pool, f)
         elif isinstance(f, _QUANTIFIERS):
             if f.var in pos_pool or f.var in set_pool:
                 problems.append(f"variable {f.var!r} bound twice along a path")
@@ -251,6 +250,16 @@ def check_scopes(phi: Formula, *, free_positions: Sequence[str] = (),
 
     walk(phi, frozenset(free_positions), frozenset(free_sets))
     return problems
+
+
+def _require_scopes(phi: Formula, free_positions: Iterable[str],
+                    free_sets: Iterable[str]) -> None:
+    """Raise FormatError listing `check_scopes`'s problems, if it has any.
+    The compiler finds a variable's track by its name, so a rebound name or
+    a name at both sorts would silently read the wrong track."""
+    problems = check_scopes(phi, free_positions=free_positions, free_sets=free_sets)
+    if problems:
+        raise FormatError("ill-scoped formula: " + "; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +499,8 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     them ride as set tracks.  A free position variable is read under the
     promise that its track is a singleton (the caller supplies it that way);
     bound position variables get the promise conjoined at their quantifier.
+    An ill-scoped formula raises FormatError: `check_scopes` with the
+    context's names declared free, at the sorts the formula uses them.
 
     One structural recursion, `_compile`, which carries negations inward as
     a flag: fixed atom automata (negated atoms have their own), union and
@@ -511,6 +522,7 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     if missing:
         raise UnsupportedFormulaError(
             f"free variables {missing} are not in the declared context")
+    _require_scopes(phi, fpos, (set(ctx) - fpos) | fset)
     out = _compile(phi, alpha, ctx, state_budget)
     return with_canonical_names(_reduce(out))
 
@@ -657,6 +669,11 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     S, T and O are int bit masks over the inner states, bit r standing for
     the state of rank r in ``sorted(a.states)``, and each outer letter has
     two successor masks per inner state, one per value of the dropped bit.
+    Outer letters with equal pairs of mask columns form a letter class
+    (`_letter_classes`): the subset steps and the thread and spawn loop run
+    once per class, and the letters of a class share its rows.  A letter
+    that is not first in its class finds only states its class's first
+    letter already found, so the numbering is the per-letter one.
     The search visits letters in alphabet order, thread choices in product
     order over the threads by rank, and spawn targets by rank, which is the
     order of a walk over `sorted` label sets when `sorted` orders the labels
@@ -680,13 +697,15 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
         for i, row in enumerate(rows):
             for j in row:
                 masks[rank[i]] |= 1 << rank[j]
-    # [letter][rank]: the one-bit masks of the bit-0 successors, a thread's choices
-    ones = [[[1 << c for c in _bits(m)] for m in post0] for post0 in post[0]]
-    subset_steps: dict = {}  # S -> [(letter, S2, one-bit spawn masks)] where some spawn
+    reps, cls = _letter_classes((tuple(p0), tuple(p1)) for p0, p1 in zip(*post))
+    post = [(post[0][k], post[1][k]) for k in reps]  # [class]: (bit-0, bit-1) masks by rank
+    # [class][rank]: the one-bit masks of the bit-0 successors, a thread's choices
+    ones = [[[1 << c for c in _bits(m)] for m in post0] for post0, _ in post]
+    subset_steps: dict = {}  # S -> [(class, S2, one-bit spawn masks)] where some spawn
 
     def steps_of(S: int) -> list:
         steps = []
-        for k, (post0, post1) in enumerate(zip(*post)):
+        for k, (post0, post1) in enumerate(post):
             S2 = spawn = 0
             for r in _bits(S):
                 S2 |= post0[r]
@@ -699,7 +718,7 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     init = (sum(1 << rank[i] for i in t.initial), 0, 0)
     order = [init]
     seen = {init: 0}
-    succ: list = []  # [state][letter]: successor numbers
+    succ: list = []  # [state][class]: successor numbers
     i = 0
     while i < len(order):
         S, T, O = order[i]
@@ -707,7 +726,7 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
         if steps is None:
             steps = subset_steps[S] = steps_of(S)
         threads = [(r, O >> r & 1) for r in _bits(T)]
-        out: list = [()] * len(alpha)
+        out: list = [()] * len(reps)
         for k, S2, spawn in steps:
             choices = [(ones[k][r], chased) for r, chased in threads]
             if any(not alts for alts, _ in choices):
@@ -739,8 +758,9 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     labels = [a.states[q] for q in by_rank]
     sets = {m: frozenset(labels[r] for r in _bits(m)) for i in kept for m in order[i]}
     pos = {i: k for k, i in enumerate(kept)}
-    table = Table({x: [sorted(pos[j] for j in succ[i][k] if live[j]) for i in kept]
-                   for k, x in enumerate(alpha)},
+    rows = [[sorted(pos[j] for j in succ[i][k] if live[j]) for i in kept]
+            for k in range(len(reps))]
+    table = Table(dict(zip(alpha, (rows[k] for k in cls))),
                   (0,) if live[0] else (), tuple(not order[i][2] for i in kept))
     return _reduce(BuchiAutomaton._of_table(
         alpha, tuple(tuple(map(sets.__getitem__, order[i])) for i in kept), table))
@@ -771,13 +791,20 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     member in declared order (the last reachable pass may leave gaps);
     otherwise the states keep their labels and order.
 
+    All three steps read one successor column per letter class
+    (`_letter_classes`), since letters with equal columns give equal
+    liveness, signatures and simulation constraints; every letter of a
+    class gets the quotient's rows of its class.
+
     Direct simulation demands that accepting states be matched by accepting
     ones, which makes the quotient and the pruning language-preserving for
     Büchi acceptance.  The reduction keeps the products and complements of
     nested compilation from snowballing.
     """
     t = a._table
-    rows = [t.succ[x] for x in a.alphabet]
+    columns = [t.succ[x] for x in a.alphabet]
+    reps, cls = _letter_classes(map(_column, columns))
+    rows = [columns[c] for c in reps]
     live = _live(rows, t.initial, t.accepting)
     keep = [i for i, f in enumerate(live) if f]
     pos = {i: k for k, i in enumerate(keep)}
@@ -813,8 +840,8 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
             edges, acc, init = reduced
             names = range(len(acc))
     return reachable_fragment(BuchiAutomaton._of_table(
-        a.alphabet, tuple(names), Table(dict(zip(a.alphabet, edges)), tuple(sorted(init)),
-                                        tuple(acc))))
+        a.alphabet, tuple(names), Table(dict(zip(a.alphabet, (edges[r] for r in cls))),
+                                        tuple(sorted(init)), tuple(acc))))
 
 
 def _live(rows: Sequence[Sequence], initial: Sequence[int],
@@ -926,8 +953,11 @@ def evaluate(phi: Formula, val: UPValuation,
     asks the oracle about the decoded word.
 
     A valuation without a word evaluates against a default one-letter word,
-    which suits formulas that never mention letters.
+    which suits formulas that never mention letters.  An ill-scoped formula
+    (`check_scopes`, with the formula's free variables declared at the
+    sorts they are used at) raises FormatError.
     """
+    _require_scopes(phi, *free_variables(phi))
     word = val.word if val.word is not None else up_word("", "a", alphabet("a"))
 
     def pos_of(v: str) -> int:

@@ -13,13 +13,15 @@ from pathlib import Path
 
 import networkx as nx
 
-from omegaword.buchi import BuchiAutomaton, _cycle_nodes, automaton, reachable_fragment
+from omegaword.buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Profile, Table,
+                             TransitionMonoid, _cycle_nodes, automaton, compose_profiles,
+                             inverse_map_letters, reachable_fragment)
 from omegaword.congruence import classifier
 from omegaword.errors import BudgetExceededError, DegenerateErasureError
 from omegaword.mso import (_SIM_STATE_GATE, _SPAWN_COMBO_CAP, And, ExistsPos, ExistsSet,
                            ForallPos, ForallSet, Formula, Implies, In, Less, Letter, Not, Or,
                            _drop_last_bit, coded_alphabet)
-from omegaword.words import Alphabet, FiniteWord, UPWord, alphabet, up_word
+from omegaword.words import Alphabet, FiniteWord, UPWord, alphabet, homomorphism, up_word
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -257,6 +259,53 @@ def ref_bounded_classes(oracle, kind: str, word_bound: int, context_bound: int):
     return classes, bad[:10]
 
 
+def _ref_right_violations(c) -> list:
+    from omegaword.congruence import Condition1Violation, state_representatives
+
+    reps = state_representatives(c)
+    order = list(c.reachable)
+    found = []
+    for i, p in enumerate(order):
+        for q in order[i + 1:]:
+            if c.class_of_state(p) != c.class_of_state(q):
+                continue
+            # BFS on state pairs for a separating suffix
+            start = (p, q)
+            back: dict = {start: None}
+            frontier = [start]
+            hit = None
+            while frontier and hit is None:
+                nxt = []
+                for (s, t) in frontier:
+                    for a in c.alphabet:
+                        s2, t2 = c.step(s, a), c.step(t, a)
+                        key = (s2, t2)
+                        if key in back:
+                            continue
+                        back[key] = ((s, t), a)
+                        if c.class_of_state(s2) != c.class_of_state(t2):
+                            hit = key
+                            break
+                        nxt.append(key)
+                    if hit:
+                        break
+                frontier = nxt
+            if hit is None:
+                continue
+            letters: list[str] = []
+            node = hit
+            while back[node] is not None:
+                node, a = back[node]
+                letters.append(a)
+            w = tuple(reversed(letters))
+            u, u2 = sorted((reps[p], reps[q]), key=lambda x: (len(x), x))
+            found.append(Condition1Violation(
+                "right", FiniteWord(c.alphabet, u), FiniteWord(c.alphabet, u2),
+                FiniteWord(c.alphabet, w), c.class_of_state(p),
+                (c.classify(u + w), c.classify(u2 + w))))
+    return found
+
+
 def _ref_left_violations(c, budget: int) -> list:
     from omegaword.congruence import (Condition1Violation, _transformation_monoid,
                                       state_representatives)
@@ -291,9 +340,7 @@ def ref_check_condition1(c, *, budget: int = 200000):
     """Condition (1) the eager way: every right and every left violation is
     built as a validated instance, and the smallest is kept by `min`
     (total witness length, right before left, then the words)."""
-    from omegaword.congruence import _right_violations
-
-    found = _right_violations(c) + _ref_left_violations(c, budget)
+    found = _ref_right_violations(c) + _ref_left_violations(c, budget)
     if not found:
         return None
     return min(found, key=lambda v: (
@@ -589,3 +636,110 @@ def ref_universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     return ref_reduce(BuchiAutomaton(
         alpha, tuple(order), frozenset({init}),
         frozenset(st for st in order if not st[2]), frozenset(trans)))
+
+
+def lifted_automaton(rng: random.Random, tracks: int, max_states: int = 6,
+                     accept_prob: float = 0.45) -> BuchiAutomaton:
+    """A seeded automaton over "ab" read back over ``coded_alphabet(ab,
+    tracks)`` through `inverse_map_letters`: each coded letter takes the
+    column of its base letter, or of a random one of a and b, so that many
+    letters share a successor column."""
+    a = random_automaton(rng, max_states=max_states, accept_prob=accept_prob)
+    coded = coded_alphabet(a.alphabet, tracks)
+    mode = rng.randrange(3)  # base letters, random letters, or base when the last bit is 0
+
+    def image(x: str) -> str:
+        return x[0] if mode == 0 or mode == 2 and x.endswith("0") else rng.choice("ab")
+
+    images = {x: image(x) for x in coded}
+    return inverse_map_letters(a, homomorphism(images, coded, a.alphabet))
+
+
+def ref_transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMonoid:
+    """`omegaword.buchi.transition_monoid` before letter classes: one right
+    Cayley column per letter, each computed by a profile product."""
+    n = len(a.states)
+    t = a._table
+    acc_mask = sum(1 << i for i, f in enumerate(t.accepting) if f)
+    elements: list[Profile] = []
+    columns: list[tuple[int, ...]] = []
+    index: dict = {}
+
+    def add(p: Profile, witness: tuple[int, ...]) -> int:
+        k = index.get(p)
+        if k is None:
+            if len(elements) >= budget:
+                raise BudgetExceededError(f"transition monoid exceeded {budget} elements")
+            k = index[p] = len(elements)
+            elements.append(p)
+            columns.append(witness)
+        return k
+
+    letters: dict = {}
+    for c, x in enumerate(a.alphabet):
+        reach = tuple(sum(1 << j for j in row) for row in t.succ[x])
+        letters[x] = add(Profile(reach, tuple(r if f else r & acc_mask
+                                              for r, f in zip(reach, t.accepting))), (c,))
+    gens = list(enumerate(letters.values()))
+    right: list[list[int]] = []
+    for p, wit in zip(elements, columns):  # both lists grow while this runs
+        right.append([add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens])
+    identity = Profile(tuple(1 << i for i in range(n)),
+                       tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
+    return TransitionMonoid(a, elements, identity,
+                            index.get(identity, len(elements)), index, letters, right, columns)
+
+
+def ref_complement(a: BuchiAutomaton, *,
+                   state_budget: int = DEFAULT_STATE_BUDGET) -> BuchiAutomaton:
+    """`omegaword.buchi.complement` before letter classes, on
+    `ref_transition_monoid`: one move list and one successor row per letter."""
+    a = reachable_fragment(a)
+    letters = a.alphabet.letters
+    if not a.states or not a.initial:
+        return BuchiAutomaton._of_table(
+            a.alphabet, ("all",), Table({x: [[0]] for x in letters}, (0,), (True,)))
+    monoid = ref_transition_monoid(a, budget=state_budget)
+    init_rows = a._table.initial
+
+    # refusing linked pairs, grouped by the prefix profile s; the empty word
+    # is linked only when it shares its profile with an element
+    jumps: dict = {}
+    for t in monoid.idempotents():
+        loops = 0  # states q with an accepting q-cycle under t
+        for q, row in enumerate(monoid.elements[t].reach_acc):
+            loops |= row & 1 << q
+        for s, p in enumerate(monoid.elements):
+            if monoid.compose(s, t) == s and not any(p.reach[i] & loops for i in init_rows):
+                jumps.setdefault(s, []).append(t)
+
+    gens = [monoid.letter(x) for x in letters]
+    start = ("track", monoid.unit)
+    index = {start: 0}
+    order = [start]
+    moves: dict = {}  # node -> per letter its successor nodes
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node[0] == "track":
+            m = node[1]
+            out = moves[node] = [[("track", monoid.compose(m, g))]
+                                 + [("check", g, t, False) for t in jumps.get(m, ())]
+                                 for g in gens]
+        else:
+            _, m, t, _fresh = node
+            out = moves[node] = [[("check", monoid.compose(m, g), t, False)]
+                                 + ([("check", g, t, True)] if m == t else [])
+                                 for g in gens]
+        for nn in (nn for targets in out for nn in targets):
+            if nn not in index:
+                if len(order) >= state_budget:
+                    raise BudgetExceededError(f"complement exceeded {state_budget} states")
+                index[nn] = len(order)
+                order.append(nn)
+                frontier.append(nn)
+    succ = {x: [sorted({index[nn] for nn in moves[node][c]}) for node in order]
+            for c, x in enumerate(letters)}
+    return BuchiAutomaton._of_table(
+        a.alphabet, tuple(order),
+        Table(succ, (0,), tuple(n[0] == "check" and n[3] for n in order)))

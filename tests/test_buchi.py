@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from helpers import (random_automaton, random_up, ref_accepts, ref_intersect, ref_profile,
-                     run_python)
+from helpers import (lifted_automaton, random_automaton, random_up, ref_accepts, ref_complement,
+                     ref_intersect, ref_profile, ref_transition_monoid, run_python)
 from omegaword.buchi import (
     BuchiAutomaton,
+    _column,
+    _letter_classes,
     accepts_up,
     automaton,
     complement,
@@ -258,6 +260,42 @@ def test_constructions_match_the_validating_constructor():
             assert again == out and hash(again) == hash(out)
             checked += 1
     assert checked > 1300
+
+
+def test_letter_class_constructions_match_per_letter_references():
+    """On coded-alphabet automata whose letters share successor columns
+    (lifted from "ab" by `inverse_map_letters`, so rows are shared objects,
+    or rebuilt by the checked constructor, so they are equal by value only):
+    `intersect` equals `ref_intersect`, and `transition_monoid` and
+    `complement` equal the per-letter copies `ref_transition_monoid` and
+    `ref_complement` in elements, witnesses, right Cayley table, unit,
+    idempotents and serialized complement, budget errors included."""
+    rng = random.Random(919)
+    shared = raised = 0
+    for k in range(90):
+        tracks = 1 + k % 2
+        a = lifted_automaton(rng, tracks, max_states=4, accept_prob=(0.45, 1.0, 0.2)[k % 3])
+        b = lifted_automaton(rng, tracks, max_states=4)
+        if k % 3 == 0:
+            a = revalidated(a)
+        reps, _ = _letter_classes(_column(a._table.succ[x]) for x in a.alphabet)
+        shared += len(reps) < len(a.alphabet)
+        assert intersect(a, b) == ref_intersect(a, b)
+        for x in (a, intersect(a, b)):
+            m, want = transition_monoid(x), ref_transition_monoid(x)
+            assert (m.elements, m.witnesses, m._right, m.unit, m.idempotents()) == (
+                want.elements, want.witnesses, want._right, want.unit, want.idempotents())
+            budget = rng.choice((30, 2000))
+            outcomes = []
+            for build in (complement, ref_complement):
+                try:
+                    outcomes.append(format_automaton(with_canonical_names(
+                        build(x, state_budget=budget))))
+                except BudgetExceededError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            raised += "exceeded" in outcomes[0]
+    assert shared > 80 and raised > 5
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,14 @@ class TestMso:
         rc, doc = invoke(capsys, ["mso", "sat", str(f)])
         assert rc == 0 and doc["satisfiable"] is False and doc["model"] is None
 
+    def test_ill_scoped_formula_is_a_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "rebound.mso"
+        f.write_text("(exists1 x (and (letter x a) (exists1 x (letter x b))))")
+        for action in ("sat", "compile"):
+            rc, doc = invoke(capsys, ["mso", action, str(f)])
+            assert rc == 2 and doc["kind"] == "FormatError"
+            assert "'x' bound twice" in doc["error"]
+
     def test_compile_feeds_buchi_member(self, capsys, tmp_path):
         f = tmp_path / "infa.mso"
         out = tmp_path / "infa.aut"

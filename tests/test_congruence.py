@@ -110,6 +110,20 @@ class TestCondition1:
         x, y = v.contexts()
         assert x == ("a", "a") and y == ("b", "a")
 
+    def test_right_violation_ties_broken_by_words(self):
+        """Two same-class pairs give right violations of total length 2; the
+        later pair in declared order, (s0, s2), has the smaller words and
+        wins, as does right over the left violation of the same length."""
+        c = classifier("ab", ["s0", "s1", "s2", "s3"], "s0",
+                       {("s0", "a", "s2"), ("s0", "b", "s1"), ("s1", "a", "s3"),
+                        ("s1", "b", "s1"), ("s2", "a", "s2"), ("s2", "b", "s3"),
+                        ("s3", "a", "s3"), ("s3", "b", "s3")},
+                       {"s0": "A", "s1": "A", "s2": "A", "s3": "B"})
+        v = check_condition1(c)
+        assert v.side == "right"
+        assert (v.u.text(), v.u_prime.text(), v.w.text()) == ("eps", "a", "b")
+        assert v.classes_after == ("A", "B")
+
     def test_left_only_violation(self):
         c = ends_in_a_classifier()
         v = check_condition1(c)

@@ -8,10 +8,11 @@ from itertools import product
 
 import pytest
 
-from helpers import (all_up_words, random_automaton, random_sentence, ref_reduce,
-                     ref_universal_pos)
+from helpers import (all_up_words, lifted_automaton, random_automaton, random_sentence,
+                     ref_reduce, ref_universal_pos)
 import omegaword.mso as mso
-from omegaword.buchi import BuchiAutomaton, accepts_up, automaton, complement, is_empty
+from omegaword.buchi import (BuchiAutomaton, _column, _letter_classes, accepts_up, automaton,
+                             complement, intersect, is_empty)
 from omegaword.errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet, Implies,
                            In, LAtom, Less, Letter, Not, Or, UPValuation,
@@ -110,6 +111,33 @@ class TestScopes:
         assert any("used as a position" in p for p in check_scopes(phi))
         phi = parse_formula("(exists1 x (in x x))")
         assert any("used as a set" in p for p in check_scopes(phi))
+
+    ILL_SCOPED = (("(exists1 x (and (letter x a) (exists1 x (letter x b))))", "'x' bound twice"),
+                  ("(exists1 x (in x x))", "position variable 'x' used as a set"),
+                  ("(exists2 X (exists1 x (< x X)))", "set variable 'X' used as a position"))
+
+    def test_compile_rejects_ill_scoped_formulas(self):
+        for text, message in self.ILL_SCOPED:
+            with pytest.raises(FormatError, match=message):
+                compile_to_buchi(parse_formula(text), AB)
+        with pytest.raises(FormatError, match="'x' bound twice"):  # rebinds a free name
+            compile_to_buchi(parse_formula("(exists1 x (letter x a))"), AB, ("x",))
+        # a free name may ride at both sorts; the caller promises a singleton
+        compile_to_buchi(parse_formula("(and (in x x) (letter x a))"), AB, ("x",))
+
+    def test_satisfiable_rejects_ill_scoped_formulas(self):
+        for text, message in self.ILL_SCOPED:
+            with pytest.raises(FormatError, match=message):
+                mso_satisfiable(parse_formula(text), AB)
+
+    def test_evaluate_rejects_ill_scoped_formulas(self):
+        val = UPValuation(word=up_word("", "ab", AB), positions={"x": 0})
+        for text, message in self.ILL_SCOPED:
+            with pytest.raises(FormatError, match=message):
+                evaluate(parse_formula(text), val)
+        with pytest.raises(FormatError, match="'x' bound twice"):
+            evaluate(parse_formula("(and (letter x a) (exists1 x (letter x b)))"), val)
+        assert evaluate(parse_formula("(and (letter x a) (exists1 y (letter y b)))"), val)
 
 
 class TestCompile:
@@ -249,6 +277,24 @@ class TestReduce:
         for a in seen:
             assert original(a) == ref_reduce(a)
 
+    def test_matches_reference_on_shared_columns(self):
+        """Coded-alphabet automata whose letters share successor columns,
+        alone or in a product with a second one, and every third one rebuilt
+        by the checked constructor, so its columns are equal by value only."""
+        rng = random.Random(505)
+        shared = 0
+        for k in range(120):
+            a = lifted_automaton(rng, 1 + k % 3, max_states=8,
+                                 accept_prob=(0.45, 1.0, 0.2)[k % 3])
+            if k % 2:
+                a = intersect(a, lifted_automaton(rng, 1 + k % 3, max_states=4))
+            if k % 3 == 0:
+                a = automaton(a.alphabet, a.states, a.initial, a.accepting, a.transitions)
+            reps, _ = _letter_classes(_column(a._table.succ[x]) for x in a.alphabet)
+            shared += len(reps) < len(a.alphabet)
+            assert mso._reduce(a) == ref_reduce(a)
+        assert shared > 100
+
     def test_unreduced_compile_accepts_the_same_words(self, monkeypatch):
         """Independent of every reduction: a compile with `_reduce` as the
         identity accepts exactly the lasso words a normal compile accepts."""
@@ -303,6 +349,24 @@ class TestUniversalPos:
             else:
                 built += bool(want.states)
         assert raised > 20 and built > 20
+
+    def test_matches_reference_on_shared_columns(self):
+        """Outer letters that share their pair of successor columns, with
+        budgets low enough that some constructions raise."""
+        rng = random.Random(707)
+        raised = built = 0
+        for k in range(160):
+            outer = 1 + k % 2
+            a = lifted_automaton(rng, outer + 1, max_states=6,
+                                 accept_prob=(0.45, 1.0, 0.2)[k % 3])
+            budget = rng.choice((12, 40, 1000))
+            want = self.outcome(ref_universal_pos, a, AB, outer, budget)
+            assert self.outcome(mso._universal_pos, a, AB, outer, budget) == want
+            if isinstance(want, tuple):
+                raised += 1
+            else:
+                built += bool(want.states)
+        assert raised > 10 and built > 20
 
     def test_matches_reference_on_compile_inputs(self, monkeypatch):
         seen = []
