@@ -157,6 +157,52 @@ def _letter_classes(columns: Iterable[Hashable]) -> tuple[list[int], list[int]]:
     return reps, cls
 
 
+def _closure(seeds: Iterable[tuple[Hashable, tuple]], gens: dict, act: Callable,
+             budget: int, what: str) -> tuple[list, list, list, dict]:
+    """The closure of the `seeds` under the right action of the generators
+    (Froidure & Pin, *Algorithms for computing finite semigroups*, 1997).
+
+    ``seeds`` gives (element, witness) pairs, a repeated element keeping its
+    first witness; ``gens`` maps labels to generators, in order.  Each
+    element x, in discovery order, is multiplied by each generator g,
+    ``act(x, g)``, and a new product is witnessed by x's witness plus g's
+    label, so witnesses after the seeds are length-lexicographic.  Equal
+    generators form one class (`_letter_classes`), multiplied once under
+    the first label.  Returns the elements, their witnesses, the right
+    Cayley table (``right[i][c]`` for the c-th generator) and the element
+    index.  Raises BudgetExceededError, naming `what`, past `budget`
+    elements."""
+    elements: list = []
+    words: list = []
+    index: dict = {}
+    for x, w in seeds:
+        if x not in index:
+            if len(elements) >= budget:
+                raise BudgetExceededError(f"{what} exceeded {budget} elements")
+            index[x] = len(elements)
+            elements.append(x)
+            words.append(w)
+    labels, values = list(gens), list(gens.values())
+    reps, cls = _letter_classes(values)
+    pairs = [((labels[c],), values[c]) for c in reps]
+    shared = len(reps) < len(cls)
+    right: list = []
+    for x, w in zip(elements, words):  # both lists grow while this runs
+        row = []
+        for label, g in pairs:
+            y = act(x, g)
+            k = index.get(y)
+            if k is None:
+                if len(elements) >= budget:
+                    raise BudgetExceededError(f"{what} exceeded {budget} elements")
+                k = index[y] = len(elements)
+                elements.append(y)
+                words.append(w + label)
+            row.append(k)
+        right.append([row[r] for r in cls] if shared else row)
+    return elements, words, right, index
+
+
 def _column(rows: Sequence[Sequence[int]]) -> tuple:
     """One letter's successor rows as a hashable column, for `_letter_classes`."""
     return tuple(map(tuple, rows))
@@ -417,18 +463,17 @@ def compose_profiles(p: Profile, q: Profile) -> Profile:
 @dataclass(eq=False)
 class TransitionMonoid:
     """Profiles of all nonempty words over an automaton, with shortest
-    witness words (discovered breadth-first, so length-lexicographic).
-    Elements are addressed by index.  `identity` is the empty word's profile
-    and `unit` its index: the element sharing that profile if there is one,
-    else ``len(elements)``; `compose` accepts `unit` on either side.
+    witness words (length-lexicographic).  Elements are addressed by index.
+    `identity` is the empty word's profile and `unit` its index: the element
+    sharing that profile if there is one, else ``len(elements)``; `compose`
+    accepts `unit` on either side.
 
-    The breadth-first search keeps the right Cayley table (Froidure & Pin,
-    *Algorithms for computing finite semigroups*, 1997): ``_right[i][c]`` is
-    the index of ``elements[i]`` times the profile of the c-th alphabet
-    letter, and ``_columns[j]`` spells the witness of j as alphabet
-    positions.  Since ``elements[j]`` is the product of its witness's letter
-    profiles, associativity makes ``compose(i, j)`` a walk from i along
-    those columns, one list lookup per letter."""
+    `_closure` builds it from the letter profiles and keeps the right Cayley
+    table: ``_right[i][c]`` is the index of ``elements[i]`` times the profile
+    of the c-th alphabet letter, and ``_columns[j]`` spells the witness of j
+    as alphabet positions.  Since ``elements[j]`` is the product of its
+    witness's letter profiles, associativity makes ``compose(i, j)`` a walk
+    from i along those columns, one list lookup per letter."""
 
     automaton: BuchiAutomaton
     elements: list
@@ -469,42 +514,22 @@ class TransitionMonoid:
 
 
 def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMonoid:
-    """Generate the monoid of profiles of nonempty words, breadth-first by
-    witness length, with its right Cayley table.  Raises BudgetExceededError
-    past `budget` elements.
-
-    Letters with equal successor columns have one profile, so each element's
-    right Cayley row is computed once per letter class and copied to the
-    class's other letters; witnesses spell only each class's first letter."""
+    """The monoid of profiles of nonempty words: the `_closure` of the letter
+    profiles, with witnesses spelled as alphabet positions.  Letters with
+    equal successor columns have one profile and share their rows.  Raises
+    BudgetExceededError past `budget` elements."""
     n = len(a.states)
     t = a._table
     acc_mask = sum(1 << i for i, f in enumerate(t.accepting) if f)
-    elements: list[Profile] = []
-    columns: list[tuple[int, ...]] = []
-    index: dict = {}
-
-    def add(p: Profile, witness: tuple[int, ...]) -> int:
-        k = index.get(p)
-        if k is None:
-            if len(elements) >= budget:
-                raise BudgetExceededError(f"transition monoid exceeded {budget} elements")
-            k = index[p] = len(elements)
-            elements.append(p)
-            columns.append(witness)
-        return k
-
-    letters: dict = {}
-    for c, x in enumerate(a.alphabet):
+    gens = []
+    for x in a.alphabet:
         reach = tuple(sum(1 << j for j in row) for row in t.succ[x])
-        letters[x] = add(Profile(reach, tuple(r if f else r & acc_mask
-                                              for r, f in zip(reach, t.accepting))), (c,))
-    ids = list(letters.values())
-    reps, cls = _letter_classes(ids)
-    gens = [(c, ids[c]) for c in reps]
-    right: list[list[int]] = []
-    for p, wit in zip(elements, columns):  # both lists grow while this runs
-        row = [add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens]
-        right.append([row[r] for r in cls])
+        gens.append(Profile(reach, tuple(r if f else r & acc_mask
+                                         for r, f in zip(reach, t.accepting))))
+    elements, columns, right, index = _closure(
+        ((p, (c,)) for c, p in enumerate(gens)), dict(enumerate(gens)), compose_profiles,
+        budget, "transition monoid")
+    letters = {x: index[p] for x, p in zip(a.alphabet, gens)}
     identity = Profile(tuple(1 << i for i in range(n)),
                        tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
     return TransitionMonoid(a, elements, identity,

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
-from .buchi import BuchiAutomaton, transition_monoid
+from .buchi import BuchiAutomaton, _closure, transition_monoid
 from .errors import (
-    BudgetExceededError,
     DegenerateErasureError,
     DegenerateProductError,
     FormatError,
@@ -109,15 +108,7 @@ class Classifier:
 
     @cached_property
     def reachable(self) -> tuple[State, ...]:
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            q = frontier.pop()
-            for a in self.alphabet:
-                d = self._delta_map[(q, a)]
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
+        seen = state_representatives(self)
         return tuple(q for q in self.states if q in seen)
 
     def step(self, q: State, a: str) -> State:
@@ -160,19 +151,12 @@ def classifier(letters, states: Sequence[State], initial: State,
 
 
 def state_representatives(c: Classifier) -> dict:
-    """Shortest (length-lexicographic) word reaching each reachable state."""
-    reps = {c.initial: ()}
-    frontier = [c.initial]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for a in c.alphabet:
-                d = c.step(q, a)
-                if d not in reps:
-                    reps[d] = reps[q] + (a,)
-                    nxt.append(d)
-        frontier = nxt
-    return reps
+    """Shortest (length-lexicographic) word reaching each reachable state, in
+    discovery order: the orbit of the initial state under `Classifier.step`,
+    built by `buchi._closure`."""
+    states, words, _, _ = _closure([(c.initial, ())], {a: a for a in c.alphabet}, c.step,
+                                   len(c.states), "classifier orbit")
+    return dict(zip(states, words))
 
 
 def class_representatives(c: Classifier) -> dict:
@@ -208,17 +192,16 @@ class Condition1Violation:
         return (self.w.letters + self.u.letters, self.w.letters + self.u_prime.letters)
 
 
-def _right_violations(c: Classifier) -> Optional[Condition1Violation]:
+def _right_violations(c: Classifier, reps: dict) -> Optional[Condition1Violation]:
     """The smallest right violation, or None.
 
     Each pair of reachable states of one class (p before q in declared
     order) is separated by its shortest suffix w, the first hit of a
     breadth-first search on state pairs; u and u2 are the shortest words
-    reaching p and q, in length-lexicographic order.  Candidates are
-    compared by (total length, u, u2, w) as raw tuples and only the
+    reaching p and q (`reps`), in length-lexicographic order.  Candidates
+    are compared by (total length, u, u2, w) as raw tuples and only the
     smallest becomes a `Condition1Violation`.  No two candidates tie, since
     distinct states have distinct shortest words."""
-    reps = state_representatives(c)
     order = list(c.reachable)
     best = None
     for i, p in enumerate(order):
@@ -268,55 +251,33 @@ def _right_violations(c: Classifier) -> Optional[Condition1Violation]:
         FiniteWord(c.alphabet, w), c.classify(u), (c.classify(u + w), c.classify(u2 + w)))
 
 
-def _transformation_monoid(c: Classifier, budget: int) -> list[tuple[tuple, tuple[str, ...]]]:
-    """All state transformations induced by words, with shortest witnesses.
-
-    Transformations are tuples over the reachable states (in declared order);
-    the identity, witnessed by the empty word, comes first.
-    """
-    order = list(c.reachable)
-    pos = {q: i for i, q in enumerate(order)}
-    ident = tuple(range(len(order)))
-    letter_fn = {}
-    for a in c.alphabet:
-        letter_fn[a] = tuple(pos[c.step(q, a)] for q in order)
-    elements = {ident: ()}
-    queue = [ident]
-    while queue:
-        g = queue.pop(0)
-        for a in c.alphabet:
-            f = letter_fn[a]
-            h = tuple(f[g[i]] for i in range(len(order)))
-            if h not in elements:
-                if len(elements) >= budget:
-                    raise BudgetExceededError(
-                        f"classifier transformation monoid exceeded {budget} elements")
-                elements[h] = elements[g] + (a,)
-                queue.append(h)
-    return [(g, w) for g, w in elements.items()]
-
-
-def _left_violations(c: Classifier, budget: int) -> Optional[Condition1Violation]:
+def _left_violations(c: Classifier, reps: dict,
+                     budget: int) -> Optional[Condition1Violation]:
     """The smallest left violation, or None.
 
-    Two monoid elements of one class (witnesses wu before wu2 in
-    length-lexicographic order) are separated by the first reachable state
-    s, in declared order, on which they land in different classes; the
-    context w is the shortest word reaching s.  Candidates are compared by
-    (total length, wu, wu2, w) as raw tuples and only the smallest becomes a
-    `Condition1Violation`.  No two candidates tie, since every monoid
-    element has one witness."""
+    The transformation monoid is the `buchi._closure` of the identity on the
+    reachable states (the empty word) under the letters' state maps; it
+    raises BudgetExceededError past `budget` elements.  Two of its elements
+    of one class (witnesses wu before wu2 in length-lexicographic order) are
+    separated by the first reachable state s, in declared order, on which
+    they land in different classes; the context w is the shortest word
+    reaching s (`reps`).  Candidates are compared by (total length, wu, wu2,
+    w) as raw tuples and only the smallest becomes a `Condition1Violation`.
+    No two candidates tie, since every monoid element has one witness."""
     order = list(c.reachable)
     pos = {q: i for i, q in enumerate(order)}
     names = [c.class_of_state(q) for q in order]
-    reps = state_representatives(c)
     init = pos[c.initial]
+    maps = {a: tuple(pos[c.step(q, a)] for q in order) for a in c.alphabet}
+    monoid, words, _, _ = _closure(
+        [(tuple(range(len(order))), ())], maps, lambda g, f: tuple(map(f.__getitem__, g)),
+        budget, "classifier transformation monoid")
     by_class: dict = {}
-    for g, wit in _transformation_monoid(c, budget):
+    for g, w in zip(monoid, words):
         # the class reached from each state: two elements are separated
         # exactly where these rows differ
         row = tuple(names[x] for x in g)
-        by_class.setdefault(row[init], []).append((row, wit))
+        by_class.setdefault(row[init], []).append((row, w))
     best = None
     for group in by_class.values():
         if len({rg for rg, _ in group}) == 1:
@@ -352,7 +313,9 @@ def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Conditi
     violations the smallest is returned, ordered by total witness length,
     then by side (right before left), then by the words themselves.
     """
-    found = [v for v in (_right_violations(c), _left_violations(c, budget)) if v is not None]
+    reps = state_representatives(c)
+    found = [v for v in (_right_violations(c, reps), _left_violations(c, reps, budget))
+             if v is not None]
     if not found:
         return None
     return min(found, key=lambda v: (
@@ -569,8 +532,10 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
     for i in range(len(m.elements)):
         names.setdefault(i, f"m{i}")
     states = list(names.values())
-    delta = {(name, x): names[m.compose(i, m.letter(x))]
-             for i, name in names.items() for x in a.alphabet}
+    # the unit's row: past the table when the empty word has its own profile
+    right = m._right + [[m.letter(x) for x in a.alphabet]]
+    delta = {(name, x): names[right[i][c]]
+             for i, name in names.items() for c, x in enumerate(a.alphabet)}
     classes = {name: name for name in states}
     return classifier(a.alphabet, states, "e", delta, classes)
 
@@ -579,15 +544,18 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
 # bounded congruences of an infinite-word language
 
 
-def _contexts_up_to(alpha: Alphabet, bound: int):
-    """All lasso tails x (y)^omega with |x| <= bound, 1 <= |y| <= bound."""
+def _contexts_up_to(alpha: Alphabet, bound: int, erase: Callable[[tuple], tuple]):
+    """All words up to `bound` letters, and the lasso tails x (y)^omega with
+    |x| <= bound, 1 <= |y| <= bound, the first of each erasure pair
+    (erase(x), erase(y)): every right-row verdict on u x (y)^omega depends
+    only on that pair (see `_memo_member`), so the other tails repeat it."""
     finite = [w.letters for w in _words_up_to(alpha, bound)]
-    tails = []
+    tails: dict = {}
     for x in finite:
         for y in finite:
             if y:
-                tails.append((x, y))
-    return finite, tails
+                tails.setdefault((erase(x), erase(y)), (x, y))
+    return finite, list(tails.values())
 
 
 def _eraser(oracle) -> Callable[[tuple], tuple]:
@@ -724,10 +692,11 @@ def arnold_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> Bo
 
     The right row of w u is built once per erasure of w u (once per word
     when the oracle has no neutral letter), since the word w u is shared by
-    many pairs (w, u).  The wildcard slots of the powers look at the raw
-    words u and v."""
+    many pairs (w, u).  The lasso tails are one per erasure pair, while the
+    power contexts stay raw: their wildcard slots look at the raw words u
+    and v."""
     words = _words_up_to(oracle.alphabet, word_bound)
-    finite, tails = _contexts_up_to(oracle.alphabet, context_bound)
+    finite, tails = _contexts_up_to(oracle.alphabet, context_bound, _eraser(oracle))
     member = _memo_member(oracle)
     right_row = _rows_by_erasure(oracle, lambda z: _right_row(z, tails, member))
     return _partition(words, [_arnold_row(u.letters, finite, member, right_row)
@@ -739,7 +708,7 @@ def right_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> Bou
     congruence of the oracle's language: contexts _ x(y)^omega only.  One
     row is built per erasure of the word."""
     words = _words_up_to(oracle.alphabet, word_bound)
-    _, tails = _contexts_up_to(oracle.alphabet, context_bound)
+    _, tails = _contexts_up_to(oracle.alphabet, context_bound, _eraser(oracle))
     member = _memo_member(oracle)
     right_row = _rows_by_erasure(oracle, lambda z: _right_row(z, tails, member))
     return _partition(words, [right_row(u.letters) for u in words])

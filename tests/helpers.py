@@ -259,10 +259,54 @@ def ref_bounded_classes(oracle, kind: str, word_bound: int, context_bound: int):
     return classes, bad[:10]
 
 
-def _ref_right_violations(c) -> list:
-    from omegaword.congruence import Condition1Violation, state_representatives
+def ref_state_representatives(c) -> dict:
+    """Shortest (length-lexicographic) word reaching each reachable state."""
+    reps = {c.initial: ()}
+    frontier = [c.initial]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for a in c.alphabet:
+                d = c.step(q, a)
+                if d not in reps:
+                    reps[d] = reps[q] + (a,)
+                    nxt.append(d)
+        frontier = nxt
+    return reps
 
-    reps = state_representatives(c)
+
+def _ref_transformation_monoid(c, budget: int) -> list[tuple[tuple, tuple[str, ...]]]:
+    """All state transformations induced by words, with shortest witnesses.
+
+    Transformations are tuples over the reachable states (in declared order);
+    the identity, witnessed by the empty word, comes first.
+    """
+    order = list(c.reachable)
+    pos = {q: i for i, q in enumerate(order)}
+    ident = tuple(range(len(order)))
+    letter_fn = {}
+    for a in c.alphabet:
+        letter_fn[a] = tuple(pos[c.step(q, a)] for q in order)
+    elements = {ident: ()}
+    queue = [ident]
+    while queue:
+        g = queue.pop(0)
+        for a in c.alphabet:
+            f = letter_fn[a]
+            h = tuple(f[g[i]] for i in range(len(order)))
+            if h not in elements:
+                if len(elements) >= budget:
+                    raise BudgetExceededError(
+                        f"classifier transformation monoid exceeded {budget} elements")
+                elements[h] = elements[g] + (a,)
+                queue.append(h)
+    return [(g, w) for g, w in elements.items()]
+
+
+def _ref_right_violations(c) -> list:
+    from omegaword.congruence import Condition1Violation
+
+    reps = ref_state_representatives(c)
     order = list(c.reachable)
     found = []
     for i, p in enumerate(order):
@@ -307,13 +351,12 @@ def _ref_right_violations(c) -> list:
 
 
 def _ref_left_violations(c, budget: int) -> list:
-    from omegaword.congruence import (Condition1Violation, _transformation_monoid,
-                                      state_representatives)
+    from omegaword.congruence import Condition1Violation
 
     order = list(c.reachable)
     pos = {q: i for i, q in enumerate(order)}
-    reps = state_representatives(c)
-    elements = _transformation_monoid(c, budget)
+    reps = ref_state_representatives(c)
+    elements = _ref_transformation_monoid(c, budget)
     init = pos[c.initial]
     by_class: dict = {}
     for g, wit in elements:

@@ -304,6 +304,15 @@ class TestExitCodes:
         assert rc == 1 and doc["kind"] == "BudgetExceededError"
         assert "2" in doc["error"]
 
+    def test_check1_budget_exit(self, capsys, tmp_path, monkeypatch):
+        # the transformation monoid of splitting_classifier has 3 elements
+        f = tmp_path / "c.clf"
+        f.write_text(format_classifier(splitting_classifier()))
+        monkeypatch.setenv("OMEGAWORD_STEP_BUDGET", "2")
+        rc, doc = invoke(capsys, ["congruence", "check1", str(f)])
+        assert rc == 1 and doc["kind"] == "BudgetExceededError"
+        assert doc["error"] == "classifier transformation monoid exceeded 2 elements"
+
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("OMEGAWORD_STEP_BUDGET", "lots")
         rc, doc = invoke(capsys, ["oracle", "member", "--oracle", "U",

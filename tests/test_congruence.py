@@ -22,12 +22,13 @@ from omegaword.congruence import (
     state_representatives,
     validate_condition2_witness,
 )
-from omegaword.errors import FormatError
+from omegaword.errors import BudgetExceededError, FormatError
 from omegaword.oracles import LanguageOracle, RegularOracle, get_oracle
 from omegaword.words import FiniteWord, alphabet, finite_word, up_word
 
-from helpers import (random_automaton, random_classifier, ref_bounded_classes,
-                     ref_check_condition1, ref_lemma_repair)
+from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
+                     ref_bounded_classes, ref_check_condition1, ref_lemma_repair,
+                     ref_state_representatives)
 
 AB = alphabet("ab")
 
@@ -143,6 +144,48 @@ class TestCondition1:
             assert c.classify(x) != c.classify(y)
 
 
+def counter_classifier():
+    # a turns s0 -> s1 -> s2 -> s0 and b resets to s0: the transformation
+    # monoid is the identity, a, aa and the three constant maps
+    delta = {}
+    for i in range(3):
+        delta[(f"s{i}", "a")] = f"s{(i + 1) % 3}"
+        delta[(f"s{i}", "b")] = "s0"
+    return classifier(AB, ("s0", "s1", "s2"), "s0", delta, {"s0": "x", "s1": "y", "s2": "y"})
+
+
+class TestCondition1Budget:
+    def test_budget_error_names_the_exact_count(self):
+        c = counter_classifier()
+        assert len(_ref_transformation_monoid(c, 100)) == 6
+        for k in range(1, 6):
+            with pytest.raises(BudgetExceededError) as exc:
+                check_condition1(c, budget=k)
+            assert str(exc.value) == f"classifier transformation monoid exceeded {k} elements"
+        assert violation_key(check_condition1(c, budget=6)) == violation_key(check_condition1(c))
+
+    def test_budget_errors_match_reference(self):
+        # every budget from 1 to one past the monoid's size: the same error
+        # message, or the same violation, as the eager reference
+        rng = random.Random(31)
+        raised = 0
+        for _ in range(40):
+            c = random_classifier(rng, max_states=5)
+            size = len(_ref_transformation_monoid(c, 10**6))
+            for k in range(1, size + 2):
+                try:
+                    want = violation_key(ref_check_condition1(c, budget=k))
+                except BudgetExceededError as exc:
+                    want = str(exc)
+                try:
+                    got = violation_key(check_condition1(c, budget=k))
+                except BudgetExceededError as exc:
+                    got = str(exc)
+                    raised += 1
+                assert got == want
+        assert raised
+
+
 class TestRepair:
     def test_repair_right_broken(self):
         c = lemma_repair(right_broken_classifier())
@@ -202,6 +245,16 @@ class TestRepresentatives:
         assert reps["q2"] == ("b",)
         for q, w in reps.items():
             assert c.state_after(w) == q
+
+    def test_state_reps_and_reachable_match_reference(self):
+        # the reference keeps the breadth-first search of its own; the
+        # library's representatives keep its discovery order
+        rng = random.Random(37)
+        for _ in range(60):
+            c = random_classifier(rng, max_states=6)
+            want = ref_state_representatives(c)
+            assert list(state_representatives(c).items()) == list(want.items())
+            assert c.reachable == tuple(q for q in c.states if q in want)
 
     def test_class_reps_are_shortest_per_class(self):
         rng = random.Random(3)

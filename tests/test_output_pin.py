@@ -20,6 +20,15 @@ its `transcript_to_json` text, then the `validate_transcript` messages of
 copies whose V_i are shifted or stretched over non-a positions and of one
 copy with an out-of-range scheme.  The transcript includes the materialized
 family prefix, so the digest also pins how far round 2 reads the family.
+
+`PINNED_CONDITION1` covers the classifier side: `check_condition1`,
+`lemma_repair` (serialized) and `state_representatives` (in discovery order)
+of seeded random classifiers, among them single-state ones and ones over
+three letters where one letter acts like another, in alphabet orders that
+differ from the letters' string order; and `profile_kernel_classifier`
+(serialized) of seeded random automata, among them automata whose coded
+letters share columns.  Small budgets add budget errors (class and message).
+The digest is checked in fresh interpreters under several hash seeds.
 """
 
 from __future__ import annotations
@@ -28,15 +37,21 @@ import hashlib
 import random
 from dataclasses import replace
 
-from helpers import random_automaton, random_sentence
+import pytest
+
+from helpers import (REPO, lifted_automaton, random_automaton, random_classifier,
+                     random_sentence, run_python)
 from omegaword.buchi import (complement, format_automaton, is_empty, transition_monoid,
                              with_canonical_names)
+from omegaword.congruence import (check_condition1, classifier, format_classifier,
+                                  lemma_repair, profile_kernel_classifier,
+                                  state_representatives)
 from omegaword.errors import OmegawordError
 from omegaword.game import (IndexScheme, Interval, get_duplicator, get_spoiler, play_bounded,
                             transcript_to_json, validate_transcript)
 from omegaword.mso import compile_to_buchi, mso_satisfiable
 from omegaword.oracles import get_oracle
-from omegaword.words import format_word, parse_word
+from omegaword.words import alphabet, format_word, parse_word
 
 PINNED = "0df2d3e2730cf494b19300c456b9e66f9ecc3c92e77d0bf53ce207e704fa3021"
 PINNED_COMPLEMENT = "99fc7b78126d7ea52df58c9e2f5265df97d7479d16f6743329e3343261f5659d"
@@ -142,3 +157,78 @@ def game_lines() -> list[str]:
 def test_game_plays_match_pinned_digest():
     digest = hashlib.sha256("\n".join(game_lines()).encode()).hexdigest()
     assert digest == PINNED_GAME
+
+
+PINNED_CONDITION1 = "fbcb2286b33bb1083e116e1ed4aaa4cb25784033eec97854c02080f70b0ae0c0"
+
+
+def _spelled(*words) -> str:
+    return " ".join(".".join(w) or "-" for w in words)
+
+
+def _violation_text(c, budget: int) -> str:
+    v = check_condition1(c, budget=budget)
+    if v is None:
+        return "holds"
+    return " ".join([v.side, _spelled(v.u.letters, v.u_prime.letters, v.w.letters),
+                     v.class_before, *v.classes_after])
+
+
+def _twin_classifier(rng: random.Random, max_states: int):
+    """A random "ab" classifier with a third letter c that acts like a or b,
+    over an alphabet order drawn from "bac", "abc" and "cab"."""
+    base = random_classifier(rng, max_states=max_states)
+    twin = rng.choice("ab")
+    delta = {(q, x): base.step(q, twin if x == "c" else x) for q in base.states for x in "abc"}
+    return classifier(alphabet(rng.choice(("bac", "abc", "cab"))), base.states, base.initial,
+                      delta, dict(base.classes))
+
+
+def _pinned(lines: list, call) -> None:
+    try:
+        lines.append(call())
+    except OmegawordError as exc:
+        lines.append(f"{type(exc).__name__}: {exc}")
+
+
+def condition1_lines() -> list[str]:
+    lines = []
+    rng = random.Random(23)
+    classifiers = ([random_classifier(rng, max_states=6) for _ in range(120)]
+                   + [random_classifier(rng, max_states=1) for _ in range(5)]
+                   + [_twin_classifier(rng, max_states=k) for k in (1, 3, 5) for _ in range(25)])
+    for k, c in enumerate(classifiers):
+        reps = state_representatives(c)
+        lines.append(" ".join(f"{q}:{_spelled(w)}" for q, w in reps.items()))
+        _pinned(lines, lambda: _violation_text(c, 200000))
+        _pinned(lines, lambda: format_classifier(lemma_repair(c)))
+        if k % 4 == 0:
+            for budget in (1, 2, 3, 5, 8):
+                _pinned(lines, lambda: _violation_text(c, budget))
+            _pinned(lines, lambda: format_classifier(lemma_repair(c, budget=6)))
+    rng = random.Random(29)
+    automata = ([random_automaton(rng, max_states=3) for _ in range(40)]
+                + [random_automaton(rng, max_states=3, letters="abc") for _ in range(15)]
+                + [lifted_automaton(rng, tracks=1, max_states=3) for _ in range(15)])
+    for k, a in enumerate(automata):
+        for budget in (2000, 1, 2, 5) if k % 5 == 0 else (2000,):
+            _pinned(lines, lambda: format_classifier(profile_kernel_classifier(a, budget=budget)))
+    return lines
+
+
+def condition1_digest() -> str:
+    return hashlib.sha256("\n".join(condition1_lines()).encode()).hexdigest()
+
+
+def test_condition1_outputs_match_pinned_digest():
+    assert condition1_digest() == PINNED_CONDITION1
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "12345"])
+def test_condition1_digest_under_hash_seeds(hash_seed, monkeypatch):
+    monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+    proc = run_python(["-c", f"import sys; sys.path.insert(0, {str(REPO / 'tests')!r}); "
+                             "from test_output_pin import condition1_digest; "
+                             "print(condition1_digest())"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == PINNED_CONDITION1
