@@ -98,7 +98,6 @@ _BUDGET_ERRORS = (
 class RunConfig:
     """Normalized run parameters shared by every subcommand."""
 
-    subcommand: str
     seed: int
     budget: Optional[int]  # None: each operation keeps its own default
     output: Optional[str]
@@ -503,8 +502,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if budget < 1:
             return _fail(args.command, FormatError(
                 "OMEGAWORD_STEP_BUDGET must be positive"), 2)
-    cfg = RunConfig(args.command, getattr(args, "seed", 0), budget,
-                    getattr(args, "output", None))
+    cfg = RunConfig(getattr(args, "seed", 0), budget, getattr(args, "output", None))
     try:
         doc, artifact = _HANDLERS[args.command](args, cfg)
     except _BUDGET_ERRORS as exc:

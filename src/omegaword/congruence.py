@@ -3,6 +3,14 @@
 A Classifier is a total deterministic automaton whose states are labeled
 with class names; it presents a finite-index equivalence on finite words
 (two words are equivalent when they reach states with the same label).
+It is stored as its alphabet, its state labels and one index table: the
+successor index per letter and state, the initial index and one class name
+per state, in declared order.  Input is checked where it enters:
+`Classifier(...)`, `classifier` and `parse_classifier` check the labels and
+build the table, while `lemma_repair`'s merges, `profile_kernel_classifier`
+and the game's response classifiers build tables through the unchecked
+`Classifier._of_table`.  The shortest word to each state is found once per
+classifier and shared by the checks below.
 
 For an equivalence to recognize a language of infinite words it must
 (1) be compatible with concatenation on both sides, and
@@ -29,9 +37,9 @@ those slots undefined; non-transitivity can only come from them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .buchi import BuchiAutomaton, _closure, transition_monoid
 from .errors import (
@@ -54,84 +62,114 @@ from .words import (
 State = Hashable
 
 
-@dataclass(frozen=True, eq=False)
+class _Table(NamedTuple):
+    """A classifier on state indices (declared order): ``succ[x][i]`` is the
+    x-successor of state i, `initial` the initial index and ``names[i]`` the
+    class name of state i."""
+
+    succ: dict
+    initial: int
+    names: tuple[str, ...]
+
+
+@dataclass(frozen=True, init=False)
 class Classifier:
+    """Stored as the module docstring says; the constructor checks its
+    labels, `_of_table` does not.  `initial`, `delta` and `classes` are
+    derived from the table; equality compares alphabet, states and table."""
+
     alphabet: Alphabet
     states: tuple[State, ...]
-    initial: State
-    delta: frozenset  # (state, letter, state), deterministic and total
-    classes: tuple[tuple[State, str], ...]  # state -> class name, every state
+    _table: _Table = field(hash=False)  # holds a dict, so only equality reads it
 
-    def __post_init__(self):
-        declared = set(self.states)
-        if len(declared) != len(self.states):
+    def __init__(self, alphabet: Alphabet, states: tuple[State, ...], initial: State,
+                 delta: frozenset, classes: tuple[tuple[State, str], ...]):
+        idx = {q: i for i, q in enumerate(states)}
+        if len(idx) != len(states):
             raise FormatError("duplicate state")
-        if self.initial not in declared:
+        if initial not in idx:
             raise FormatError("initial state not declared")
-        seen_edges = {}
-        for (q, a, d) in self.delta:
-            if q not in declared or d not in declared:
+        succ = {a: [None] * len(states) for a in alphabet}
+        for (q, a, d) in delta:
+            if q not in idx or d not in idx:
                 raise FormatError("transition uses undeclared state")
-            if a not in self.alphabet:
+            if a not in alphabet:
                 raise FormatError(f"transition letter {a!r} not in alphabet")
-            if (q, a) in seen_edges:
+            if succ[a][idx[q]] is not None:
                 raise FormatError(f"nondeterministic transition at {(q, a)!r}")
-            seen_edges[(q, a)] = d
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in seen_edges:
+            succ[a][idx[q]] = idx[d]
+        for q, i in idx.items():
+            for a, row in succ.items():
+                if row[i] is None:
                     raise FormatError(f"missing transition at {(q, a)!r}")
-        labeled = {q for q, _ in self.classes}
-        if labeled != declared or len(self.classes) != len(self.states):
+        names = dict(classes)
+        if names.keys() != idx.keys() or len(classes) != len(states):
             raise FormatError("classes must label every state exactly once")
-        reachable_ids = {self.class_of_state(q) for q in self.reachable}
-        all_ids = {c for _, c in self.classes}
-        if reachable_ids != all_ids:
+        self.__dict__.update(alphabet=alphabet, states=states, _table=_Table(
+            {a: tuple(row) for a, row in succ.items()}, idx[initial],
+            tuple(names[q] for q in states)))
+        if {self._table.names[i] for i in self._orbit} != set(names.values()):
             raise FormatError("every class name must label some reachable state")
 
-    def __eq__(self, other):
-        if not isinstance(other, Classifier):
-            return NotImplemented
-        return (self.alphabet, self.states, self.initial, self.delta, self.classes) == \
-               (other.alphabet, other.states, other.initial, other.delta, other.classes)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.states, self.initial))
-
-    @cached_property
-    def _delta_map(self) -> dict:
-        return {(q, a): d for (q, a, d) in self.delta}
+    @classmethod
+    def _of_table(cls, alphabet: Alphabet, states: tuple[State, ...],
+                  table: _Table) -> Classifier:
+        """The classifier of a table that already has `_Table`'s form; no check."""
+        c = object.__new__(cls)
+        c.__dict__.update(alphabet=alphabet, states=states, _table=table)
+        return c
 
     @cached_property
-    def _class_map(self) -> dict:
-        return dict(self.classes)
+    def _orbit(self) -> dict:
+        """Shortest (length-lexicographic) word per reachable state index,
+        in discovery order: the orbit of the initial index under the
+        letters' successor rows, built by `buchi._closure`."""
+        t = self._table
+        ids, words, _, _ = _closure([(t.initial, ())], t.succ, lambda i, row: row[i],
+                                    len(self.states), "classifier orbit")
+        return dict(zip(ids, words))
+
+    @property
+    def initial(self) -> State:
+        return self.states[self._table.initial]
 
     @cached_property
+    def delta(self) -> frozenset:
+        return frozenset((self.states[i], a, self.states[j])
+                         for a, row in self._table.succ.items() for i, j in enumerate(row))
+
+    @property
+    def classes(self) -> tuple[tuple[State, str], ...]:
+        return tuple(zip(self.states, self._table.names))
+
+    @property
     def reachable(self) -> tuple[State, ...]:
-        seen = state_representatives(self)
-        return tuple(q for q in self.states if q in seen)
+        return tuple(self.states[i] for i in sorted(self._orbit))
+
+    def _after(self, letters: Sequence[str]) -> int:
+        succ, i = self._table.succ, self._table.initial
+        for a in letters:
+            i = succ[a][i]
+        return i
 
     def step(self, q: State, a: str) -> State:
-        return self._delta_map[(q, a)]
+        return self.states[self._table.succ[a][self.states.index(q)]]
 
-    def state_after(self, letters: Sequence[str], start: Optional[State] = None) -> State:
-        q = self.initial if start is None else start
-        for a in letters:
-            q = self._delta_map[(q, a)]
-        return q
+    def state_after(self, letters: Sequence[str]) -> State:
+        return self.states[self._after(letters)]
 
     def class_of_state(self, q: State) -> str:
-        return self._class_map[q]
+        return self._table.names[self.states.index(q)]
 
     def classify(self, letters: Sequence[str]) -> str:
-        return self._class_map[self.state_after(letters)]
+        return self._table.names[self._after(letters)]
 
     def equivalent(self, u: Sequence[str], v: Sequence[str]) -> bool:
         return self.classify(u) == self.classify(v)
 
     @property
     def index(self) -> int:
-        return len({self.class_of_state(q) for q in self.reachable})
+        return len({self._table.names[i] for i in self._orbit})
 
 
 def classifier(letters, states: Sequence[State], initial: State,
@@ -142,8 +180,7 @@ def classifier(letters, states: Sequence[State], initial: State,
         edges = frozenset((q, a, d) for (q, a), d in delta.items())
     else:
         edges = frozenset(delta)
-    return Classifier(alpha, tuple(states), initial, edges,
-                      tuple(sorted(classes.items(), key=lambda kv: str(kv[0]))))
+    return Classifier(alpha, tuple(states), initial, edges, tuple(classes.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +189,17 @@ def classifier(letters, states: Sequence[State], initial: State,
 
 def state_representatives(c: Classifier) -> dict:
     """Shortest (length-lexicographic) word reaching each reachable state, in
-    discovery order: the orbit of the initial state under `Classifier.step`,
-    built by `buchi._closure`."""
-    states, words, _, _ = _closure([(c.initial, ())], {a: a for a in c.alphabet}, c.step,
-                                   len(c.states), "classifier orbit")
-    return dict(zip(states, words))
+    discovery order (`Classifier._orbit`)."""
+    return {c.states[i]: w for i, w in c._orbit.items()}
 
 
 def class_representatives(c: Classifier) -> dict:
     """Shortest (length-lexicographic) word per class name."""
-    state_reps = state_representatives(c)
+    names = c._table.names
     out: dict = {}
-    for q, letters in sorted(state_reps.items(), key=lambda kv: (len(kv[1]), kv[1])):
-        name = c.class_of_state(q)
-        if name not in out:
-            out[name] = FiniteWord(c.alphabet, letters)
+    for i, letters in sorted(c._orbit.items(), key=lambda kv: (len(kv[1]), kv[1])):
+        if names[i] not in out:
+            out[names[i]] = FiniteWord(c.alphabet, letters)
     return out
 
 
@@ -192,21 +225,22 @@ class Condition1Violation:
         return (self.w.letters + self.u.letters, self.w.letters + self.u_prime.letters)
 
 
-def _right_violations(c: Classifier, reps: dict) -> Optional[Condition1Violation]:
+def _right_violations(c: Classifier) -> Optional[Condition1Violation]:
     """The smallest right violation, or None.
 
     Each pair of reachable states of one class (p before q in declared
     order) is separated by its shortest suffix w, the first hit of a
     breadth-first search on state pairs; u and u2 are the shortest words
-    reaching p and q (`reps`), in length-lexicographic order.  Candidates
-    are compared by (total length, u, u2, w) as raw tuples and only the
-    smallest becomes a `Condition1Violation`.  No two candidates tie, since
-    distinct states have distinct shortest words."""
-    order = list(c.reachable)
+    reaching p and q (`Classifier._orbit`), in length-lexicographic order.
+    Candidates are compared by (total length, u, u2, w) as raw tuples and
+    only the smallest becomes a `Condition1Violation`.  No two candidates
+    tie, since distinct states have distinct shortest words."""
+    reps, names, succ = c._orbit, c._table.names, c._table.succ
+    order = sorted(reps)
     best = None
     for i, p in enumerate(order):
         for q in order[i + 1:]:
-            if c.class_of_state(p) != c.class_of_state(q):
+            if names[p] != names[q]:
                 continue
             u, u2 = sorted((reps[p], reps[q]), key=lambda x: (len(x), x))
             if best is not None and len(u) + len(u2) + 1 > best[0]:
@@ -219,13 +253,12 @@ def _right_violations(c: Classifier, reps: dict) -> Optional[Condition1Violation
             while frontier and hit is None:
                 nxt = []
                 for (s, t) in frontier:
-                    for a in c.alphabet:
-                        s2, t2 = c.step(s, a), c.step(t, a)
-                        key = (s2, t2)
+                    for a, row in succ.items():
+                        key = (row[s], row[t])
                         if key in back:
                             continue
                         back[key] = ((s, t), a)
-                        if c.class_of_state(s2) != c.class_of_state(t2):
+                        if names[key[0]] != names[key[1]]:
                             hit = key
                             break
                         nxt.append(key)
@@ -251,24 +284,25 @@ def _right_violations(c: Classifier, reps: dict) -> Optional[Condition1Violation
         FiniteWord(c.alphabet, w), c.classify(u), (c.classify(u + w), c.classify(u2 + w)))
 
 
-def _left_violations(c: Classifier, reps: dict,
-                     budget: int) -> Optional[Condition1Violation]:
+def _left_violations(c: Classifier, budget: int) -> Optional[Condition1Violation]:
     """The smallest left violation, or None.
 
     The transformation monoid is the `buchi._closure` of the identity on the
-    reachable states (the empty word) under the letters' state maps; it
-    raises BudgetExceededError past `budget` elements.  Two of its elements
-    of one class (witnesses wu before wu2 in length-lexicographic order) are
-    separated by the first reachable state s, in declared order, on which
-    they land in different classes; the context w is the shortest word
-    reaching s (`reps`).  Candidates are compared by (total length, wu, wu2,
-    w) as raw tuples and only the smallest becomes a `Condition1Violation`.
-    No two candidates tie, since every monoid element has one witness."""
-    order = list(c.reachable)
-    pos = {q: i for i, q in enumerate(order)}
-    names = [c.class_of_state(q) for q in order]
-    init = pos[c.initial]
-    maps = {a: tuple(pos[c.step(q, a)] for q in order) for a in c.alphabet}
+    reachable states (the empty word) under the letters' successor rows,
+    restricted to them; it raises BudgetExceededError past `budget`
+    elements.  Two of its elements of one class (witnesses wu before wu2 in
+    length-lexicographic order) are separated by the first reachable state
+    s, in declared order, on which they land in different classes; the
+    context w is the shortest word reaching s (`Classifier._orbit`).
+    Candidates are compared by (total length, wu, wu2, w) as raw tuples and
+    only the smallest becomes a `Condition1Violation`.  No two candidates
+    tie, since every monoid element has one witness."""
+    reps, t = c._orbit, c._table
+    order = sorted(reps)
+    pos = {q: k for k, q in enumerate(order)}
+    names = [t.names[q] for q in order]
+    init = pos[t.initial]
+    maps = {a: tuple(pos[row[q]] for q in order) for a, row in t.succ.items()}
     monoid, words, _, _ = _closure(
         [(tuple(range(len(order))), ())], maps, lambda g, f: tuple(map(f.__getitem__, g)),
         budget, "classifier transformation monoid")
@@ -276,7 +310,7 @@ def _left_violations(c: Classifier, reps: dict,
     for g, w in zip(monoid, words):
         # the class reached from each state: two elements are separated
         # exactly where these rows differ
-        row = tuple(names[x] for x in g)
+        row = tuple(map(names.__getitem__, g))
         by_class.setdefault(row[init], []).append((row, w))
     best = None
     for group in by_class.values():
@@ -313,9 +347,7 @@ def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Conditi
     violations the smallest is returned, ordered by total witness length,
     then by side (right before left), then by the words themselves.
     """
-    reps = state_representatives(c)
-    found = [v for v in (_right_violations(c, reps), _left_violations(c, reps, budget))
-             if v is not None]
+    found = [v for v in (_right_violations(c), _left_violations(c, budget)) if v is not None]
     if not found:
         return None
     return min(found, key=lambda v: (
@@ -338,11 +370,9 @@ def lemma_repair(c: Classifier, *, budget: int = 200000) -> Classifier:
             return c
         if merges >= limit:
             raise AssertionError("merge count exceeded the class count bound")
-        x, y = violation.contexts()
-        cx, cy = c.classify(x), c.classify(y)
-        keep, drop = sorted((cx, cy))
-        relabeled = tuple((q, keep if name == drop else name) for q, name in c.classes)
-        c = Classifier(c.alphabet, c.states, c.initial, c.delta, relabeled)
+        keep, drop = sorted(map(c.classify, violation.contexts()))
+        names = tuple(keep if name == drop else name for name in c._table.names)
+        c = Classifier._of_table(c.alphabet, c.states, c._table._replace(names=names))
         merges += 1
 
 
@@ -456,6 +486,26 @@ def validate_condition2_witness(c: Classifier, oracle, witness: Condition2Violat
     return (om, rm) == (witness.original_member, witness.replaced_member) and om != rm
 
 
+def _condition2_witness(c: Classifier, oracle, original: WordSequence, replaced: WordSequence,
+                        note: str = "") -> Optional[Condition2ViolationWitness]:
+    """The witness that the oracle tells the products of `original` and
+    `replaced` apart, or None when its verdicts agree or the witness fails
+    `validate_condition2_witness`.  The witness's note is the first
+    product's note, else the second's, else `note`.  A replacement product
+    that is no infinite word is recorded as None."""
+    om, note_o = product_member(oracle, original)
+    rm, note_r = product_member(oracle, replaced)
+    if om == rm:
+        return None
+    try:
+        replaced_product = replaced.product()
+    except DegenerateProductError:
+        replaced_product = None
+    witness = Condition2ViolationWitness(original, replaced, original.product(), replaced_product,
+                                         om, rm, note_o or note_r or note)
+    return witness if validate_condition2_witness(c, oracle, witness) else None
+
+
 def _words_up_to(alpha: Alphabet, n: int) -> list[FiniteWord]:
     out = [FiniteWord(alpha, ())]
     layer: list[tuple[str, ...]] = [()]
@@ -479,44 +529,18 @@ def check_condition2_bounded(c: Classifier, oracle, *, word_bound: int,
     reps = class_representatives(c)
     words = _words_up_to(c.alphabet, word_bound)
     replacement = {w.letters: reps[c.classify(w.letters)] for w in words}
-
-    def heads():
-        for h in range(head_bound + 1):
-            yield from itertools.product(words, repeat=h)
-
-    def cycles():
-        for k in range(1, cycle_bound + 1):
-            yield from itertools.product(words, repeat=k)
-
-    all_cycles = list(cycles())
-    for head in heads():
-        for cycle in all_cycles:
-            factors = head + cycle
-            if all(replacement[w.letters].letters == w.letters for w in factors):
+    cycles = [cyc for k in range(1, cycle_bound + 1) for cyc in itertools.product(words, repeat=k)]
+    for head in (h for n in range(head_bound + 1) for h in itertools.product(words, repeat=n)):
+        for cycle in cycles:
+            if all(replacement[w.letters].letters == w.letters for w in head + cycle):
                 continue
-            original = PeriodicWordSequence(head, cycle)
-            replaced = PeriodicWordSequence(
-                tuple(replacement[w.letters] for w in head),
-                tuple(replacement[w.letters] for w in cycle))
-            om, note_o = product_member(oracle, original)
-            rm, note_r = product_member(oracle, replaced)
-            if om == rm:
-                continue
-            witness = Condition2ViolationWitness(
-                original, replaced,
-                original.product(),
-                _product_or_none(replaced),
-                om, rm, note_o or note_r)
-            if validate_condition2_witness(c, oracle, witness):
+            witness = _condition2_witness(
+                c, oracle, PeriodicWordSequence(head, cycle), PeriodicWordSequence(
+                    tuple(replacement[w.letters] for w in head),
+                    tuple(replacement[w.letters] for w in cycle)))
+            if witness is not None:
                 return witness
     return None
-
-
-def _product_or_none(seq: WordSequence) -> Optional[Word]:
-    try:
-        return seq.product()
-    except DegenerateProductError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +552,13 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
     each its own class.  Words are equivalent exactly when their profiles
     coincide, which is compatible with concatenation by construction."""
     m = transition_monoid(a, budget=budget)
-    names = {m.unit: "e"}
-    for i in range(len(m.elements)):
-        names.setdefault(i, f"m{i}")
-    states = list(names.values())
+    order = [m.unit] + [i for i in range(len(m.elements)) if i != m.unit]
+    pos = {i: k for k, i in enumerate(order)}
+    names = tuple("e" if i == m.unit else f"m{i}" for i in order)
     # the unit's row: past the table when the empty word has its own profile
     right = m._right + [[m.letter(x) for x in a.alphabet]]
-    delta = {(name, x): names[right[i][c]]
-             for i, name in names.items() for c, x in enumerate(a.alphabet)}
-    classes = {name: name for name in states}
-    return classifier(a.alphabet, states, "e", delta, classes)
+    succ = {x: tuple(pos[right[i][k]] for i in order) for k, x in enumerate(a.alphabet)}
+    return Classifier._of_table(a.alphabet, names, _Table(succ, 0, names))
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +774,12 @@ def format_classifier(c: Classifier) -> str:
     for q in c.states:
         if not isinstance(q, str) or not q or any(ch.isspace() for ch in q):
             raise FormatError("serialization needs string state names")
-    idx = {q: i for i, q in enumerate(c.states)}
     lines = [
         "alphabet " + " ".join(c.alphabet.letters),
         "states " + " ".join(c.states),
         "initial " + str(c.initial),
     ]
-    lines += [f"class {q} {c.class_of_state(q)}" for q in c.states]
-    lines += [f"{q} {a} {c.step(q, a)}"
-              for q in c.states for a in c.alphabet.letters]
+    lines += [f"class {q} {name}" for q, name in c.classes]
+    lines += [f"{q} {a} {c.states[row[i]]}"
+              for i, q in enumerate(c.states) for a, row in c._table.succ.items()]
     return "\n".join(lines) + "\n"

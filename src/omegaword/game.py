@@ -32,8 +32,8 @@ from typing import Callable, Optional
 from .congruence import (
     Classifier,
     PeriodicWordSequence,
+    _Table,
     _words_up_to,
-    classifier,
     product_member,
 )
 from .errors import BudgetExceededError, FormatError, IllegalMoveError, UnsupportedWordError
@@ -210,6 +210,14 @@ def validate_transcript(t: GameTranscript) -> list[str]:
     return out
 
 
+def _factor_sequences(scheme: IndexScheme, w_words, v_words) -> tuple[PeriodicWordSequence, ...]:
+    """The two factor sequences that `scheme` picks: from Spoiler's words
+    w_i, then from Duplicator's words v_i."""
+    return tuple(PeriodicWordSequence(tuple(words[i - 1] for i in scheme.head),
+                                      tuple(words[i - 1] for i in scheme.cycle))
+                 for words in (w_words, v_words))
+
+
 def adjudicate(t: GameTranscript, oracle) -> GameTranscript:
     """Winner as a pure function of the transcript (idempotent): forfeits
     lose immediately; otherwise the scheme's two products are put to the
@@ -221,12 +229,7 @@ def adjudicate(t: GameTranscript, oracle) -> GameTranscript:
                        adjudication_error=None)
     if t.scheme is None:
         return replace(t, winner=None, adjudication_error="no round-5 scheme")
-    seq_w = PeriodicWordSequence(
-        tuple(t.spoiler_words[i - 1] for i in t.scheme.head),
-        tuple(t.spoiler_words[i - 1] for i in t.scheme.cycle))
-    seq_v = PeriodicWordSequence(
-        tuple(t.duplicator_words[i - 1] for i in t.scheme.head),
-        tuple(t.duplicator_words[i - 1] for i in t.scheme.cycle))
+    seq_w, seq_v = _factor_sequences(t.scheme, t.spoiler_words, t.duplicator_words)
     try:
         mw, note_w = product_member(oracle, seq_w)
         mv, note_v = product_member(oracle, seq_v)
@@ -580,10 +583,7 @@ class DivergingSpoiler(_Strategy):
         return None
 
     def _separates(self, scheme, w_words, v_words) -> bool:
-        sw = PeriodicWordSequence(tuple(w_words[i - 1] for i in scheme.head),
-                                  tuple(w_words[i - 1] for i in scheme.cycle))
-        sv = PeriodicWordSequence(tuple(v_words[i - 1] for i in scheme.head),
-                                  tuple(v_words[i - 1] for i in scheme.cycle))
+        sw, sv = _factor_sequences(scheme, w_words, v_words)
         try:
             mw, _ = product_member(self.oracle, sw)
             mv, _ = product_member(self.oracle, sv)
@@ -621,25 +621,14 @@ def _response_classifier(alpha: Alphabet, w_words, v_words) -> Classifier:
         for k in range(len(w) + 1):
             nodes.add(w[:k])
     node_list = sorted(nodes, key=lambda p: (len(p), p))
-    classes = {}
-    for p in node_list:
-        if p in f:
-            classes[p] = f[p]
-        elif p == ():
-            classes[p] = default
-        else:
-            classes[p] = classes[p[:-1]]
-    sink = ("#sink",)
-    delta = {}
-    for p in node_list:
-        for x in alpha:
-            q = p + (x,)
-            delta[(p, x)] = q if q in nodes else sink
-    for x in alpha:
-        delta[(sink, x)] = sink
-    all_states = node_list + [sink]
-    classes[sink] = default
-    return classifier(alpha, all_states, (), delta, classes)
+    pos = {p: i for i, p in enumerate(node_list)}
+    sink = len(node_list)
+    names: list = []
+    for p in node_list:  # an unobserved node inherits its parent's class
+        names.append(f[p] if p in f else names[pos[p[:-1]]] if p else default)
+    succ = {x: tuple([pos.get(p + (x,), sink) for p in node_list] + [sink]) for x in alpha}
+    return Classifier._of_table(alpha, tuple(node_list) + (("#sink",),),
+                                _Table(succ, 0, tuple(names) + (default,)))
 
 
 # ---------------------------------------------------------------------------

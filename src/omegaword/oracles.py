@@ -30,11 +30,9 @@ from .congruence import (
     Condition2ViolationWitness,
     GrowingBlockSequence,
     PeriodicWordSequence,
+    _condition2_witness,
     _eraser,
-    _product_or_none,
     class_representatives,
-    product_member,
-    validate_condition2_witness,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -327,28 +325,22 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
 
     # states after a^i trace a rho shape; find its head and cycle lengths
     seen = {}
-    s = c.initial
+    s, row = c._table.initial, c._table.succ["a"]
     i = 0
     while s not in seen:
         seen[s] = i
-        s = c.step(s, "a")
+        s = row[s]
         i += 1
     mu, lam = seen[s], i - seen[s]
     start = max(mu, 1)
     head = tuple(rep_after(j) for j in range(1, start))
     cycle = tuple(rep_after(j) for j in range(start, start + lam))
 
-    original_a = GrowingBlockSequence(c.alphabet, "a", "b", 1, 0)
-    replaced_a = PeriodicWordSequence(head, cycle)
-    om, note_o = product_member(oracle, original_a)
-    rm, note_r = product_member(oracle, replaced_a)
-    if om != rm:
-        witness = Condition2ViolationWitness(
-            original_a, replaced_a, original_a.product(),
-            _product_or_none(replaced_a), om, rm,
-            note_o or note_r or "growing blocks vs bounded replacement")
-        if validate_condition2_witness(c, oracle, witness):
-            return witness
+    witness = _condition2_witness(c, oracle, GrowingBlockSequence(c.alphabet, "a", "b", 1, 0),
+                                  PeriodicWordSequence(head, cycle),
+                                  "growing blocks vs bounded replacement")
+    if witness is not None:
+        return witness
 
     # replacement product was still a member: every repeated representative
     # erases to a-only letters and at least one has an a; a constant
@@ -357,15 +349,10 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
         r = rep_after(j)
         if "a" in _eraser(oracle)(r.letters):
             u = FiniteWord(c.alphabet, ("a",) * j + ("b",))
-            original_b = PeriodicWordSequence((), (u,))
-            replaced_b = PeriodicWordSequence((), (r,))
-            om2, _ = product_member(oracle, original_b)
-            rm2, _ = product_member(oracle, replaced_b)
-            witness = Condition2ViolationWitness(
-                original_b, replaced_b, original_b.product(),
-                _product_or_none(replaced_b), om2, rm2,
-                "constant blocks vs all-a replacement tail")
-            if om2 != rm2 and validate_condition2_witness(c, oracle, witness):
+            witness = _condition2_witness(c, oracle, PeriodicWordSequence((), (u,)),
+                                          PeriodicWordSequence((), (r,)),
+                                          "constant blocks vs all-a replacement tail")
+            if witness is not None:
                 return witness
     raise AssertionError("no violation found; the classifier cannot be finite")
 

@@ -5,6 +5,7 @@ import pytest
 from omegaword.buchi import accepts_up, automaton
 from omegaword.congruence import (
     BoundedPartition,
+    Classifier,
     GrowingBlockSequence,
     PeriodicWordSequence,
     _partition,
@@ -23,7 +24,13 @@ from omegaword.congruence import (
     validate_condition2_witness,
 )
 from omegaword.errors import BudgetExceededError, FormatError
-from omegaword.oracles import LanguageOracle, RegularOracle, get_oracle
+from omegaword.game import ConstantDuplicator, DivergingSpoiler, play_bounded
+from omegaword.oracles import (
+    LanguageOracle,
+    NeutralUnboundedBlocksOracle,
+    RegularOracle,
+    get_oracle,
+)
 from omegaword.words import FiniteWord, alphabet, finite_word, up_word
 
 from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
@@ -488,3 +495,58 @@ class TestClassifierBasics:
     def test_totality_enforced(self):
         with pytest.raises(FormatError):
             classifier(AB, ("q",), "q", {("q", "a"): "q"}, {"q": "c"})
+
+
+_LOOP = {("q", "a"): "q", ("q", "b"): "q"}
+
+
+@pytest.mark.parametrize("states, initial, delta, classes, message", [
+    (("q", "q"), "q", _LOOP, {"q": "c"}, "duplicate state"),
+    (("q",), "p", _LOOP, {"q": "c"}, "initial state not declared"),
+    (("q",), "q", {**_LOOP, ("p", "a"): "q"}, {"q": "c"}, "transition uses undeclared state"),
+    (("q",), "q", {**_LOOP, ("q", "c"): "q"}, {"q": "c"}, "transition letter 'c' not in alphabet"),
+    (("q", "p"), "q", [("q", "a", "q"), ("q", "a", "p"), ("q", "b", "q"), ("p", "a", "q"),
+                       ("p", "b", "q")], {"q": "c", "p": "c"},
+     "nondeterministic transition at ('q', 'a')"),
+    (("q",), "q", {("q", "a"): "q"}, {"q": "c"}, "missing transition at ('q', 'b')"),
+    (("q",), "q", _LOOP, {"q": "c", "p": "d"}, "classes must label every state exactly once"),
+    (("q", "p"), "q", {**_LOOP, ("p", "a"): "q", ("p", "b"): "q"}, {"q": "c", "p": "d"},
+     "every class name must label some reachable state"),
+])
+def test_checked_constructor_messages(states, initial, delta, classes, message):
+    with pytest.raises(FormatError) as exc:
+        classifier(AB, states, initial, delta, classes)
+    assert str(exc.value) == message
+
+
+class TestCheckedEntry:
+    def test_equality_ignores_the_order_of_classes(self):
+        c = last_letter_classifier()
+        d = Classifier(c.alphabet, c.states, c.initial, c.delta, tuple(reversed(c.classes)))
+        assert d == c and hash(d) == hash(c)
+        assert d != Classifier(c.alphabet, c.states, c.initial, c.delta,
+                               (("qe", "e"), ("qa", "A"), ("qb", "A")))
+
+    def test_internal_constructions_run_no_check(self, monkeypatch):
+        # lemma_repair's merges, kernel classifiers and the diverging
+        # spoiler's round-5 response classifiers build their tables directly
+        rng = random.Random(23)
+        corpus = [random_classifier(rng, max_states=6) for _ in range(540)]
+        rng = random.Random(11)
+        automata = [random_automaton(rng) for _ in range(15)]
+        calls = []
+        checked = Classifier.__init__
+
+        def spy(self, *args):
+            calls.append(args)
+            checked(self, *args)
+
+        monkeypatch.setattr(Classifier, "__init__", spy)
+        assert parse_classifier(format_classifier(corpus[0])) == corpus[0]
+        assert len(calls) == 1
+        merges = sum(c.index - lemma_repair(c).index for c in corpus)
+        kernels = [profile_kernel_classifier(a) for a in automata]
+        t = play_bounded(up_word("", "aab", AB), NeutralUnboundedBlocksOracle(),
+                         DivergingSpoiler(), ConstantDuplicator("a"), horizon=10)
+        assert merges > 0 and len(kernels) == 15 and t.scheme is not None
+        assert len(calls) == 1

@@ -260,6 +260,19 @@ class TestViolationFinder:
         assert validate_condition2_witness(c, u, witness)
         assert witness.original_member != witness.replaced_member
         assert isinstance(witness.original, GrowingBlockSequence)
+        # every factor is replaced by the empty word: the first note that
+        # applies is the replacement product's own
+        assert witness.replaced_product is None
+        assert witness.note == "product is a finite word"
+
+    def test_growing_candidate_note(self):
+        # the class of a^i b is "ends in b", represented by b: b^omega
+        c = classifier(AB, ("e", "qa", "qb"), "e",
+                       {(q, x): "q" + x for q in ("e", "qa", "qb") for x in "ab"},
+                       {"e": "e", "qa": "A", "qb": "B"})
+        witness = UnboundedBlocksOracle().find_condition2_violation(c)
+        assert witness.replaced_product == up_word("", "b", AB)
+        assert witness.note == "growing blocks vs bounded replacement"
 
     def test_parity_classifier_needs_second_candidate(self):
         # length parity: every replacement erases to a or eps, so the
@@ -276,6 +289,7 @@ class TestViolationFinder:
         assert isinstance(witness.original, PeriodicWordSequence)
         assert witness.original_member is False
         assert witness.replaced_member is True
+        assert witness.note == "constant blocks vs all-a replacement tail"
 
     def test_kernel_classifiers_always_lose(self):
         rng = random.Random(21)
