@@ -20,7 +20,14 @@ For an equivalence to recognize a language of infinite words it must
 Condition (1) is decidable exactly from the classifier and `check_condition1`
 decides it, returning a smallest violating instance; `lemma_repair` merges
 the offending classes until the check passes, which takes at most
-(index - 1) merges since every merge lowers the class count by one.
+(index - 1) merges since every merge lowers the class count by one.  Both
+read one class matrix.  Its row k is element k of the classifier
+transformation monoid (built by `buchi._closure`, in discovery order), its
+column s is reachable state s (in declared order), and its entry is the
+class that element k reaches from state s.  Two columns of one class that
+some row tells apart break compatibility on the right, and two rows that
+agree at the initial state's column but differ elsewhere break it on the
+left.
 Condition (2) quantifies over all sequences of finite words, so only a
 bounded search is offered; language oracles may ship an unbounded finder for
 their own structure (see the oracles module).
@@ -225,101 +232,77 @@ class Condition1Violation:
         return (self.w.letters + self.u.letters, self.w.letters + self.u_prime.letters)
 
 
-def _right_violations(c: Classifier) -> Optional[Condition1Violation]:
-    """The smallest right violation, or None.
-
-    Each pair of reachable states of one class (p before q in declared
-    order) is separated by its shortest suffix w, the first hit of a
-    breadth-first search on state pairs; u and u2 are the shortest words
-    reaching p and q (`Classifier._orbit`), in length-lexicographic order.
-    Candidates are compared by (total length, u, u2, w) as raw tuples and
-    only the smallest becomes a `Condition1Violation`.  No two candidates
-    tie, since distinct states have distinct shortest words."""
-    reps, names, succ = c._orbit, c._table.names, c._table.succ
-    order = sorted(reps)
-    best = None
-    for i, p in enumerate(order):
-        for q in order[i + 1:]:
-            if names[p] != names[q]:
-                continue
-            u, u2 = sorted((reps[p], reps[q]), key=lambda x: (len(x), x))
-            if best is not None and len(u) + len(u2) + 1 > best[0]:
-                continue  # even a one-letter suffix is too long
-            # BFS on state pairs for a separating suffix
-            start = (p, q)
-            back: dict = {start: None}
-            frontier = [start]
-            hit = None
-            while frontier and hit is None:
-                nxt = []
-                for (s, t) in frontier:
-                    for a, row in succ.items():
-                        key = (row[s], row[t])
-                        if key in back:
-                            continue
-                        back[key] = ((s, t), a)
-                        if names[key[0]] != names[key[1]]:
-                            hit = key
-                            break
-                        nxt.append(key)
-                    if hit:
-                        break
-                frontier = nxt
-            if hit is None:
-                continue
-            letters: list[str] = []
-            node = hit
-            while back[node] is not None:
-                node, a = back[node]
-                letters.append(a)
-            w = tuple(reversed(letters))
-            key = (len(u) + len(u2) + len(w), u, u2, w)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    _, u, u2, w = best
-    return Condition1Violation(
-        "right", FiniteWord(c.alphabet, u), FiniteWord(c.alphabet, u2),
-        FiniteWord(c.alphabet, w), c.classify(u), (c.classify(u + w), c.classify(u2 + w)))
-
-
-def _left_violations(c: Classifier, budget: int) -> Optional[Condition1Violation]:
-    """The smallest left violation, or None.
-
-    The transformation monoid is the `buchi._closure` of the identity on the
-    reachable states (the empty word) under the letters' successor rows,
-    restricted to them; it raises BudgetExceededError past `budget`
-    elements.  Two of its elements of one class (witnesses wu before wu2 in
-    length-lexicographic order) are separated by the first reachable state
-    s, in declared order, on which they land in different classes; the
-    context w is the shortest word reaching s (`Classifier._orbit`).
-    Candidates are compared by (total length, wu, wu2, w) as raw tuples and
-    only the smallest becomes a `Condition1Violation`.  No two candidates
-    tie, since every monoid element has one witness."""
-    reps, t = c._orbit, c._table
-    order = sorted(reps)
+def _monoid(c: Classifier, budget: int) -> tuple[list, list, list]:
+    """The classifier transformation monoid, all of the class matrix that
+    does not depend on class names: the matrix's columns (the reachable
+    state indices, in declared order), and its rows (the `buchi._closure` of
+    the identity, witnessed by the empty word, under the letters' successor
+    rows), as tuples of column positions with their witnesses, in discovery
+    order.  Raises BudgetExceededError past `budget` elements."""
+    order = sorted(c._orbit)
     pos = {q: k for k, q in enumerate(order)}
-    names = [t.names[q] for q in order]
-    init = pos[t.initial]
-    maps = {a: tuple(pos[row[q]] for q in order) for a, row in t.succ.items()}
-    monoid, words, _, _ = _closure(
+    maps = {a: tuple(pos[row[q]] for q in order) for a, row in c._table.succ.items()}
+    elements, words, _, _ = _closure(
         [(tuple(range(len(order))), ())], maps, lambda g, f: tuple(map(f.__getitem__, g)),
         budget, "classifier transformation monoid")
-    by_class: dict = {}
-    for g, w in zip(monoid, words):
-        # the class reached from each state: two elements are separated
-        # exactly where these rows differ
-        row = tuple(map(names.__getitem__, g))
-        by_class.setdefault(row[init], []).append((row, w))
+    return order, elements, words
+
+
+def _smallest_violation(c: Classifier, names: Sequence[str], monoid: tuple) -> Optional[tuple]:
+    """The smallest violation of condition (1) when state index i has class
+    ``names[i]``, as (key, class before, classes after), or None.
+
+    It reads the class matrix of `monoid` (see the module docstring).
+    Candidates are compared by the key (total length, side, u, u2, w) on raw
+    tuples, side 0 (right) before 1 (left); no two tie, since distinct
+    states have distinct shortest words and every element one witness.  A
+    scan stops once even its shortest remaining candidate is longer than the
+    best total.
+
+    Right: two columns p, q of one class, reached first by u before u2 in
+    raw length-lexicographic order (`Classifier._orbit`), are separated by
+    the first row whose entries at p and q differ, and w is its witness.
+    This w is the shortest word separating p and q, length-lexicographic in
+    alphabet order, the first hit of a breadth-first search on state pairs.
+    For `_closure` discovers the elements in that order of their witnesses,
+    and gives each element its least witness.  So a word v that separates p
+    and q acts like some element whose witness is no greater than v and
+    separates them too: the least separating word is the witness of the
+    first row that tells p and q apart.
+
+    Left: two rows with the same entry at the initial column, with
+    witnesses wu before wu2 in raw length-lexicographic order, are separated
+    by the first column s where they differ, and w is the shortest word
+    reaching s.  Each group is sorted on raw tuples, since discovery order
+    follows the alphabet order, which need not be the letters' string
+    order."""
+    order, elements, words = monoid
+    reps = c._orbit
+    col = [names[q] for q in order]
+    rows = [tuple(map(col.__getitem__, g)) for g in elements]
+    columns = list(zip(*rows))
     best = None
+    for p, q in itertools.combinations(range(len(order)), 2):
+        if col[p] != col[q]:
+            continue
+        u, u2 = reps[order[p]], reps[order[q]]
+        if (len(u2), u2) < (len(u), u):
+            u, u2, p, q = u2, u, q, p
+        if best is not None and len(u) + len(u2) + 1 > best[0][0] or columns[p] == columns[q]:
+            continue  # even a one-letter w is too long, or no row separates p and q
+        k = next(k for k, (x, y) in enumerate(zip(columns[p], columns[q])) if x != y)
+        key = (len(u) + len(u2) + len(words[k]), 0, u, u2, words[k])
+        if best is None or key < best[0]:
+            best = (key, col[p], (rows[k][p], rows[k][q]))
+    init = order.index(c._table.initial)
+    by_class: dict = {}
+    for row, w in zip(rows, words):
+        by_class.setdefault(row[init], []).append((row, w))
     for group in by_class.values():
         if len({rg for rg, _ in group}) == 1:
             continue  # no pair of the group is separated
         group.sort(key=lambda rw: (len(rw[1]), rw[1]))
         for i, (rg, wu) in enumerate(group):
-            # witnesses only grow along the group: once wu plus the next
-            # witness outgrows the best total, no later pair can beat it
             if best is not None and 2 * len(wu) > best[0][0]:
                 break
             for rh, wu2 in itertools.islice(group, i + 1, None):
@@ -327,33 +310,29 @@ def _left_violations(c: Classifier, budget: int) -> Optional[Condition1Violation
                     break
                 if rg == rh:
                     continue
-                s_idx = next(k for k, (x, y) in enumerate(zip(rg, rh)) if x != y)
-                w = reps[order[s_idx]]
-                key = (len(wu) + len(wu2) + len(w), wu, wu2, w)
+                s = next(s for s, (x, y) in enumerate(zip(rg, rh)) if x != y)
+                w = reps[order[s]]
+                key = (len(wu) + len(wu2) + len(w), 1, wu, wu2, w)
                 if best is None or key < best[0]:
-                    best = (key, rg[init], (rg[s_idx], rh[s_idx]))
-    if best is None:
-        return None
-    (_, wu, wu2, w), before, after = best
-    return Condition1Violation("left", FiniteWord(c.alphabet, wu), FiniteWord(c.alphabet, wu2),
-                               FiniteWord(c.alphabet, w), before, after)
+                    best = (key, rg[init], (rg[s], rh[s]))
+    return best
 
 
 def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Condition1Violation]:
     """Exact concatenation-compatibility check.
 
     Returns None when appending or prepending any word preserves the
-    classifier's equivalence, else a violating instance.  Among all found
-    violations the smallest is returned, ordered by total witness length,
-    then by side (right before left), then by the words themselves.
-    """
-    found = [v for v in (_right_violations(c), _left_violations(c, budget)) if v is not None]
-    if not found:
+    classifier's equivalence, else a violating instance: the smallest,
+    ordered by total witness length, then by side (right before left), then
+    by the words themselves.  Both sides are read off one class matrix,
+    built from one closure of the transformation monoid; it raises
+    BudgetExceededError past `budget` monoid elements."""
+    found = _smallest_violation(c, c._table.names, _monoid(c, budget))
+    if found is None:
         return None
-    return min(found, key=lambda v: (
-        len(v.u) + len(v.u_prime) + len(v.w),
-        v.side != "right",
-        v.u.letters, v.u_prime.letters, v.w.letters))
+    (_, side, *words), before, after = found
+    return Condition1Violation(("right", "left")[side],
+                               *(FiniteWord(c.alphabet, w) for w in words), before, after)
 
 
 def lemma_repair(c: Classifier, *, budget: int = 200000) -> Classifier:
@@ -361,19 +340,21 @@ def lemma_repair(c: Classifier, *, budget: int = 200000) -> Classifier:
 
     Each round merges the two classes separated by the reported violation,
     lowering the class count by one, so at most (index - 1) merges happen.
+    A merge renames classes only, and the transformation monoid does not
+    depend on names: it is built once per call, and each round reads the
+    class matrix again under the merged names.
     """
-    merges = 0
-    limit = c.index - 1
-    while True:
-        violation = check_condition1(c, budget=budget)
-        if violation is None:
-            return c
-        if merges >= limit:
-            raise AssertionError("merge count exceeded the class count bound")
-        keep, drop = sorted(map(c.classify, violation.contexts()))
-        names = tuple(keep if name == drop else name for name in c._table.names)
-        c = Classifier._of_table(c.alphabet, c.states, c._table._replace(names=names))
-        merges += 1
+    monoid = _monoid(c, budget)
+    names = c._table.names
+    for _ in range(c.index):
+        found = _smallest_violation(c, names, monoid)
+        if found is None:
+            if names is c._table.names:
+                return c
+            return Classifier._of_table(c.alphabet, c.states, c._table._replace(names=names))
+        keep, drop = sorted(found[2])
+        names = tuple(keep if name == drop else name for name in names)
+    raise AssertionError("merge count exceeded the class count bound")
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +740,8 @@ def parse_classifier(text: str) -> Classifier:
         if parts[0] == "class":
             if len(parts) != 3:
                 raise FormatError(f"bad class line {ln!r}")
+            if parts[1] in classes:
+                raise FormatError(f"duplicate class line for {parts[1]!r}")
             classes[parts[1]] = parts[2]
         elif len(parts) == 3:
             if (parts[0], parts[1]) in delta:
@@ -771,9 +754,10 @@ def parse_classifier(text: str) -> Classifier:
 
 
 def format_classifier(c: Classifier) -> str:
-    for q in c.states:
-        if not isinstance(q, str) or not q or any(ch.isspace() for ch in q):
-            raise FormatError("serialization needs string state names")
+    for kind, names in (("state", c.states), ("class", c._table.names)):
+        for q in names:
+            if not isinstance(q, str) or not q or any(ch.isspace() for ch in q):
+                raise FormatError(f"serialization needs string {kind} names")
     lines = [
         "alphabet " + " ".join(c.alphabet.letters),
         "states " + " ".join(c.states),

@@ -437,10 +437,6 @@ class ConstantDuplicator(_Strategy):
                 for _ in range(self.horizon)]
 
 
-def duplicator_copy_strategy(scan_budget: int = 10 ** 6) -> CopyDuplicator:
-    return CopyDuplicator(scan_budget)
-
-
 # ---------------------------------------------------------------------------
 # spoiler strategies
 
@@ -590,11 +586,6 @@ class DivergingSpoiler(_Strategy):
         except UnsupportedWordError:
             return False
         return mw != mv
-
-
-def spoiler_diverging_strategy(oracle=None, vocab_bound: int = 2) -> DivergingSpoiler:
-    # the oracle argument is informational; begin() receives it again
-    return DivergingSpoiler(vocab_bound)
 
 
 def _response_classifier(alpha: Alphabet, w_words, v_words) -> Classifier:

@@ -80,6 +80,16 @@ def random_classifier(rng: random.Random, max_states: int = 4,
     return classifier(alphabet("ab"), states, "s0", delta, classes)
 
 
+def twin_classifier(rng: random.Random, max_states: int = 4):
+    """A random "ab" classifier with a third letter c that acts like a or b,
+    over an alphabet order drawn from "bac", "abc" and "cab"."""
+    base = random_classifier(rng, max_states=max_states)
+    twin = rng.choice("ab")
+    delta = {(q, x): base.step(q, twin if x == "c" else x) for q in base.states for x in "abc"}
+    return classifier(alphabet(rng.choice(("bac", "abc", "cab"))), base.states, base.initial,
+                      delta, dict(base.classes))
+
+
 def _post(a: BuchiAutomaton):
     """``post(q, x)``: the x-successors of state q, read off the transition
     set, so that no reference shares the successor table it checks."""

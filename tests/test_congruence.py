@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omegaword import congruence
 from omegaword.buchi import accepts_up, automaton
 from omegaword.congruence import (
     BoundedPartition,
@@ -35,7 +36,7 @@ from omegaword.words import FiniteWord, alphabet, finite_word, up_word
 
 from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
                      ref_bounded_classes, ref_check_condition1, ref_lemma_repair,
-                     ref_state_representatives)
+                     ref_state_representatives, twin_classifier)
 
 AB = alphabet("ab")
 
@@ -213,14 +214,39 @@ class TestRepair:
             assert repaired.index >= 1
             assert before - repaired.index <= before - 1
 
+    def test_one_monoid_closure_per_call(self, monkeypatch):
+        # a merge renames classes only, so lemma_repair builds the
+        # transformation monoid once, however many merges it makes
+        rng = random.Random(23)
+        corpus = [random_classifier(rng, max_states=6) for _ in range(540)]
+        calls = []
+        closure = congruence._closure
+
+        def spy(seeds, gens, act, budget, what):
+            calls.append(what)
+            return closure(seeds, gens, act, budget, what)
+
+        monkeypatch.setattr(congruence, "_closure", spy)
+        merges = sum(c.index - lemma_repair(c).index for c in corpus)
+        assert merges > 0
+        assert calls.count("classifier transformation monoid") == len(corpus)
+        for c in corpus:
+            check_condition1(c)
+        assert calls.count("classifier transformation monoid") == 2 * len(corpus)
+
 
 def condition1_instances():
-    """The 40 classifiers of the benchmark corpus (seed 1, up to 5 states)
-    and 300 seeded random classifiers of up to 4 states."""
+    """The 40 classifiers of the benchmark corpus (seed 1, up to 5 states),
+    300 seeded random classifiers of up to 4 states, and 300 of up to 4
+    states over three letters in alphabet orders other than string order
+    (`twin_classifier`): witnesses follow the alphabet order while keys
+    compare raw tuples."""
     rng = random.Random(1)
     corpus = [random_classifier(rng, max_states=5) for _ in range(40)]
     rng = random.Random(23)
-    return corpus + [random_classifier(rng) for _ in range(300)]
+    corpus += [random_classifier(rng) for _ in range(300)]
+    rng = random.Random(37)
+    return corpus + [twin_classifier(rng) for _ in range(300)]
 
 
 def violation_key(v):
@@ -466,6 +492,13 @@ class TestClassifierFormat:
             c = make()
             assert parse_classifier(format_classifier(c)) == c
 
+    def test_format_rejects_class_names_that_do_not_round_trip(self):
+        c = last_letter_classifier()
+        for bad in ("x y", "", 3):
+            with pytest.raises(FormatError):
+                format_classifier(classifier(AB, c.states, c.initial, c.delta,
+                                             {**dict(c.classes), "qa": bad}))
+
     def test_rejects(self):
         with pytest.raises(FormatError):
             parse_classifier("alphabet a b\nstates q\ninitial q\nclass q c\nq a q\n")
@@ -474,6 +507,8 @@ class TestClassifierFormat:
         with pytest.raises(FormatError):  # nondeterministic
             parse_classifier("alphabet a\nstates q p\ninitial q\n"
                              "class q c\nclass p c\nq a q\nq a p\np a q\n")
+        with pytest.raises(FormatError):  # two class lines for one state
+            parse_classifier("alphabet a\nstates q\ninitial q\nclass q x\nclass q y\nq a q\n")
 
     def test_unreachable_only_class_rejected(self):
         with pytest.raises(FormatError):

@@ -18,12 +18,10 @@ from omegaword.game import (
     RandomDuplicator,
     RandomSpoiler,
     adjudicate,
-    duplicator_copy_strategy,
     fixed_family,
     get_duplicator,
     get_spoiler,
     play_bounded,
-    spoiler_diverging_strategy,
     transcript_from_json,
     transcript_to_json,
     validate_transcript,
@@ -150,7 +148,7 @@ class TestPlays:
     def test_copy_beats_random_on_growing_blocks(self):
         t = play_bounded(affine_word(), UnboundedBlocksOracle(),
                          RandomSpoiler(random.Random(7)),
-                         duplicator_copy_strategy(), horizon=10)
+                         CopyDuplicator(), horizon=10)
         assert t.winner == DUPLICATOR
         assert t.forfeit is None
         assert t.verdicts[0] == t.verdicts[1]
@@ -309,7 +307,3 @@ class TestRegistries:
             get_spoiler("clairvoyant")
         with pytest.raises(FormatError):
             get_duplicator("random")  # rng required
-
-    def test_factory_helpers(self):
-        assert isinstance(duplicator_copy_strategy(), CopyDuplicator)
-        assert isinstance(spoiler_diverging_strategy(), DivergingSpoiler)

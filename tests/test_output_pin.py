@@ -40,18 +40,17 @@ from dataclasses import replace
 import pytest
 
 from helpers import (REPO, lifted_automaton, random_automaton, random_classifier,
-                     random_sentence, run_python)
+                     random_sentence, run_python, twin_classifier)
 from omegaword.buchi import (complement, format_automaton, is_empty, transition_monoid,
                              with_canonical_names)
-from omegaword.congruence import (check_condition1, classifier, format_classifier,
-                                  lemma_repair, profile_kernel_classifier,
-                                  state_representatives)
+from omegaword.congruence import (check_condition1, format_classifier, lemma_repair,
+                                  profile_kernel_classifier, state_representatives)
 from omegaword.errors import OmegawordError
 from omegaword.game import (IndexScheme, Interval, get_duplicator, get_spoiler, play_bounded,
                             transcript_to_json, validate_transcript)
 from omegaword.mso import compile_to_buchi, mso_satisfiable
 from omegaword.oracles import get_oracle
-from omegaword.words import alphabet, format_word, parse_word
+from omegaword.words import format_word, parse_word
 
 PINNED = "0df2d3e2730cf494b19300c456b9e66f9ecc3c92e77d0bf53ce207e704fa3021"
 PINNED_COMPLEMENT = "99fc7b78126d7ea52df58c9e2f5265df97d7479d16f6743329e3343261f5659d"
@@ -174,16 +173,6 @@ def _violation_text(c, budget: int) -> str:
                      v.class_before, *v.classes_after])
 
 
-def _twin_classifier(rng: random.Random, max_states: int):
-    """A random "ab" classifier with a third letter c that acts like a or b,
-    over an alphabet order drawn from "bac", "abc" and "cab"."""
-    base = random_classifier(rng, max_states=max_states)
-    twin = rng.choice("ab")
-    delta = {(q, x): base.step(q, twin if x == "c" else x) for q in base.states for x in "abc"}
-    return classifier(alphabet(rng.choice(("bac", "abc", "cab"))), base.states, base.initial,
-                      delta, dict(base.classes))
-
-
 def _pinned(lines: list, call) -> None:
     try:
         lines.append(call())
@@ -196,7 +185,7 @@ def condition1_lines() -> list[str]:
     rng = random.Random(23)
     classifiers = ([random_classifier(rng, max_states=6) for _ in range(120)]
                    + [random_classifier(rng, max_states=1) for _ in range(5)]
-                   + [_twin_classifier(rng, max_states=k) for k in (1, 3, 5) for _ in range(25)])
+                   + [twin_classifier(rng, max_states=k) for k in (1, 3, 5) for _ in range(25)])
     for k, c in enumerate(classifiers):
         reps = state_representatives(c)
         lines.append(" ".join(f"{q}:{_spelled(w)}" for q, w in reps.items()))
