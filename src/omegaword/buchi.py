@@ -28,8 +28,9 @@ The textual format, one automaton per file::
     q0 a q1
 
 Header lines in that order, then one `source letter target` line per
-transition.  Serialization is the exact inverse of parsing for automata
-whose states are strings.
+transition; lines starting with ``#`` are comments.  Serialization is the
+exact inverse of parsing for automata whose states are strings, and it
+refuses a state name that the parser would read as a comment.
 """
 
 from __future__ import annotations
@@ -247,67 +248,86 @@ def reachable_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
         Table(succ, tuple(pos[i] for i in t.initial), tuple(t.accepting[i] for i in keep)))
 
 
-def _cyclic_sccs(roots: Iterable, succ: Callable) -> Iterator[list]:
-    """The strongly connected components that hold a cycle, among the nodes
-    reachable from `roots`; ``succ(node)`` lists a node's successors.  Each
-    is yielded as soon as Tarjan's algorithm (iterative) completes it, so a
-    caller may stop early."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
+def _accepting_cycle_nodes(cols: Sequence[Sequence[Iterable[int]]], roots: Iterable[int],
+                           accepting: Sequence[bool]) -> Iterator[int]:
+    """The accepting nodes on cycles of a table's product with a cycle of
+    ``n = len(cols)`` positions, among the nodes reachable from the states
+    `roots` at position 0.
+
+    Node ``q*n + i`` is state q at position i; its successors are the nodes
+    ``d*n + (i+1) % n`` for d in ``cols[i][q]``, read straight from the
+    rows, and it accepts when ``accepting[q]`` does.  With n = 1 this is the
+    graph ``cols[0]`` itself.  Tarjan's algorithm (SIAM J. Comput. 1972),
+    iterative, on flat lists: ``index[v]`` is 0 while v is unvisited, its
+    search number while it is on the stack, and `done`, larger than every
+    number, once its component closed, so one comparison with ``low`` both
+    tests "on the stack" and lowers the link.  Each component is handled as
+    it closes, and its accepting nodes are yielded if it holds a cycle, so
+    a caller may stop at the first (Couvreur, FM 1999).  A component of one
+    node holds a cycle only through a self-loop, which needs n = 1: for
+    n > 1 every edge moves on to the next position."""
+    n = len(cols)
+    index = [0] * (len(accepting) * n)
+    low = index.copy()
+    done = len(index) + 1
+    stack: list[int] = []
     counter = 0
-    for root in roots:
-        if root in index:
+    for q in roots:
+        root = q * n
+        if index[root]:
             continue
-        index[root] = low[root] = counter
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(cols[0][q]), 1 % n)]  # per open node: its successors, their position
         while work:
-            node, it = work[-1]
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
+            node, succ, k = work[-1]
+            for d in succ:
+                nxt = d * n + k
+                x = index[nxt]
+                if not x:
                     counter += 1
+                    index[nxt] = low[nxt] = counter
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
+                    work.append((nxt, iter(cols[k][d]), k + 1 if k + 1 < n else 0))
                     break
-                if nxt in on_stack and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if x < low[node]:
+                    low[node] = x
             else:
                 work.pop()
+                m = low[node]
                 if work:
                     parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        q = stack.pop()
-                        on_stack.discard(q)
-                        comp.append(q)
-                        if q == node:
-                            break
-                    if len(comp) > 1 or node in succ(node):
-                        yield comp
-
-
-def _cycle_nodes(nodes: Iterable, adj) -> set:
-    """Nodes lying on some cycle of the graph; ``adj[node]`` holds the
-    successors of each node (a dict, or a list for nodes 0..n-1)."""
-    return {q for comp in _cyclic_sccs(nodes, adj.__getitem__) for q in comp}
+                    if m < low[parent]:
+                        low[parent] = m
+                if m == index[node]:
+                    v = stack.pop()
+                    index[v] = done
+                    if v == node:
+                        if n == 1 and accepting[v] and v in cols[0][v]:
+                            yield v
+                        continue
+                    comp = [v]
+                    while v != node:
+                        v = stack.pop()
+                        index[v] = done
+                        comp.append(v)
+                    for v in comp:
+                        if accepting[v // n]:
+                            yield v
 
 
 def accepts_up(a: BuchiAutomaton, w: UPWord) -> bool:
     """Does the automaton accept the lasso word ``prefix . period^omega``?
 
-    Decided on the product of the automaton with the period positions, on
-    int nodes ``q*n + i`` (state q at period position i of n): the word is
-    accepted exactly when, from some state reachable on the prefix, the
-    product reaches a cycle through an accepting state.
+    Decided on the product of the automaton with the n period positions:
+    node ``q*n + i`` is state q about to read the period's letter i, and
+    its successors are ``d*n + (i+1) % n`` for the successors d of q under
+    that letter.  The word is accepted exactly when, from some state
+    reachable on the prefix, the product reaches a strongly connected
+    component that holds a cycle and an accepting state.  A one-node
+    component holds a cycle only through a self-loop, so only when n = 1.
+    The search (`_accepting_cycle_nodes`) stops at the first such component.
     """
     if w.alphabet != a.alphabet:
         raise AlphabetMismatchError("word and automaton alphabets differ")
@@ -316,17 +336,9 @@ def accepts_up(a: BuchiAutomaton, w: UPWord) -> bool:
     for x in w.prefix:
         rows = t.succ[x]
         current = {j for i in current for j in rows[i]}
-    n = len(w.period)
-    cols = [t.succ[x] for x in w.period]
-    acc = t.accepting
-
-    def succ(node: int) -> list[int]:
-        q, i = divmod(node, n)
-        k = i + 1 if i + 1 < n else 0
-        return [d * n + k for d in cols[i][q]]
-
-    return any(acc[node // n] for comp in _cyclic_sccs([q * n for q in current], succ)
-               for node in comp)
+    for _ in _accepting_cycle_nodes([t.succ[x] for x in w.period], current, t.accepting):
+        return True
+    return False
 
 
 def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[UPWord]]:
@@ -338,10 +350,9 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[UPWord]]:
     """
     t = a._table
     rows = [t.succ[x] for x in a.alphabet]
-    seen = _reachable(rows, t.initial)
-    reach = [i for i, s in enumerate(seen) if s]
-    adj = {i: {j for row in rows for j in row[i]} for i in reach}
-    targets = {i for i in _cycle_nodes(reach, adj) if t.accepting[i]}
+    distinct = {id(r): r for r in rows}.values()  # letters may share their rows
+    merged = [{j for r in distinct for j in r[i]} for i in range(len(a.states))]
+    targets = set(_accepting_cycle_nodes([merged], t.initial, t.accepting))
     if not targets:
         return (True, None)
     letters = a.alphabet.letters
@@ -685,6 +696,8 @@ def format_automaton(a: BuchiAutomaton) -> str:
         if not isinstance(q, str) or not q or any(c.isspace() for c in q):
             raise FormatError(
                 "serialization needs string state names; see with_canonical_names")
+        if q.startswith("#"):
+            raise FormatError(f"state name {q!r} would be read back as a comment")
     t = a._table
     letters = a.alphabet.letters
     lines = [

@@ -758,6 +758,9 @@ def format_classifier(c: Classifier) -> str:
         for q in names:
             if not isinstance(q, str) or not q or any(ch.isspace() for ch in q):
                 raise FormatError(f"serialization needs string {kind} names")
+    for q in c.states:
+        if q.startswith("#") or q == "class":
+            raise FormatError(f"state name {q!r} would be read back as a comment or class line")
     lines = [
         "alphabet " + " ".join(c.alphabet.letters),
         "states " + " ".join(c.states),

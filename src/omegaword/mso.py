@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _column, _cycle_nodes,
+from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _accepting_cycle_nodes, _column,
                     _letter_classes, _reachable, _relabel, accepts_up, complement,
                     intersect, is_empty, reachable_fragment, union, with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
@@ -402,9 +402,16 @@ def coded_alphabet(base: Alphabet, tracks: int) -> Alphabet:
 
     A coded letter is ``b|bits`` — base letter, bar, one 0/1 per track — in
     base-major, then binary, order.  Zero tracks is the base alphabet itself.
+    Alphabets are immutable, so one is built per (base, tracks) and kept in
+    a small cache of alphabets.
     """
     if tracks == 0:
         return base
+    return _coded_alphabet(base, tracks)
+
+
+@lru_cache(maxsize=64)
+def _coded_alphabet(base: Alphabet, tracks: int) -> Alphabet:
     combos = ["".join(bits) for bits in product("01", repeat=tracks)]
     return Alphabet(tuple(f"{b}|{c}" for b in base.letters for c in combos))
 
@@ -576,10 +583,17 @@ def _track_automaton(base: Alphabet, m: int, k: int,
                      edges: Callable[[str, str], Sequence[tuple[int, int]]]) -> BuchiAutomaton:
     """Automaton over `m` tracks on states s0..s{k-1}, with s0 initial and
     the last one accepting; ``edges(head, bits)`` lists the (source, target)
-    numbers of the transitions on each coded letter."""
+    numbers of the transitions on each coded letter.  Letters with one edge
+    tuple share one row list."""
     alpha = coded_alphabet(base, m)
-    pairs = {x: set(edges(*_split_coded(x, m))) for x in alpha}
-    succ = {x: [sorted(d for s, d in pairs[x] if s == i) for i in range(k)] for x in alpha}
+    rows_of: dict = {}  # edge tuple -> its successor rows
+    succ = {}
+    for x in alpha:
+        pairs = tuple(edges(*_split_coded(x, m)))
+        rows = rows_of.get(pairs)
+        if rows is None:
+            rows = rows_of[pairs] = [sorted({d for s, d in pairs if s == i}) for i in range(k)]
+        succ[x] = rows
     return BuchiAutomaton._of_table(alpha, tuple(f"s{i}" for i in range(k)),
                                     Table(succ, (0,), tuple(i == k - 1 for i in range(k))))
 
@@ -858,7 +872,7 @@ def _live(rows: Sequence[Sequence], initial: Sequence[int],
         for j in adj[i]:
             back[j].append(i)
     live = [False] * len(seen)
-    frontier = [i for i in _cycle_nodes(reach, adj) if accepting[i]]
+    frontier = list(_accepting_cycle_nodes([adj], initial, accepting))
     for i in frontier:
         live[i] = True
     while frontier:

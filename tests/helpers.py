@@ -14,7 +14,7 @@ from pathlib import Path
 import networkx as nx
 
 from omegaword.buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Profile, Table,
-                             TransitionMonoid, _cycle_nodes, automaton, compose_profiles,
+                             TransitionMonoid, automaton, compose_profiles,
                              inverse_map_letters, reachable_fragment)
 from omegaword.congruence import classifier
 from omegaword.errors import BudgetExceededError, DegenerateErasureError
@@ -521,16 +521,17 @@ def ref_reduce(a: BuchiAutomaton) -> BuchiAutomaton:
 
 def _ref_live_fragment(a: BuchiAutomaton) -> BuchiAutomaton:
     """Keep only states from which an accepting cycle is reachable."""
-    adj: dict = {q: set() for q in a.states}
-    back: dict = {q: set() for q in a.states}
-    for s, _x, d in a.transitions:
-        adj[s].add(d)
-        back[d].add(s)
-    live = set(_cycle_nodes(a.states, adj) & a.accepting)
+    g = nx.DiGraph()
+    g.add_nodes_from(a.states)
+    g.add_edges_from((s, d) for s, _x, d in a.transitions)
+    live = set()
+    for comp in nx.strongly_connected_components(g):
+        if len(comp) > 1 or any(g.has_edge(q, q) for q in comp):
+            live |= comp & a.accepting
     frontier = list(live)
     while frontier:
         q = frontier.pop()
-        for p in back[q]:
+        for p in g.predecessors(q):
             if p not in live:
                 live.add(p)
                 frontier.append(p)

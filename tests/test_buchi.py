@@ -24,7 +24,7 @@ from omegaword.buchi import (
     with_canonical_names,
 )
 from omegaword.errors import AlphabetMismatchError, BudgetExceededError, FormatError
-from omegaword.words import alphabet, homomorphism, up_word
+from omegaword.words import UPWord, alphabet, homomorphism, up_word
 
 AB = alphabet("ab")
 
@@ -68,6 +68,32 @@ def test_accepts_up_agrees_with_reference():
             a = op(random_automaton(rng, max_states=6), random_automaton(rng, max_states=6))
         w = random_up(rng, max_period=6)
         assert accepts_up(a, w) == ref_accepts(a, w), (k, w.text())
+    # coded automata whose letters share rows, and automata with several
+    # initial states, under periods up to 8
+    for k in range(200):
+        if k % 2:
+            a = lifted_automaton(rng, tracks=rng.randrange(1, 3))
+        else:
+            b = random_automaton(rng, max_states=8)
+            a = automaton(AB, b.states, rng.sample(b.states, rng.randrange(1, len(b.states) + 1)),
+                          b.accepting, b.transitions)
+        letters = a.alphabet.letters
+        w = UPWord(a.alphabet, tuple(rng.choices(letters, k=rng.randrange(0, 4))),
+                   tuple(rng.choices(letters, k=rng.randrange(1, 9))))
+        assert accepts_up(a, w) == ref_accepts(a, w), (k, w.text())
+    # one state: a one-node component holds a cycle only through a self-loop
+    for loop in (True, False):
+        a = automaton(AB, ["q"], ["q"], ["q"], [("q", "a", "q")] if loop else [])
+        for period, accepted in (("a", loop), ("aa", loop), ("ab", False)):
+            w = up_word("", period, AB)
+            assert accepts_up(a, w) == ref_accepts(a, w) == accepted, (loop, period)
+    # complements of more than 100 states
+    for seed in (5, 29, 41):
+        a = complement(random_automaton(random.Random(seed), max_states=5), state_budget=2000)
+        assert len(a.states) > 100
+        for _ in range(15):
+            w = random_up(rng, max_period=8)
+            assert accepts_up(a, w) == ref_accepts(a, w), (seed, w.text())
 
 
 def test_is_empty_hand_cases():
@@ -358,6 +384,11 @@ def test_format_requires_string_states():
         format_automaton(a)
     canonical = with_canonical_names(a)
     assert parse_automaton(format_automaton(canonical)) == canonical
+    # the parser drops lines that start with "#", so such a state cannot be written
+    for bad in ("#q", "#"):
+        hashed = automaton(AB, ["q0", bad], ["q0"], [bad], [("q0", "a", bad), (bad, "b", bad)])
+        with pytest.raises(FormatError):
+            format_automaton(hashed)
 
 
 def test_parse_rejects_bad_files():

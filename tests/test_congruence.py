@@ -498,6 +498,15 @@ class TestClassifierFormat:
             with pytest.raises(FormatError):
                 format_classifier(classifier(AB, c.states, c.initial, c.delta,
                                              {**dict(c.classes), "qa": bad}))
+        # state names that the parser reads as a comment or as a class line
+        for bad in ("#q", "#", "class"):
+            def name(q):
+                return bad if q == "qa" else q
+            renamed = classifier(AB, tuple(map(name, c.states)), name(c.initial),
+                                 [(name(q), x, name(d)) for q, x, d in c.delta],
+                                 {name(q): k for q, k in c.classes})
+            with pytest.raises(FormatError):
+                format_classifier(renamed)
 
     def test_rejects(self):
         with pytest.raises(FormatError):
