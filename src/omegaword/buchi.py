@@ -131,7 +131,7 @@ class BuchiAutomaton:
 
 def automaton(letters, states: Sequence[State], initial: Iterable[State],
               accepting: Iterable[State], transitions: Iterable[Transition]) -> BuchiAutomaton:
-    alpha = letters if isinstance(letters, Alphabet) else make_alphabet(letters)
+    alpha = make_alphabet(letters)
     return BuchiAutomaton(alpha, tuple(states), frozenset(initial),
                           frozenset(accepting), frozenset(transitions))
 

@@ -45,7 +45,6 @@ from .congruence import (
 )
 from .errors import (
     BudgetExceededError,
-    DegenerateErasureError,
     DegenerateProductError,
     FormatError,
     OmegawordError,
@@ -88,7 +87,6 @@ _BUDGET_ERRORS = (
     BudgetExceededError,
     UnsupportedWordError,
     UnsupportedFormulaError,
-    DegenerateErasureError,
     DegenerateProductError,
     UnsupportedHomomorphismError,
 )

@@ -34,18 +34,36 @@ their own structure (see the oracles module).
 
 The bounded congruences of an infinite-word language itself (two-sided with
 lasso tails and infinite products, or right with lasso tails only) are
-sampled the same way: all context instantiations up to a length bound.  Each
-word gets one row of membership verdicts over the fixed contexts (an
-observation table), and words whose rows agree are related.  A power whose
-repeated word is empty is no infinite word, so the empty word's row leaves
-those slots undefined; non-transitivity can only come from them.
+sampled the same way: all context instantiations up to a length bound of at
+least 1.  Each word gets one row of membership verdicts over the fixed
+contexts (an observation table), and words whose rows agree are related.
+
+When the oracle declares a neutral letter, every verdict depends only on
+the words with that letter erased (see `LanguageOracle.neutral_letter`).
+So a word enters the table as its erasure, the contexts are enumerated over
+the other letters (exactly the erasures of all contexts, in the same
+order), and the oracle is asked once per distinct erased infinite word.  A
+raw context whose period erases to nothing is no infinite word and answers
+False in every row, so it is left out.
+
+A power w(u v)^omega whose repeated word u v is empty is no infinite word
+either.  Without a neutral letter n this happens only for u and v empty:
+the empty word's row leaves those slots undefined (the wildcard None), and
+non-transitivity can only come from them.  With n, the erased empty slot
+holds False instead, which relates the same words.  For the raw context
+v = n gives the empty word False at w(n)^omega, a finite word after
+erasure, and gives a word u its verdict at w(u n)^omega, which is its
+verdict at w(u)^omega; so a word related to the empty word is False there
+already.  A nonempty raw word that erases to nothing holds that False as a
+defined verdict.  So no row has a wildcard, and a neutral-letter partition
+has no non-transitive triple.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .buchi import BuchiAutomaton, _closure, transition_monoid
@@ -61,7 +79,7 @@ from .words import (
     FiniteWord,
     UPWord,
     Word,
-    _check_letters,
+    alphabet,
     canonical_parts,
     omega_product,
 )
@@ -181,8 +199,7 @@ class Classifier:
 
 def classifier(letters, states: Sequence[State], initial: State,
                delta: Union[dict, Iterable], classes: dict) -> Classifier:
-    from .words import alphabet as make_alphabet
-    alpha = letters if isinstance(letters, Alphabet) else make_alphabet(letters)
+    alpha = alphabet(letters)
     if isinstance(delta, dict):
         edges = frozenset((q, a, d) for (q, a), d in delta.items())
     else:
@@ -454,11 +471,16 @@ class Condition2ViolationWitness:
     note: str = ""
 
 
-def validate_condition2_witness(c: Classifier, oracle, witness: Condition2ViolationWitness,
-                                *, indices: int = 12) -> bool:
+WITNESS_INDICES = 12  # factor indices whose equivalence a witness check re-derives
+HEAD_BOUND = 1  # longest head of the factor sequences `check_condition2_bounded` tries
+
+
+def validate_condition2_witness(c: Classifier, oracle,
+                                witness: Condition2ViolationWitness) -> bool:
     """Re-derive everything the witness claims: per-index equivalence of the
-    two sequences over a documented range, and both membership verdicts."""
-    for i in range(1, indices + 1):
+    two sequences at indices 1 to `WITNESS_INDICES`, and both membership
+    verdicts."""
+    for i in range(1, WITNESS_INDICES + 1):
         u, r = witness.original.nth(i), witness.replaced.nth(i)
         if not c.equivalent(u.letters, r.letters):
             return False
@@ -487,31 +509,36 @@ def _condition2_witness(c: Classifier, oracle, original: WordSequence, replaced:
     return witness if validate_condition2_witness(c, oracle, witness) else None
 
 
-def _words_up_to(alpha: Alphabet, n: int) -> list[FiniteWord]:
-    out = [FiniteWord(alpha, ())]
-    layer: list[tuple[str, ...]] = [()]
+def _letter_tuples(letters: Sequence[str], n: int) -> list[tuple[str, ...]]:
+    """All tuples of up to n letters, length-lexicographic in the order of
+    `letters`."""
+    out: list[tuple[str, ...]] = [()]
+    layer = [()]
     for _ in range(n):
-        layer = [w + (a,) for w in layer for a in alpha]
-        out.extend(FiniteWord(alpha, w) for w in layer)
+        layer = [w + (a,) for w in layer for a in letters]
+        out.extend(layer)
     return out
 
 
+def _words_up_to(alpha: Alphabet, n: int) -> list[FiniteWord]:
+    return [FiniteWord(alpha, w) for w in _letter_tuples(alpha, n)]
+
+
 def check_condition2_bounded(c: Classifier, oracle, *, word_bound: int,
-                             cycle_bound: int, head_bound: int = 1,
-                             ) -> Optional[Condition2ViolationWitness]:
+                             cycle_bound: int) -> Optional[Condition2ViolationWitness]:
     """Bounded search for a product-recognition violation.
 
     Enumerates eventually periodic factor sequences (factors up to
-    `word_bound` letters, head/cycle up to the given lengths), replaces each
-    factor by its class's shortest representative, and compares the oracle's
-    verdicts on the two products.  Returns the first (in enumeration order)
-    validated witness, or None.
+    `word_bound` letters, heads up to `HEAD_BOUND` factors, cycles up to
+    `cycle_bound` factors), replaces each factor by its class's shortest
+    representative, and compares the oracle's verdicts on the two products.
+    Returns the first (in enumeration order) validated witness, or None.
     """
     reps = class_representatives(c)
     words = _words_up_to(c.alphabet, word_bound)
     replacement = {w.letters: reps[c.classify(w.letters)] for w in words}
     cycles = [cyc for k in range(1, cycle_bound + 1) for cyc in itertools.product(words, repeat=k)]
-    for head in (h for n in range(head_bound + 1) for h in itertools.product(words, repeat=n)):
+    for head in (h for n in range(HEAD_BOUND + 1) for h in itertools.product(words, repeat=n)):
         for cycle in cycles:
             if all(replacement[w.letters].letters == w.letters for w in head + cycle):
                 continue
@@ -546,20 +573,6 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
 # bounded congruences of an infinite-word language
 
 
-def _contexts_up_to(alpha: Alphabet, bound: int, erase: Callable[[tuple], tuple]):
-    """All words up to `bound` letters, and the lasso tails x (y)^omega with
-    |x| <= bound, 1 <= |y| <= bound, the first of each erasure pair
-    (erase(x), erase(y)): every right-row verdict on u x (y)^omega depends
-    only on that pair (see `_memo_member`), so the other tails repeat it."""
-    finite = [w.letters for w in _words_up_to(alpha, bound)]
-    tails: dict = {}
-    for x in finite:
-        for y in finite:
-            if y:
-                tails.setdefault((erase(x), erase(y)), (x, y))
-    return finite, list(tails.values())
-
-
 def _eraser(oracle) -> Callable[[tuple], tuple]:
     """Deletes the oracle's neutral letter from a raw letter tuple; the
     identity when the oracle declares none."""
@@ -570,33 +583,16 @@ def _eraser(oracle) -> Callable[[tuple], tuple]:
 
 
 def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
-    """Membership of prefix.period^omega given as raw letter tuples, asking
-    the oracle once per distinct infinite word.  The memo is keyed by the
-    canonical period, then by the canonical prefix, so that the many words
-    sharing a period hold no key pair each.
-
-    When the oracle declares a neutral letter, it is erased from the prefix
-    and the period first, so the oracle is asked once per distinct erasure
-    (see `LanguageOracle.neutral_letter`).  A word whose period erases to
-    nothing is no infinite word after erasure and answers False without a
-    query, as `_word_member` does.
-
-    The raw tuples are canonicalized as they are; a validated `UPWord` is
-    built only on a memo miss, for the oracle.  Every raw word is still
-    checked against the alphabet: its canonical form has exactly its
-    non-neutral letters, so a memo hit means those letters were checked when
-    that form was first inserted; a word answered False by erasure has its
-    prefix checked directly.  An empty period raises `FormatError`."""
+    """Membership of prefix.period^omega given as erased letter tuples (no
+    neutral letter, nonempty period), asking the oracle once per distinct
+    infinite word.  The memo is keyed by the canonical period, then by the
+    canonical prefix, so that the many words sharing a period hold no key
+    pair each.  A `UPWord` is built only on a memo miss, for the oracle."""
     alpha = oracle.alphabet
-    erase = _eraser(oracle)
     memo: dict = {}
 
     def member(prefix: tuple, period: tuple) -> bool:
-        erased = erase(period)
-        if period and not erased:
-            _check_letters(prefix, alpha)
-            return False
-        cprefix, cperiod = canonical_parts(erase(prefix), erased)
+        cprefix, cperiod = canonical_parts(prefix, period)
         by_prefix = memo.setdefault(cperiod, {})
         got = by_prefix.get(cprefix)
         if got is None:
@@ -606,46 +602,17 @@ def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
     return member
 
 
-def _rows_by_erasure(oracle, build: Callable[[tuple], tuple]) -> Callable[[tuple], tuple]:
-    """build(z), computed once per erasure of z: with a neutral letter every
-    membership verdict depends on the erasure only, so the row does too."""
-    erase = _eraser(oracle)
-    rows: dict = {}
-
-    def row(z: tuple) -> tuple:
-        key = erase(z)
-        got = rows.get(key)
-        if got is None:
-            got = rows[key] = build(z)
-        return got
-
-    return row
-
-
-def _right_row(u: tuple, tails: list, member) -> tuple:
-    """Verdicts on the lasso contexts u x(y)^omega."""
-    return tuple(member(u + x, y) for x, y in tails)
-
-
-def _arnold_row(u: tuple, finite: list, member, right_row) -> tuple:
-    """Verdicts on the power contexts w(u v)^omega, then the right rows of
-    w u, which hold the verdicts on the lasso contexts w u x(y)^omega.  A
-    power whose repeated word u v is empty is no infinite word; its slot
-    holds the wildcard None."""
-    return (tuple(member(w, u + v) if u or v else None for w in finite for v in finite)
-            + tuple(right_row(w + u) for w in finite))
-
-
 @dataclass(frozen=True)
 class BoundedPartition:
     """Classes of words up to the word bound, under one bounded congruence.
 
     Two words are related when their verdict rows over the bounded contexts
     agree wherever both are defined.  Only the empty word's row has undefined
-    slots (its skipped power contexts), so only a triple through the empty
-    word can fail transitivity.  Such failures are surfaced in
-    `non_transitive` rather than repaired, and the classes are then the
-    transitive closure of the relation.
+    slots (its skipped power contexts), and only when the oracle declares no
+    neutral letter, so only a triple through the empty word can fail
+    transitivity.  Such failures are surfaced in `non_transitive` rather
+    than repaired, and the classes are then the transitive closure of the
+    relation.
     """
 
     classes: tuple[tuple[FiniteWord, ...], ...]
@@ -662,11 +629,13 @@ def _partition(words: list[FiniteWord], rows: list[tuple]) -> BoundedPartition:
     agree = [[_rows_agree(r, s) for s in index] for r in index]
     verdict = [[agree[a][b] for b in rid] for a in rid]
     n = len(words)
-    bad = tuple(itertools.islice(
-        ((words[i], words[j], words[k])
-         for i in range(n) for j in range(n) if i != j and verdict[i][j]
-         for k in range(n) if k != i and k != j and verdict[j][k] and not verdict[i][k]),
-        10))
+    bad: tuple = ()
+    if any(None in r for r in index):  # without a wildcard, agreeing is equality
+        bad = tuple(itertools.islice(
+            ((words[i], words[j], words[k])
+             for i in range(n) for j in range(n) if i != j and verdict[i][j]
+             for k in range(n) if k != i and k != j and verdict[j][k] and not verdict[i][k]),
+            10))
     # transitive closure via union-find
     parent = list(range(n))
 
@@ -687,33 +656,50 @@ def _partition(words: list[FiniteWord], rows: list[tuple]) -> BoundedPartition:
     return BoundedPartition(classes, bad)
 
 
+def _bounded_partition(oracle, word_bound: int, context_bound: int,
+                       two_sided: bool) -> BoundedPartition:
+    """The partition of the words up to `word_bound` letters, from one
+    verdict row per erased word over the erased contexts (see the module
+    docstring).  The right row of w u is built once per word w u, since it
+    is shared by many pairs (w, u)."""
+    if context_bound < 1:
+        raise FormatError("the context bound must be at least 1")
+    neutral = getattr(oracle, "neutral_letter", None)
+    finite = _letter_tuples([x for x in oracle.alphabet if x != neutral], context_bound)
+    tails = [(x, y) for x in finite for y in finite if y]
+    empty_power = None if neutral is None else False
+    member = _memo_member(oracle)
+
+    @cache
+    def right_row(z: tuple) -> tuple:
+        return tuple(member(z + x, y) for x, y in tails)
+
+    @cache
+    def arnold_row(u: tuple) -> tuple:
+        return (tuple(member(w, u + v) if u or v else empty_power
+                      for w in finite for v in finite)
+                + tuple(right_row(w + u) for w in finite))
+
+    row = arnold_row if two_sided else right_row
+    erase = _eraser(oracle)
+    words = _words_up_to(oracle.alphabet, word_bound)
+    return _partition(words, [row(erase(u.letters)) for u in words])
+
+
 def arnold_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
     """Partition all words up to `word_bound` letters by the bounded
     two-sided congruence of the oracle's language: contexts w _ x(y)^omega
-    and powers w(_ v)^omega with pieces up to `context_bound` letters.
-
-    The right row of w u is built once per erasure of w u (once per word
-    when the oracle has no neutral letter), since the word w u is shared by
-    many pairs (w, u).  The lasso tails are one per erasure pair, while the
-    power contexts stay raw: their wildcard slots look at the raw words u
-    and v."""
-    words = _words_up_to(oracle.alphabet, word_bound)
-    finite, tails = _contexts_up_to(oracle.alphabet, context_bound, _eraser(oracle))
-    member = _memo_member(oracle)
-    right_row = _rows_by_erasure(oracle, lambda z: _right_row(z, tails, member))
-    return _partition(words, [_arnold_row(u.letters, finite, member, right_row)
-                              for u in words])
+    and powers w(_ v)^omega with pieces up to `context_bound` letters (at
+    least 1) over the erased letters."""
+    return _bounded_partition(oracle, word_bound, context_bound, True)
 
 
 def right_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
     """Partition all words up to `word_bound` letters by the bounded right
-    congruence of the oracle's language: contexts _ x(y)^omega only.  One
-    row is built per erasure of the word."""
-    words = _words_up_to(oracle.alphabet, word_bound)
-    _, tails = _contexts_up_to(oracle.alphabet, context_bound, _eraser(oracle))
-    member = _memo_member(oracle)
-    right_row = _rows_by_erasure(oracle, lambda z: _right_row(z, tails, member))
-    return _partition(words, [right_row(u.letters) for u in words])
+    congruence of the oracle's language: contexts _ x(y)^omega only, with
+    pieces up to `context_bound` letters (at least 1) over the erased
+    letters."""
+    return _bounded_partition(oracle, word_bound, context_bound, False)
 
 
 # ---------------------------------------------------------------------------

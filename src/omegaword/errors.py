@@ -3,6 +3,14 @@
 Everything raised on purpose by this package derives from OmegawordError,
 so callers can catch one type at the CLI boundary and map it to an exit
 code without fishing for stray ValueErrors.
+
+Three internal checks raise a bare AssertionError instead:
+`buchi._shortest_path` (a goal its caller knows to be reachable),
+`congruence.lemma_repair` (more merges than classes) and
+`oracles._unbounded_runs_violation` (no violation against a finite
+classifier).  Each marks a broken invariant, not bad input or an exhausted
+budget, so it is no OmegawordError and has no exit code: it is a bug to
+report.
 """
 
 from __future__ import annotations

@@ -53,6 +53,8 @@ SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
 
 FAMILY_BUDGET = 100000
+SCAN_BUDGET = 10 ** 6  # farthest position CopyDuplicator scans for an a-run
+VOCAB_BOUND = 2  # longest word DivergingSpoiler picks its round-3 words from
 
 
 @dataclass(frozen=True)
@@ -356,9 +358,6 @@ class CopyDuplicator(_Strategy):
     Forfeits honestly when the word has no long enough a-run ahead, which is
     exactly the case of bounded a-runs."""
 
-    def __init__(self, scan_budget: int = 10 ** 6):
-        self.scan_budget = scan_budget
-
     def round2(self, family: IntervalFamily):
         pairs = []
         pos = -1
@@ -370,8 +369,8 @@ class CopyDuplicator(_Strategy):
                 return Forfeit(
                     f"no all-a interval of size {need} beyond position {w.last}")
             s, _ = run
-            if s + need - 1 > self.scan_budget:
-                return Forfeit(f"scan budget {self.scan_budget} exhausted")
+            if s + need - 1 > SCAN_BUDGET:
+                return Forfeit(f"scan budget {SCAN_BUDGET} exhausted")
             v = Interval(s, s + need - 1)
             pairs.append((w, v))
             pos = v.last
@@ -493,9 +492,6 @@ class DivergingSpoiler(_Strategy):
     bounded by the distinct pair contents, not by the horizon squared.
     """
 
-    def __init__(self, vocab_bound: int = 2):
-        self.vocab_bound = vocab_bound
-
     def begin(self, word, oracle, horizon):
         super().begin(word, oracle, horizon)
         if not getattr(oracle, "has_violation_finder", False):
@@ -511,7 +507,7 @@ class DivergingSpoiler(_Strategy):
         return IntervalFamily(nth, "sizes 1,2,3,... with unit gaps")
 
     def round3(self, selected):
-        vocab = _words_up_to(self.oracle.alphabet, self.vocab_bound)
+        vocab = _words_up_to(self.oracle.alphabet, VOCAB_BOUND)
         out = []
         p = 0
         for w in selected:

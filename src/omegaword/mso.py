@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _accepting_cycle_nodes, _column,
                     _letter_classes, _reachable, _relabel, accepts_up, complement,
@@ -478,7 +478,7 @@ def decode_partition(tracks: Sequence[UPWord], letters) -> Optional[UPWord]:
     the tracks partition the positions; one aligned prefix+period window
     decides that for lasso tracks.
     """
-    alpha = letters if isinstance(letters, Alphabet) else alphabet(letters)
+    alpha = alphabet(letters)
     if len(tracks) != len(alpha):
         raise FormatError("one indicator track per alphabet letter required")
     if not tracks:
@@ -520,7 +520,7 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     if has_latoms(phi):
         raise UnsupportedFormulaError(
             "predicate atoms have no automaton translation; see evaluate")
-    alpha = base if isinstance(base, Alphabet) else alphabet(base)
+    alpha = alphabet(base)
     ctx = tuple(free)
     if len(set(ctx)) != len(ctx):
         raise FormatError("free variable context lists a name twice")
@@ -1059,7 +1059,7 @@ def mso_satisfiable(phi: Formula, base="ab", free: Sequence[str] = (), *,
     empty, witness = is_empty(machine)
     if empty:
         return False, None
-    alpha = base if isinstance(base, Alphabet) else alphabet(base)
+    alpha = alphabet(base)
     m = len(free)
 
     def split(seq):
@@ -1114,7 +1114,7 @@ def encode_congruence_game(sigma_l, neutral: str = "1") -> Formula:
     the coded word at the predicate's partition check.  Word-length slack
     inside intervals is absorbed by the neutral letter.
     """
-    alpha = sigma_l if isinstance(sigma_l, Alphabet) else alphabet(sigma_l)
+    alpha = alphabet(sigma_l)
     if neutral not in alpha:
         raise FormatError(f"neutral letter {neutral!r} is not in the alphabet")
     letters = alpha.letters

@@ -47,9 +47,7 @@ from .words import (
     UPWord,
     Word,
     alphabet,
-    apply_hom,
     canonical_parts,
-    erasing_hom,
     max_letter_run,
     parse_word,
     with_alphabet,
@@ -74,8 +72,9 @@ class LanguageOracle:
     neutral_letter: Optional[str] = None
     """A letter whose insertion or deletion never changes membership, or
     None.  The bounded partitions of the congruence module rely on this
-    contract: they ask the oracle only about the words with that letter
-    erased.  `neutral_letter_check` tests the contract by sampling."""
+    contract: they build one verdict row per erased word, over contexts
+    without that letter, and ask the oracle only about erased words.
+    `neutral_letter_check` tests the contract by sampling."""
 
     def member(self, w: Word) -> bool:
         if isinstance(w, FiniteWord):
@@ -144,15 +143,13 @@ class NeutralUnboundedBlocksOracle(LanguageOracle):
     alphabet = AB1
     neutral_letter = "1"
 
-    def __init__(self):
-        self._erase = erasing_hom(AB1, "1", AB)
-
     def membership_up(self, w: UPWord) -> bool:
-        erased = apply_hom(self._erase, w)
-        if isinstance(erased, FiniteWord):
+        erase = _eraser(self)
+        period = erase(w.period)
+        if not period:
             raise DegenerateErasureError(
                 "erasing the neutral letter leaves a finite word")
-        return max_letter_run(erased, "a") is None
+        return max_letter_run(UPWord(AB, erase(w.prefix), period), "a") is None
 
     def membership_block(self, w: BlockWord) -> bool:
         # erasure leaves sep^omega when the block letter is neutral; otherwise

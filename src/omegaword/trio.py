@@ -90,8 +90,8 @@ class RationalTransducer:
 def transducer(input_letters, output_letters, states, initial, final,
                edges) -> RationalTransducer:
     """Convenience constructor; edge labels may be given as plain strings."""
-    ia = input_letters if isinstance(input_letters, Alphabet) else alphabet(input_letters)
-    oa = output_letters if isinstance(output_letters, Alphabet) else alphabet(output_letters)
+    ia = alphabet(input_letters)
+    oa = alphabet(output_letters)
     packed = frozenset((src, tuple(ins), tuple(outs), dst)
                        for src, ins, outs, dst in edges)
     return RationalTransducer(ia, oa, tuple(states), frozenset(initial),
@@ -99,13 +99,13 @@ def transducer(input_letters, output_letters, states, initial, final,
 
 
 def identity_transducer(letters) -> RationalTransducer:
-    alpha = letters if isinstance(letters, Alphabet) else alphabet(letters)
+    alpha = alphabet(letters)
     return transducer(alpha, alpha, ["q"], ["q"], ["q"],
                       [("q", x, x, "q") for x in alpha.letters])
 
 
 def erasing_transducer(letters) -> RationalTransducer:
-    alpha = letters if isinstance(letters, Alphabet) else alphabet(letters)
+    alpha = alphabet(letters)
     return transducer(alpha, alpha, ["q"], ["q"], ["q"],
                       [("q", x, "", "q") for x in alpha.letters])
 
@@ -209,7 +209,7 @@ class ExplicitOracle(FiniteLanguageOracle):
     """A finite language given by listing its words."""
 
     def __init__(self, words, letters, name: str = "explicit"):
-        self.alphabet = letters if isinstance(letters, Alphabet) else alphabet(letters)
+        self.alphabet = alphabet(letters)
         self.words = frozenset(
             w.letters if isinstance(w, FiniteWord) else tuple(w) for w in words)
         self.name = name
@@ -322,7 +322,7 @@ class SeparatedWord:
 
 
 def separated_word(left, right, letters) -> SeparatedWord:
-    alpha = letters if isinstance(letters, Alphabet) else alphabet(letters)
+    alpha = alphabet(letters)
     return SeparatedWord(alpha,
                          tuple(_coerce_finite(s, alpha) for s in left),
                          tuple(_coerce_finite(s, alpha) for s in right))
@@ -330,7 +330,7 @@ def separated_word(left, right, letters) -> SeparatedWord:
 
 def parse_separated(text: str, letters) -> SeparatedWord:
     """Parse ``w1#…wn#v1%#…vm%#``; the marked separator ``%#`` is atomic."""
-    alpha = letters if isinstance(letters, Alphabet) else alphabet(letters)
+    alpha = alphabet(letters)
     left: list[FiniteWord] = []
     right: list[FiniteWord] = []
     current: list[str] = []

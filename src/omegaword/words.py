@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -77,9 +77,10 @@ class Alphabet:
         return self.letters.index(letter)
 
 
-def alphabet(spec: Union[str, Iterable[str]]) -> Alphabet:
-    """Convenience constructor: ``alphabet("ab1")`` or ``alphabet(["a","b"])``."""
-    return Alphabet(tuple(spec))
+def alphabet(spec: Union[Alphabet, str, Iterable[str]]) -> Alphabet:
+    """Convenience constructor: ``alphabet("ab1")`` or ``alphabet(["a","b"])``;
+    an `Alphabet` is returned as it is."""
+    return spec if isinstance(spec, Alphabet) else Alphabet(tuple(spec))
 
 
 def _check_letters(letters: Sequence[str], alpha: Alphabet) -> None:
@@ -123,10 +124,6 @@ class UPWord:
 
     def text(self) -> str:
         return format_word(self)
-
-    @property
-    def size(self) -> int:
-        return len(self.prefix) + len(self.period)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from omegaword.congruence import (
     state_representatives,
     validate_condition2_witness,
 )
-from omegaword.errors import BudgetExceededError, FormatError
+from omegaword.errors import BudgetExceededError, DegenerateErasureError, FormatError
 from omegaword.game import ConstantDuplicator, DivergingSpoiler, play_bounded
 from omegaword.oracles import (
     LanguageOracle,
@@ -103,6 +103,24 @@ class CountingOracle(LanguageOracle):
     def member(self, w):
         self.calls += 1
         return self.inner.member(w)
+
+
+class NeutralRegularOracle(RegularOracle):
+    """A `RegularOracle` whose automaton loops on `1` at every state, which
+    makes `1` neutral; a period of only 1s has no infinite erasure."""
+
+    neutral_letter = "1"
+
+    def membership_up(self, w):
+        if set(w.period) == {"1"}:
+            raise DegenerateErasureError("erasing the neutral letter leaves a finite word")
+        return super().membership_up(w)
+
+
+def neutral_automaton(rng):
+    a = random_automaton(rng, max_states=3)
+    return automaton("ab1", a.states, a.initial, a.accepting,
+                     a.transitions | {(q, "1", q) for q in a.states})
 
 
 class TestCondition1:
@@ -466,6 +484,23 @@ class TestBoundedCongruences:
                 assert partition_texts(part) == ref_bounded_classes(oracle, kind, 2, 1)
                 surfaced += bool(part.non_transitive)
         assert surfaced  # the wildcard slots were exercised
+
+    def test_neutral_letter_partitions_match_pairwise_reference(self):
+        # the reference compares raw words over raw contexts, where the empty
+        # word's power slots are wildcards; the erased rows hold False there
+        rng = random.Random(3)
+        for _ in range(60):
+            oracle = NeutralRegularOracle(neutral_automaton(rng))
+            with pytest.raises(DegenerateErasureError):
+                oracle.member(up_word("a", "11", oracle.alphabet))
+            for kind, build in (("arnold", arnold_classes_bounded),
+                                ("right", right_classes_bounded)):
+                part = build(oracle, word_bound=2, context_bound=1)
+                assert part.non_transitive == ()
+                assert partition_texts(part) == ref_bounded_classes(oracle, kind, 2, 1)
+        # at context bound 0 no raw context would force the empty power slot
+        with pytest.raises(FormatError):
+            build(oracle, word_bound=2, context_bound=0)
 
     def test_neutral_letter_partitions(self):
         oracle = get_oracle("Uprime")
