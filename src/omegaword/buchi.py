@@ -409,15 +409,26 @@ def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """Two-phase product: phase 1 waits for an accepting state of `a`, phase 2
     for one of `b`; meeting phase 2's goal is the acceptance condition.  Only
     the reachable states (p, q, phase) are built, in the order p, q, phase.
-    One product row is built per letter class of (a column, b column)
-    pairs, and the letters of a class share it."""
+    One product row is built per class of letters whose (a column, b
+    column) pairs are the same two lists, and the letters of a class share
+    it.  Columns are keyed by identity, not hashed: constructions give the
+    letters of a class one shared list, so this finds nearly every class of
+    equal columns without reading a row, and letters with equal but
+    separate columns get equal rows of their own."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersection needs a shared alphabet")
     ta, tb = a._table, b._table
     nb = len(b.states)
-    reps, cls = _letter_classes((_column(ta.succ[x]), _column(tb.succ[x])) for x in a.alphabet)
     letters = a.alphabet.letters
-    pairs = [(ta.succ[letters[c]], tb.succ[letters[c]]) for c in reps]
+    index: dict = {}  # (id of a's column, id of b's column) -> class
+    pairs = []  # per class its two columns
+    cls = []
+    for x in letters:
+        ra, rb = ta.succ[x], tb.succ[x]
+        k = index.setdefault((id(ra), id(rb)), len(pairs))
+        if k == len(pairs):
+            pairs.append((ra, rb))
+        cls.append(k)
     start = [(p * nb + q) * 2 for p in ta.initial for q in tb.initial]
     out: dict = {}  # reached number -> per class its successor numbers, ascending
     frontier = list(start)
@@ -432,7 +443,7 @@ def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     order = sorted(out)  # number (p * |b| + q) * 2 + phase - 1 ranks (p, q, phase)
     pos = {k: i for i, k in enumerate(order)}
     states = tuple((a.states[k // 2 // nb], b.states[k // 2 % nb], k % 2 + 1) for k in order)
-    rows = [[[pos[k] for k in out[node][r]] for node in order] for r in range(len(reps))]
+    rows = [[[pos[k] for k in out[node][r]] for node in order] for r in range(len(pairs))]
     succ = {x: rows[r] for x, r in zip(letters, cls)}
     accepting = tuple(k % 2 == 1 and tb.accepting[k // 2 % nb] for k in order)
     return BuchiAutomaton._of_table(

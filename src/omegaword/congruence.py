@@ -490,14 +490,17 @@ def validate_condition2_witness(c: Classifier, oracle,
 
 
 def _condition2_witness(c: Classifier, oracle, original: WordSequence, replaced: WordSequence,
-                        note: str = "") -> Optional[Condition2ViolationWitness]:
+                        note: str = "", member: Callable = product_member,
+                        ) -> Optional[Condition2ViolationWitness]:
     """The witness that the oracle tells the products of `original` and
     `replaced` apart, or None when its verdicts agree or the witness fails
     `validate_condition2_witness`.  The witness's note is the first
     product's note, else the second's, else `note`.  A replacement product
-    that is no infinite word is recorded as None."""
-    om, note_o = product_member(oracle, original)
-    rm, note_r = product_member(oracle, replaced)
+    that is no infinite word is recorded as None.  `member(oracle, seq)`
+    gives the two verdicts with their notes, as `product_member` does; the
+    validation asks `product_member` itself."""
+    om, note_o = member(oracle, original)
+    rm, note_r = member(oracle, replaced)
     if om == rm:
         return None
     try:
@@ -533,7 +536,21 @@ def check_condition2_bounded(c: Classifier, oracle, *, word_bound: int,
     `cycle_bound` factors), replaces each factor by its class's shortest
     representative, and compares the oracle's verdicts on the two products.
     Returns the first (in enumeration order) validated witness, or None.
+
+    Many candidate sequences share a product, so the verdict and note of
+    each product are kept for the call, keyed by its raw prefix and period
+    letters (all factors share the classifier's alphabet).
     """
+    verdicts: dict = {}
+
+    def member(oracle, seq: PeriodicWordSequence) -> tuple[bool, str]:
+        key = (tuple(x for w in seq.head for x in w.letters),
+               tuple(x for w in seq.cycle for x in w.letters))
+        got = verdicts.get(key)
+        if got is None:
+            got = verdicts[key] = product_member(oracle, seq)
+        return got
+
     reps = class_representatives(c)
     words = _words_up_to(c.alphabet, word_bound)
     replacement = {w.letters: reps[c.classify(w.letters)] for w in words}
@@ -545,7 +562,7 @@ def check_condition2_bounded(c: Classifier, oracle, *, word_bound: int,
             witness = _condition2_witness(
                 c, oracle, PeriodicWordSequence(head, cycle), PeriodicWordSequence(
                     tuple(replacement[w.letters] for w in head),
-                    tuple(replacement[w.letters] for w in cycle)))
+                    tuple(replacement[w.letters] for w in cycle)), member=member)
             if witness is not None:
                 return witness
     return None
@@ -585,18 +602,29 @@ def _eraser(oracle) -> Callable[[tuple], tuple]:
 def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
     """Membership of prefix.period^omega given as erased letter tuples (no
     neutral letter, nonempty period), asking the oracle once per distinct
-    infinite word.  The memo is keyed by the canonical period, then by the
-    canonical prefix, so that the many words sharing a period hold no key
-    pair each.  A `UPWord` is built only on a memo miss, for the oracle."""
+    infinite word.  A first memo, keyed by the raw period and prefix,
+    answers a repeated pair without canonicalizing it; on a miss the pair is
+    canonicalized and looked up in the canonical memo, keyed by the
+    canonical period, then by the canonical prefix, which decides what
+    reaches the oracle.  Both are keyed by period first, so that the many
+    words sharing a period hold no key pair each.  A `UPWord` is built only
+    on a canonical miss, for the oracle."""
     alpha = oracle.alphabet
+    raw: dict = {}
     memo: dict = {}
 
     def member(prefix: tuple, period: tuple) -> bool:
-        cprefix, cperiod = canonical_parts(prefix, period)
-        by_prefix = memo.setdefault(cperiod, {})
-        got = by_prefix.get(cprefix)
+        by_raw = raw.get(period)
+        if by_raw is None:
+            by_raw = raw[period] = {}
+        got = by_raw.get(prefix)
         if got is None:
-            got = by_prefix[cprefix] = _word_member(oracle, UPWord(alpha, cprefix, cperiod))[0]
+            cprefix, cperiod = canonical_parts(prefix, period)
+            by_prefix = memo.setdefault(cperiod, {})
+            got = by_prefix.get(cprefix)
+            if got is None:
+                got = by_prefix[cprefix] = _word_member(oracle, UPWord(alpha, cprefix, cperiod))[0]
+            by_raw[prefix] = got
         return got
 
     return member

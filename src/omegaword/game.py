@@ -27,7 +27,7 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .congruence import (
     Classifier,
@@ -82,27 +82,35 @@ class IntervalFamily:
         self.note = note
         self._cache: list[Interval] = []
 
+    def _grow(self) -> Interval:
+        """Materialize the next member, under `FAMILY_BUDGET`, checking that
+        it lies after the last one."""
+        cache = self._cache
+        if len(cache) >= FAMILY_BUDGET:
+            raise BudgetExceededError("interval family budget exhausted")
+        v = self._nth(len(cache) + 1)
+        if cache and not (cache[-1] < v):
+            raise FormatError("family intervals must be increasing")
+        cache.append(v)
+        return v
+
     def materialize(self, n: int) -> tuple[Interval, ...]:
         while len(self._cache) < n:
-            if len(self._cache) >= FAMILY_BUDGET:
-                raise BudgetExceededError("interval family budget exhausted")
-            v = self._nth(len(self._cache) + 1)
-            if self._cache and not (self._cache[-1] < v):
-                raise FormatError("family intervals must be increasing")
-            self._cache.append(v)
+            self._grow()
         return tuple(self._cache[:n])
 
     def next_after(self, pos: int) -> Interval:
         """First family member whose positions all lie beyond `pos`.  The
         members' starts increase, so a binary search finds it among the
-        materialized ones; otherwise members are materialized one at a time
-        until one starts beyond `pos`."""
+        materialized ones; otherwise the cache grows in place, one member at
+        a time, until a member starts beyond `pos`."""
         i = bisect_right(self._cache, pos, key=lambda v: v.first)
-        while i == len(self._cache):
-            self.materialize(i + 1)
-            if self._cache[i].first <= pos:
-                i += 1
-        return self._cache[i]
+        if i < len(self._cache):
+            return self._cache[i]
+        while True:
+            v = self._grow()
+            if v.first > pos:
+                return v
 
     @property
     def materialized(self) -> tuple[Interval, ...]:
@@ -488,8 +496,13 @@ class DivergingSpoiler(_Strategy):
     over the materialized rounds stands in (noted in the transcript).  That
     search tries the single-index cycles, then the two-index ones, and puts
     each distinct cycle of (w_i, v_i) pairs to the oracle once: a repeat of
-    a tried cycle has the same two products.  Its oracle calls are thus
-    bounded by the distinct pair contents, not by the horizon squared.
+    a tried cycle has the same two products.  It walks only the first
+    occurrence i of each distinct pair content: first the singles (i,),
+    then for each such i, the first later position j of each content, by
+    ascending j (`_distinct_cycles`).  These are the first cycles of each
+    content in the order singles, then pairs (i, j) lexicographically, so
+    the work is O(n·d) for horizon n and d distinct contents, and it puts
+    at most d + d² cycles to the oracle, not n squared.
     """
 
     def begin(self, word, oracle, horizon):
@@ -558,17 +571,7 @@ class DivergingSpoiler(_Strategy):
         return None
 
     def _scheme_search(self, w_words, v_words) -> Optional[IndexScheme]:
-        n = self.horizon
-        pair_ids: dict = {}
-        ids = [pair_ids.setdefault(wv, len(pair_ids)) for wv in zip(w_words, v_words)]
-        singles = [(i,) for i in range(1, n + 1)]
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        tried = set()
-        for cycle in singles + pairs:
-            key = tuple(ids[i - 1] for i in cycle)
-            if key in tried:
-                continue
-            tried.add(key)
+        for cycle in _distinct_cycles(list(zip(w_words, v_words))):
             scheme = IndexScheme((), cycle)
             if self._separates(scheme, w_words, v_words):
                 return scheme
@@ -582,6 +585,28 @@ class DivergingSpoiler(_Strategy):
         except UnsupportedWordError:
             return False
         return mw != mv
+
+
+def _distinct_cycles(contents: list) -> Iterator[tuple[int, ...]]:
+    """The 1-based cycles (i,) and (i, j), i < j, whose contents no earlier
+    one had, in the order: all singles by i, then all pairs by (i, j).
+
+    A content's first single is at its first occurrence.  A content pair
+    (x, y) first occurs at the first occurrence i of x, with j the first
+    occurrence of y after i, since every later occurrence of x sees only
+    contents that also follow i.  So only first occurrences need a walk to
+    the right, and the walk from i stops once it has met every content."""
+    firsts: dict = {}  # content -> its first position, 0-based
+    ids = [firsts.setdefault(x, i) for i, x in enumerate(contents)]
+    yield from ((i + 1,) for i in firsts.values())
+    for i in firsts.values():
+        seen: set = set()
+        for j in range(i + 1, len(ids)):
+            if ids[j] not in seen:
+                seen.add(ids[j])
+                yield (i + 1, j + 1)
+                if len(seen) == len(firsts):
+                    break
 
 
 def _response_classifier(alpha: Alphabet, w_words, v_words) -> Classifier:
@@ -645,66 +670,117 @@ def get_duplicator(name: str, rng=None):
     raise FormatError(f"unknown duplicator strategy {name!r}")
 
 
+# The keys of a transcript document, in the sorted order its JSON text has.
+_TRANSCRIPT_KEYS = ("adjudication_error", "chosen", "duplicator_words", "family",
+                    "family_note", "forfeit", "horizon", "move_alphabet", "notes",
+                    "oracle", "scheme", "selected", "spoiler_words", "verdict_notes",
+                    "verdicts", "winner", "word", "word_alphabet")
+# One interval at its depth in the document, as `json.dumps(indent=2)` lays it out.
+_INTERVAL = "[\n      %d,\n      %d\n    ]"
+
+
+def _json_list(items, indent: str) -> str:
+    """A JSON array of already encoded `items` as `json.dumps(indent=2)`
+    lays it out when its closing bracket is at `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def transcript_to_json(t: GameTranscript, move_alphabet: Optional[Alphabet] = None) -> str:
+    """The transcript as the text `json.dumps(doc, indent=2, sort_keys=True)`
+    gives for its document, written directly: the standard library lays out
+    an indented document in its pure-Python encoder, and most of a
+    transcript is `[first, last]` pairs, which get one format each here.
+    Strings and scalars still go through `json.dumps`."""
     if move_alphabet is None:
         move_alphabet = (t.spoiler_words[0].alphabet if t.spoiler_words
                          else t.word.alphabet)
+    enc = json.dumps
 
-    def iv(x: Interval):
-        return [x.first, x.last]
+    def scalars(xs) -> str:
+        return _json_list([enc(x) for x in xs], "  ")
 
-    doc = {
-        "word": format_word(t.word),
-        "word_alphabet": list(t.word.alphabet.letters),
-        "move_alphabet": list(move_alphabet.letters),
-        "horizon": t.horizon,
-        "oracle": t.oracle_name,
-        "family": [iv(x) for x in t.family],
-        "family_note": t.family_note,
-        "selected": [iv(x) for x in t.selected],
-        "chosen": [iv(x) for x in t.chosen],
-        "spoiler_words": [w.text() for w in t.spoiler_words],
-        "duplicator_words": [w.text() for w in t.duplicator_words],
-        "scheme": None if t.scheme is None else {
-            "head": list(t.scheme.head), "cycle": list(t.scheme.cycle)},
-        "forfeit": None if t.forfeit is None else list(t.forfeit),
-        "verdicts": None if t.verdicts is None else list(t.verdicts),
-        "verdict_notes": list(t.verdict_notes),
-        "winner": t.winner,
-        "adjudication_error": t.adjudication_error,
-        "notes": list(t.notes),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    def intervals(xs) -> str:
+        return _json_list([_INTERVAL % (x.first, x.last) for x in xs], "  ")
+
+    scheme = "null" if t.scheme is None else (
+        '{\n    "cycle": ' + _json_list([enc(i) for i in t.scheme.cycle], "    ")
+        + ',\n    "head": ' + _json_list([enc(i) for i in t.scheme.head], "    ") + "\n  }")
+    values = (
+        enc(t.adjudication_error),
+        intervals(t.chosen),
+        scalars([w.text() for w in t.duplicator_words]),
+        intervals(t.family),
+        enc(t.family_note),
+        "null" if t.forfeit is None else scalars(t.forfeit),
+        enc(t.horizon),
+        scalars(move_alphabet.letters),
+        scalars(t.notes),
+        enc(t.oracle_name),
+        scheme,
+        intervals(t.selected),
+        scalars([w.text() for w in t.spoiler_words]),
+        scalars(t.verdict_notes),
+        "null" if t.verdicts is None else scalars(t.verdicts),
+        enc(t.winner),
+        enc(format_word(t.word)),
+        scalars(t.word.alphabet.letters),
+    )
+    return "{\n" + ",\n".join(
+        f'  "{k}": {v}' for k, v in zip(_TRANSCRIPT_KEYS, values)) + "\n}"
+
+
+def _intervals_from_json(doc: dict, key: str) -> tuple[Interval, ...]:
+    out = []
+    for x in doc[key]:
+        if type(x) is not list or len(x) != 2 or type(x[0]) is not int or type(x[1]) is not int:
+            raise FormatError(f"not a transcript: {key} holds {x!r}, not a [first, last] pair")
+        out.append(Interval(x[0], x[1]))
+    return tuple(out)
 
 
 def transcript_from_json(text: str) -> GameTranscript:
+    """The transcript of a `transcript_to_json` text.  Raises FormatError
+    ("not a transcript: ...") for text that is not JSON, a document that is
+    not an object, a missing key, an interval that is not a two-int list,
+    or a value of the wrong kind."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"not a transcript: {e}") from None
-    walpha = alphabet(doc["word_alphabet"])
-    malpha = alphabet(doc["move_alphabet"])
+    if not isinstance(doc, dict):
+        raise FormatError(f"not a transcript: a JSON object is needed, not {type(doc).__name__}")
+    missing = [k for k in _TRANSCRIPT_KEYS if k not in doc]
+    if missing:
+        raise FormatError(f"not a transcript: missing {', '.join(missing)}")
+    try:
+        walpha = alphabet(doc["word_alphabet"])
+        malpha = alphabet(doc["move_alphabet"])
 
-    def fw(s: str) -> FiniteWord:
-        return finite_word(() if s == "eps" else s, malpha)
+        def fw(s: str) -> FiniteWord:
+            return finite_word(() if s == "eps" else s, malpha)
 
-    scheme = doc["scheme"]
-    return GameTranscript(
-        word=parse_word(doc["word"], walpha),
-        horizon=doc["horizon"],
-        oracle_name=doc["oracle"],
-        family=tuple(Interval(a, b) for a, b in doc["family"]),
-        family_note=doc["family_note"],
-        selected=tuple(Interval(a, b) for a, b in doc["selected"]),
-        chosen=tuple(Interval(a, b) for a, b in doc["chosen"]),
-        spoiler_words=tuple(fw(s) for s in doc["spoiler_words"]),
-        duplicator_words=tuple(fw(s) for s in doc["duplicator_words"]),
-        scheme=None if scheme is None else IndexScheme(
-            tuple(scheme["head"]), tuple(scheme["cycle"])),
-        forfeit=None if doc["forfeit"] is None else tuple(doc["forfeit"]),
-        verdicts=None if doc["verdicts"] is None else tuple(doc["verdicts"]),
-        verdict_notes=tuple(doc["verdict_notes"]),
-        winner=doc["winner"],
-        adjudication_error=doc["adjudication_error"],
-        notes=tuple(doc["notes"]),
-    )
+        scheme = doc["scheme"]
+        return GameTranscript(
+            word=parse_word(doc["word"], walpha),
+            horizon=doc["horizon"],
+            oracle_name=doc["oracle"],
+            family=_intervals_from_json(doc, "family"),
+            family_note=doc["family_note"],
+            selected=_intervals_from_json(doc, "selected"),
+            chosen=_intervals_from_json(doc, "chosen"),
+            spoiler_words=tuple(fw(s) for s in doc["spoiler_words"]),
+            duplicator_words=tuple(fw(s) for s in doc["duplicator_words"]),
+            scheme=None if scheme is None else IndexScheme(
+                tuple(scheme["head"]), tuple(scheme["cycle"])),
+            forfeit=None if doc["forfeit"] is None else tuple(doc["forfeit"]),
+            verdicts=None if doc["verdicts"] is None else tuple(doc["verdicts"]),
+            verdict_notes=tuple(doc["verdict_notes"]),
+            winner=doc["winner"],
+            adjudication_error=doc["adjudication_error"],
+            notes=tuple(doc["notes"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise FormatError(f"not a transcript: {type(e).__name__}: {e}") from None

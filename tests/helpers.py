@@ -207,6 +207,102 @@ def ref_scheme_search(spoiler, w_words, v_words):
     return None
 
 
+def ref_distinct_cycles(w_words, v_words) -> list[tuple[int, ...]]:
+    """The cycles the diverging spoiler's scheme search puts to the oracle,
+    in order: every single-index cycle, then every two-index cycle, each
+    kept only when no earlier kept cycle has the same (w_i, v_i) contents."""
+    n = len(w_words)
+    contents = list(zip(w_words, v_words))
+    singles = [(i,) for i in range(1, n + 1)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    tried = set()
+    out = []
+    for cycle in singles + pairs:
+        key = tuple(contents[i - 1] for i in cycle)
+        if key not in tried:
+            tried.add(key)
+            out.append(cycle)
+    return out
+
+
+def ref_transcript_json(t, move_alphabet=None) -> str:
+    """A transcript's JSON text through the standard library's encoder:
+    the document as a dict, then `json.dumps(indent=2, sort_keys=True)`."""
+    import json
+
+    from omegaword.words import format_word
+
+    if move_alphabet is None:
+        move_alphabet = (t.spoiler_words[0].alphabet if t.spoiler_words
+                         else t.word.alphabet)
+
+    def iv(x):
+        return [x.first, x.last]
+
+    doc = {
+        "word": format_word(t.word),
+        "word_alphabet": list(t.word.alphabet.letters),
+        "move_alphabet": list(move_alphabet.letters),
+        "horizon": t.horizon,
+        "oracle": t.oracle_name,
+        "family": [iv(x) for x in t.family],
+        "family_note": t.family_note,
+        "selected": [iv(x) for x in t.selected],
+        "chosen": [iv(x) for x in t.chosen],
+        "spoiler_words": [w.text() for w in t.spoiler_words],
+        "duplicator_words": [w.text() for w in t.duplicator_words],
+        "scheme": None if t.scheme is None else {
+            "head": list(t.scheme.head), "cycle": list(t.scheme.cycle)},
+        "forfeit": None if t.forfeit is None else list(t.forfeit),
+        "verdicts": None if t.verdicts is None else list(t.verdicts),
+        "verdict_notes": list(t.verdict_notes),
+        "winner": t.winner,
+        "adjudication_error": t.adjudication_error,
+        "notes": list(t.notes),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def ref_check_condition2_bounded(c, oracle, *, word_bound: int, cycle_bound: int):
+    """`check_condition2_bounded` without a memo: every candidate sequence
+    and its replacement are put to the oracle through `product_member`, in
+    the same enumeration order (heads of up to `HEAD_BOUND` factors, cycles
+    of 1 to `cycle_bound` factors, factors length-lexicographic)."""
+    from omegaword.congruence import (HEAD_BOUND, Condition2ViolationWitness,
+                                      PeriodicWordSequence, class_representatives,
+                                      product_member, validate_condition2_witness)
+    from omegaword.errors import DegenerateProductError
+
+    reps = class_representatives(c)
+    words = [FiniteWord(c.alphabet, w) for n in range(word_bound + 1)
+             for w in product(c.alphabet.letters, repeat=n)]
+
+    def rep(w):
+        return reps[c.classify(w.letters)]
+
+    heads = [h for n in range(HEAD_BOUND + 1) for h in product(words, repeat=n)]
+    cycles = [cyc for n in range(1, cycle_bound + 1) for cyc in product(words, repeat=n)]
+    for head in heads:
+        for cycle in cycles:
+            if all(rep(w) == w for w in head + cycle):
+                continue
+            original = PeriodicWordSequence(head, cycle)
+            replaced = PeriodicWordSequence(tuple(map(rep, head)), tuple(map(rep, cycle)))
+            om, note_o = product_member(oracle, original)
+            rm, note_r = product_member(oracle, replaced)
+            if om == rm:
+                continue
+            try:
+                replaced_product = replaced.product()
+            except DegenerateProductError:
+                replaced_product = None
+            witness = Condition2ViolationWitness(original, replaced, original.product(),
+                                                 replaced_product, om, rm, note_o or note_r)
+            if validate_condition2_witness(c, oracle, witness):
+                return witness
+    return None
+
+
 def ref_bounded_classes(oracle, kind: str, word_bound: int, context_bound: int):
     """Independent pairwise bounded congruence ("arnold" or "right").
 

@@ -306,8 +306,15 @@ def test_letter_class_constructions_match_per_letter_references():
             a = revalidated(a)
         reps, _ = _letter_classes(_column(a._table.succ[x]) for x in a.alphabet)
         shared += len(reps) < len(a.alphabet)
-        assert intersect(a, b) == ref_intersect(a, b)
-        for x in (a, intersect(a, b)):
+        product = intersect(a, b)
+        assert product == ref_intersect(a, b)
+        # letters whose two columns are the same lists share one product row list
+        ta, tb, tp = a._table, b._table, product._table
+        for x in a.alphabet:
+            for y in a.alphabet:
+                if ta.succ[x] is ta.succ[y] and tb.succ[x] is tb.succ[y]:
+                    assert tp.succ[x] is tp.succ[y]
+        for x in (a, product):
             m, want = transition_monoid(x), ref_transition_monoid(x)
             assert (m.elements, m.witnesses, m._right, m.unit, m.idempotents()) == (
                 want.elements, want.witnesses, want._right, want.unit, want.idempotents())

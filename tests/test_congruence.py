@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -35,10 +36,25 @@ from omegaword.oracles import (
 from omegaword.words import FiniteWord, alphabet, finite_word, up_word
 
 from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
-                     ref_bounded_classes, ref_check_condition1, ref_lemma_repair,
+                     ref_bounded_classes, ref_check_condition1, ref_check_condition2_bounded,
+                     ref_lemma_repair,
                      ref_state_representatives, twin_classifier)
 
 AB = alphabet("ab")
+
+
+class _AskedOracle(LanguageOracle):
+    """Forwards `member` to an oracle and counts each lasso word asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.neutral_letter = inner.neutral_letter
+        self.asked = Counter()
+
+    def member(self, w):
+        self.asked[(w.prefix, w.period)] += 1
+        return self.inner.member(w)
 
 
 def last_letter_classifier():
@@ -369,6 +385,35 @@ class TestCondition2:
 
         assert check_condition2_bounded(c, AutomatonOracle(),
                                         word_bound=2, cycle_bound=2) is None
+
+    def test_memo_matches_memo_free_reference(self):
+        """The same witness (or None) as the memo-free reference on random
+        classifiers against U, Uprime and regular oracles.  The search asks
+        the oracle about the same products as the reference, each once: only
+        the witness's validation asks about its two products again."""
+        rng = random.Random(41)
+        outcomes = set()
+        for k in range(36):
+            c = random_classifier(rng, max_states=4)
+            if k % 3 == 2:
+                inner = RegularOracle(random_automaton(rng, max_states=3))
+            else:
+                inner = get_oracle(("U", "Uprime")[k % 3])
+            oracle, ref_oracle = _AskedOracle(inner), _AskedOracle(inner)
+            got = check_condition2_bounded(c, oracle, word_bound=2, cycle_bound=2)
+            assert got == ref_check_condition2_bounded(c, ref_oracle, word_bound=2,
+                                                       cycle_bound=2)
+            asked = oracle.asked
+            assert asked.keys() == ref_oracle.asked.keys()
+            if got is not None:
+                for w in (got.original_product, got.replaced_product):
+                    if w is not None:
+                        asked[(w.prefix, w.period)] -= 1
+            assert set(asked.values()) == {1}
+            outcomes.add((type(inner).__name__, got is None))
+        assert {ok for _, ok in outcomes} == {True, False}
+        assert {name for name, _ in outcomes} == {
+            "UnboundedBlocksOracle", "NeutralUnboundedBlocksOracle", "RegularOracle"}
 
     def test_product_member_degenerate_is_false(self):
         oracle = UnboundedRunsStub()

@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
 
-from helpers import ref_first_other_letter, ref_scheme_search
-from omegaword.errors import FormatError, IllegalMoveError, UnsupportedWordError
+from helpers import (ref_distinct_cycles, ref_first_other_letter, ref_scheme_search,
+                     ref_transcript_json)
+from omegaword import game
+from omegaword.errors import (BudgetExceededError, FormatError, IllegalMoveError,
+                              UnsupportedWordError)
 from omegaword.game import (
     DUPLICATOR,
     SPOILER,
@@ -17,6 +21,7 @@ from omegaword.game import (
     IntervalFamily,
     RandomDuplicator,
     RandomSpoiler,
+    _distinct_cycles,
     adjudicate,
     fixed_family,
     get_duplicator,
@@ -74,6 +79,17 @@ class TestIntervals:
         fam = IntervalFamily(lambda i: Interval(0, 1), "broken")
         with pytest.raises(FormatError):
             fam.materialize(2)
+        fam = IntervalFamily(lambda i: Interval(5 - i, 5 - i), "decreasing")
+        with pytest.raises(FormatError):
+            fam.next_after(4)
+
+    def test_next_after_keeps_the_budget(self, monkeypatch):
+        monkeypatch.setattr(game, "FAMILY_BUDGET", 5)
+        fam = IntervalFamily(lambda i: Interval(2 * i, 2 * i), "evens")
+        assert fam.next_after(9) == Interval(10, 10)
+        with pytest.raises(BudgetExceededError):
+            fam.next_after(10)
+        assert fam.materialized == fam.materialize(5)
 
 
 def legal_transcript():
@@ -257,10 +273,35 @@ class TestSchemeSearch:
                         v_words = [word() for _ in range(h)]
                     else:
                         v_words = [finite_word(rng.choice(letters), oracle.alphabet)] * h
+                    calls = []
+                    separates = spoiler._separates
+
+                    def recorded(scheme, *words):
+                        calls.append(scheme.cycle)
+                        return separates(scheme, *words)
+
+                    spoiler._separates = recorded
                     got = spoiler._scheme_search(w_words, v_words)
+                    del spoiler._separates
                     assert got == ref_scheme_search(spoiler, w_words, v_words)
+                    # the same oracle questions in the same order, not only
+                    # the same answer
+                    want = ref_distinct_cycles(w_words, v_words)
+                    if got is not None:
+                        want = want[:want.index(got.cycle) + 1]
+                    assert calls == want
                     outcomes.add(None if got is None else len(got.cycle))
         assert outcomes == {None, 1, 2}
+
+    def test_candidate_walk_matches_deduplicated_order(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            d = rng.randint(1, 6)
+            w_words = [rng.randrange(d) for _ in range(n)]
+            v_words = [rng.randrange(2) for _ in range(n)]
+            got = list(_distinct_cycles(list(zip(w_words, v_words))))
+            assert got == ref_distinct_cycles(w_words, v_words)
 
 
 class TestAdjudication:
@@ -293,6 +334,99 @@ class TestAdjudication:
     def test_bad_json_rejected(self):
         with pytest.raises(FormatError):
             transcript_from_json("{not json")
+
+
+class _QuitAt:
+    """A strategy that plays like `inner` but forfeits at one round."""
+
+    def __init__(self, inner, round_no: int):
+        self.inner = inner
+        self.round_no = round_no
+
+    def __getattr__(self, name):
+        if name == f"round{self.round_no}":
+            return lambda *args: Forfeit(f'quits "here" \\ at round {self.round_no} \u2192 \u00e9')
+        return getattr(self.inner, name)
+
+
+class TestTranscriptJson:
+    ORACLES = (UnboundedBlocksOracle(), NeutralUnboundedBlocksOracle())
+    WORDS = ("blocks(a,b;affine 1 0)", "(aab)^w", "b(aaaab)^w")
+
+    def plays(self):
+        for h in (1, 10, 50):
+            for text in self.WORDS:
+                for oracle in self.ORACLES:
+                    for sp in ("random", "diverging"):
+                        for du in ("copy", "random", "constant"):
+                            rng = random.Random(h)
+                            yield oracle, play_bounded(
+                                parse_word(text), oracle, get_spoiler(sp, rng),
+                                get_duplicator(du, rng), horizon=h)
+        oracle = self.ORACLES[0]
+        for round_no in range(1, 6):
+            spoiler = RandomSpoiler(random.Random(round_no))
+            duplicator = CopyDuplicator()
+            if round_no % 2:
+                spoiler = _QuitAt(spoiler, round_no)
+            else:
+                duplicator = _QuitAt(duplicator, round_no)
+            t = play_bounded(affine_word(), oracle, spoiler, duplicator, horizon=4)
+            assert t.forfeit[1] == round_no
+            yield oracle, t
+
+    def test_matches_the_stdlib_encoder(self):
+        forfeits = set()
+        for oracle, t in self.plays():
+            assert transcript_to_json(t) == ref_transcript_json(t)
+            assert (transcript_to_json(t, oracle.alphabet)
+                    == ref_transcript_json(t, oracle.alphabet))
+            odd = _with(t, notes=('say "hi"', "back\\slash", "\u00fcber \u2200x", ""),
+                        verdict_notes=("tab\there", "\x00 \U0001f600"),
+                        adjudication_error='a "quoted" \\ error')
+            assert transcript_to_json(odd) == ref_transcript_json(odd)
+            assert transcript_from_json(transcript_to_json(odd)) == odd
+            if t.forfeit is not None:
+                forfeits.add(t.forfeit[1])
+        assert forfeits == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", "null", "5", '"transcript"',
+    ])
+    def test_json_that_is_no_transcript_object(self, text):
+        with pytest.raises(FormatError, match="not a transcript"):
+            transcript_from_json(text)
+
+    def test_missing_key(self):
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        doc = json.loads(transcript_to_json(t))
+        for key in doc:
+            rest = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(FormatError, match=f"not a transcript: missing {key}"):
+                transcript_from_json(json.dumps(rest))
+
+    @pytest.mark.parametrize("bad", [
+        [1, 2, 3], [1], [], [1.5, 2], [True, 1], ["0", "1"], None, "0-1", {"first": 0},
+    ])
+    def test_interval_that_is_no_int_pair(self, bad):
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        for key in ("family", "selected", "chosen"):
+            doc = json.loads(transcript_to_json(t))
+            doc[key][-1] = bad
+            with pytest.raises(FormatError, match=f"not a transcript: {key} holds"):
+                transcript_from_json(json.dumps(doc))
+
+    def test_value_of_the_wrong_kind(self):
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        for key, value in (("scheme", [1]), ("spoiler_words", 5), ("word_alphabet", 7),
+                           ("family", 3), ("word", None)):
+            doc = json.loads(transcript_to_json(t))
+            doc[key] = value
+            with pytest.raises(FormatError, match="not a transcript"):
+                transcript_from_json(json.dumps(doc))
 
 
 class TestRegistries:
