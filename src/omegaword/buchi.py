@@ -359,7 +359,7 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[UPWord]]:
     state, prefix = _shortest_path(rows, letters, [(i, ()) for i in t.initial], targets)
     steps = [(j, (x,)) for x, row in zip(letters, rows) for j in row[state]]
     _, period = _shortest_path(rows, letters, steps, {state})
-    return (False, UPWord(a.alphabet, prefix, period))
+    return (False, UPWord._of(a.alphabet, prefix, period))
 
 
 def _shortest_path(rows: Sequence[Sequence[list]], letters: Sequence[str],
@@ -510,7 +510,8 @@ class TransitionMonoid:
     def witnesses(self) -> list[FiniteWord]:
         """The shortest witness word of each element, spelled from `_columns`."""
         alpha = self.automaton.alphabet
-        return [FiniteWord(alpha, tuple(alpha.letters[c] for c in col)) for col in self._columns]
+        return [FiniteWord._of(alpha, tuple(alpha.letters[c] for c in col))
+                for col in self._columns]
 
     def letter(self, a: str) -> int:
         return self._letters[a]

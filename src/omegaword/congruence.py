@@ -79,6 +79,7 @@ from .words import (
     FiniteWord,
     UPWord,
     Word,
+    _check_letters,
     alphabet,
     canonical_parts,
     omega_product,
@@ -223,7 +224,7 @@ def class_representatives(c: Classifier) -> dict:
     out: dict = {}
     for i, letters in sorted(c._orbit.items(), key=lambda kv: (len(kv[1]), kv[1])):
         if names[i] not in out:
-            out[names[i]] = FiniteWord(c.alphabet, letters)
+            out[names[i]] = FiniteWord._of(c.alphabet, letters)
     return out
 
 
@@ -349,7 +350,7 @@ def check_condition1(c: Classifier, *, budget: int = 200000) -> Optional[Conditi
         return None
     (_, side, *words), before, after = found
     return Condition1Violation(("right", "left")[side],
-                               *(FiniteWord(c.alphabet, w) for w in words), before, after)
+                               *(FiniteWord._of(c.alphabet, w) for w in words), before, after)
 
 
 def lemma_repair(c: Classifier, *, budget: int = 200000) -> Classifier:
@@ -408,7 +409,8 @@ class PeriodicWordSequence:
 
 @dataclass(frozen=True)
 class GrowingBlockSequence:
-    """u_i = block^{rate*i + offset} sep: factor lengths grow without bound."""
+    """u_i = block^{rate*i + offset} sep: factor lengths grow without bound.
+    The constructor checks both letters, so `nth` builds unchecked."""
 
     alphabet: Alphabet
     block: str
@@ -416,11 +418,14 @@ class GrowingBlockSequence:
     rate: int
     offset: int
 
+    def __post_init__(self):
+        _check_letters((self.block, self.sep), self.alphabet)
+
     def nth(self, i: int) -> FiniteWord:
         if i < 1:
             raise IndexError("sequences are 1-indexed")
         k = self.rate * i + self.offset
-        return FiniteWord(self.alphabet, (self.block,) * k + (self.sep,))
+        return FiniteWord._of(self.alphabet, (self.block,) * k + (self.sep,))
 
     def product(self) -> BlockWord:
         return BlockWord(self.alphabet, self.block, self.sep,
@@ -524,7 +529,7 @@ def _letter_tuples(letters: Sequence[str], n: int) -> list[tuple[str, ...]]:
 
 
 def _words_up_to(alpha: Alphabet, n: int) -> list[FiniteWord]:
-    return [FiniteWord(alpha, w) for w in _letter_tuples(alpha, n)]
+    return [FiniteWord._of(alpha, w) for w in _letter_tuples(alpha, n)]
 
 
 def check_condition2_bounded(c: Classifier, oracle, *, word_bound: int,
@@ -623,7 +628,8 @@ def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
             by_prefix = memo.setdefault(cperiod, {})
             got = by_prefix.get(cprefix)
             if got is None:
-                got = by_prefix[cprefix] = _word_member(oracle, UPWord(alpha, cprefix, cperiod))[0]
+                got = by_prefix[cprefix] = _word_member(
+                    oracle, UPWord._of(alpha, cprefix, cperiod))[0]
             by_raw[prefix] = got
         return got
 

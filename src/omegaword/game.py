@@ -59,12 +59,25 @@ VOCAB_BOUND = 2  # longest word DivergingSpoiler picks its round-3 words from
 
 @dataclass(frozen=True)
 class Interval:
+    """Positions first..last.  The constructor checks 0 <= first <= last;
+    `_of` does not."""
+
     first: int
     last: int
 
     def __post_init__(self):
         if self.first < 0 or self.last < self.first:
             raise FormatError(f"bad interval [{self.first}, {self.last}]")
+
+    @classmethod
+    def _of(cls, first: int, last: int) -> Interval:
+        """The interval of bounds already known to satisfy 0 <= first <= last;
+        no check."""
+        v = object.__new__(cls)
+        d = v.__dict__
+        d["first"] = first
+        d["last"] = last
+        return v
 
     def __len__(self):
         return self.last - self.first + 1
@@ -172,16 +185,24 @@ class Forfeit:
 
 
 def validate_transcript(t: GameTranscript) -> list[str]:
-    """All rule violations in the recorded rounds (empty list: legal play).
-    Rounds cut short by a forfeit are simply absent and not judged.
+    """All rule violations in the recorded rounds (empty list: legal play),
+    round by round.  Rounds cut short by a forfeit are simply absent and not
+    judged."""
+    return (_round1_faults(t) + _round2_faults(t) + _round3_faults(t)
+            + _round4_faults(t) + _round5_faults(t))
 
-    The round-2 label check reports the first non-a position of each V_i.
-    It asks `first_other_letter`, which on a growing block word jumps from
-    segment to segment instead of reading every position of V_i."""
+
+def _round1_faults(t: GameTranscript) -> list[str]:
+    return [f"round1 disjointness: {a} vs {b}"
+            for a, b in zip(t.family, t.family[1:]) if not a < b]
+
+
+def _round2_faults(t: GameTranscript) -> list[str]:
+    """The round-2 rules; `play_bounded` checks Duplicator's round-2 move
+    with these alone.  The label check reports the first non-a position of
+    each V_i.  It asks `first_other_letter`, which on a growing block word
+    jumps from segment to segment instead of reading every position of V_i."""
     out = []
-    for a, b in zip(t.family, t.family[1:]):
-        if not a < b:
-            out.append(f"round1 disjointness: {a} vs {b}")
     n = len(t.selected)
     if len(t.chosen) != n:
         out.append("round2 pairing: each W_i needs its V_i")
@@ -199,16 +220,31 @@ def validate_transcript(t: GameTranscript) -> list[str]:
         p = first_other_letter(t.word, "a", v.first, v.last)
         if p is not None:
             out.append(f"round2 labels: V_{i} covers a non-a position {p}")
+    return out
+
+
+def _round3_faults(t: GameTranscript) -> list[str]:
+    out = []
     for i, (w, iv) in enumerate(zip(t.spoiler_words, t.selected), 1):
         if len(w) >= len(iv):
             out.append(f"round3 length bound: |w_{i}| = {len(w)} vs |W_{i}| = {len(iv)}")
-    if t.spoiler_words and len(t.spoiler_words) != n:
+    if t.spoiler_words and len(t.spoiler_words) != len(t.selected):
         out.append("round3 count: one word per interval pair")
+    return out
+
+
+def _round4_faults(t: GameTranscript) -> list[str]:
+    out = []
     for i, (w, iv) in enumerate(zip(t.duplicator_words, t.chosen), 1):
         if len(w) >= len(iv):
             out.append(f"round4 length bound: |v_{i}| = {len(w)} vs |V_{i}| = {len(iv)}")
-    if t.duplicator_words and len(t.duplicator_words) != n:
+    if t.duplicator_words and len(t.duplicator_words) != len(t.selected):
         out.append("round4 count: one word per interval pair")
+    return out
+
+
+def _round5_faults(t: GameTranscript) -> list[str]:
+    out = []
     if t.scheme is not None:
         seq = t.scheme.head + t.scheme.cycle
         if not t.scheme.cycle:
@@ -298,8 +334,7 @@ def play_bounded(word: Word, oracle, spoiler, duplicator, *,
     selected = tuple(w for w, _ in pairs)
     chosen = tuple(v for _, v in pairs)
     t2 = replace(t, selected=selected, chosen=chosen)
-    bad = [m for m in validate_transcript(replace(
-        t2, family=family.materialized)) if m.startswith("round2")]
+    bad = _round2_faults(replace(t2, family=family.materialized))
     if bad:
         return forfeited(t, DUPLICATOR, 2, "; ".join(bad))
     t = t2
@@ -413,8 +448,8 @@ class RandomDuplicator(_Strategy):
         out = []
         for v in chosen:
             k = self.rng.randrange(0, len(v))
-            out.append(FiniteWord(self.oracle.alphabet,
-                                  tuple(self.rng.choice(letters) for _ in range(k))))
+            out.append(FiniteWord._of(self.oracle.alphabet,
+                                      tuple(self.rng.choice(letters) for _ in range(k))))
         return out
 
 
@@ -471,8 +506,8 @@ class RandomSpoiler(_Strategy):
         out = []
         for w in selected:
             k = self.rng.randrange(0, len(w))
-            out.append(FiniteWord(self.oracle.alphabet,
-                                  tuple(self.rng.choice(letters) for _ in range(k))))
+            out.append(FiniteWord._of(self.oracle.alphabet,
+                                      tuple(self.rng.choice(letters) for _ in range(k))))
         return out
 
     def round5(self, w_words, v_words):
@@ -531,7 +566,7 @@ class DivergingSpoiler(_Strategy):
                     p = (p + step + 1) % len(vocab)
                     break
             else:
-                out.append(FiniteWord(self.oracle.alphabet, ()))
+                out.append(FiniteWord._of(self.oracle.alphabet, ()))
         return out
 
     def round5(self, w_words, v_words):
@@ -733,11 +768,16 @@ def transcript_to_json(t: GameTranscript, move_alphabet: Optional[Alphabet] = No
 
 
 def _intervals_from_json(doc: dict, key: str) -> tuple[Interval, ...]:
+    """The intervals under `key`, each pair checked once here, as it enters:
+    two ints with 0 <= first <= last."""
     out = []
     for x in doc[key]:
         if type(x) is not list or len(x) != 2 or type(x[0]) is not int or type(x[1]) is not int:
             raise FormatError(f"not a transcript: {key} holds {x!r}, not a [first, last] pair")
-        out.append(Interval(x[0], x[1]))
+        first, last = x
+        if first < 0 or last < first:
+            raise FormatError(f"bad interval [{first}, {last}]")
+        out.append(Interval._of(first, last))
     return tuple(out)
 
 

@@ -444,7 +444,7 @@ def code_valuation(word: UPWord, tracks: Sequence[UPWord]) -> UPWord:
             bits.append(b)
         letters.append(f"{letter_at(word, i)}|{''.join(bits)}")
     alpha = coded_alphabet(word.alphabet, len(tracks))
-    return UPWord(alpha, tuple(letters[:n]), tuple(letters[n:]))
+    return UPWord._of(alpha, tuple(letters[:n]), tuple(letters[n:]))
 
 
 @dataclass(frozen=True)
@@ -491,7 +491,7 @@ def decode_partition(tracks: Sequence[UPWord], letters) -> Optional[UPWord]:
         if len(ones) != 1:
             return None
         out.append(alpha.letters[ones[0]])
-    return UPWord(alpha, tuple(out[:n]), tuple(out[n:]))
+    return UPWord._of(alpha, tuple(out[:n]), tuple(out[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -1072,8 +1072,8 @@ def mso_satisfiable(phi: Formula, base="ab", free: Sequence[str] = (), *,
 
     ph, pb = split(witness.prefix)
     qh, qb = split(witness.period)
-    word = UPWord(alpha, tuple(ph), tuple(qh))
-    sets = {v: UPWord(_BITS, tuple(x[i] for x in pb), tuple(x[i] for x in qb))
+    word = UPWord._of(alpha, tuple(ph), tuple(qh))
+    sets = {v: UPWord._of(_BITS, tuple(x[i] for x in pb), tuple(x[i] for x in qb))
             for i, v in enumerate(free)}
     return True, UPValuation(word=word, positions={}, sets=dict(sets))
 

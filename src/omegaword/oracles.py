@@ -46,6 +46,7 @@ from .words import (
     FiniteWord,
     UPWord,
     Word,
+    _check_letters,
     alphabet,
     canonical_parts,
     max_letter_run,
@@ -91,6 +92,8 @@ class LanguageOracle:
             return w
         letters = set(w.prefix) | set(w.period) if isinstance(w, UPWord) else {w.block, w.sep}
         if letters <= set(self.alphabet.letters):
+            if isinstance(w, UPWord):
+                return UPWord._of(self.alphabet, w.prefix, w.period)
             return with_alphabet(w, self.alphabet)
         raise AlphabetMismatchError(
             f"word over {w.alphabet.letters} does not embed into {self.alphabet.letters}")
@@ -149,7 +152,7 @@ class NeutralUnboundedBlocksOracle(LanguageOracle):
         if not period:
             raise DegenerateErasureError(
                 "erasing the neutral letter leaves a finite word")
-        return max_letter_run(UPWord(AB, erase(w.prefix), period), "a") is None
+        return max_letter_run(UPWord._of(AB, erase(w.prefix), period), "a") is None
 
     def membership_block(self, w: BlockWord) -> bool:
         # erasure leaves sep^omega when the block letter is neutral; otherwise
@@ -256,6 +259,7 @@ def neutral_letter_check(oracle: LanguageOracle, *, samples: int,
     neutral = oracle.neutral_letter
     if neutral is None:
         raise UnsupportedWordError(f"{oracle.name} has no neutral letter")
+    _check_letters((neutral,), oracle.alphabet)  # the variants are built unchecked
     letters = oracle.alphabet.letters
     solid = [x for x in letters if x != neutral]
 
@@ -263,26 +267,26 @@ def neutral_letter_check(oracle: LanguageOracle, *, samples: int,
         p = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 4)))
         v = [rng.choice(letters) for _ in range(rng.randrange(0, 4))]
         v.insert(rng.randrange(0, len(v) + 1), rng.choice(solid))
-        return UPWord(oracle.alphabet, p, tuple(v))
+        return UPWord._of(oracle.alphabet, p, tuple(v))
 
     for _ in range(samples):
         w = sample()
         base = oracle.member(w)
         variants = []
         i = rng.randrange(0, len(w.prefix) + 1)
-        variants.append(UPWord(oracle.alphabet,
-                               w.prefix[:i] + (neutral,) + w.prefix[i:], w.period))
+        variants.append(UPWord._of(oracle.alphabet,
+                                   w.prefix[:i] + (neutral,) + w.prefix[i:], w.period))
         j = rng.randrange(0, len(w.period) + 1)
-        variants.append(UPWord(oracle.alphabet, w.prefix,
-                               w.period[:j] + (neutral,) + w.period[j:]))
+        variants.append(UPWord._of(oracle.alphabet, w.prefix,
+                                   w.period[:j] + (neutral,) + w.period[j:]))
         if neutral in w.prefix:
             k = w.prefix.index(neutral)
-            variants.append(UPWord(oracle.alphabet,
-                                   w.prefix[:k] + w.prefix[k + 1:], w.period))
+            variants.append(UPWord._of(oracle.alphabet,
+                                       w.prefix[:k] + w.prefix[k + 1:], w.period))
         if neutral in w.period and any(x != neutral for x in w.period):
             k = w.period.index(neutral)
-            variants.append(UPWord(oracle.alphabet, w.prefix,
-                                   w.period[:k] + w.period[k + 1:]))
+            variants.append(UPWord._of(oracle.alphabet, w.prefix,
+                                       w.period[:k] + w.period[k + 1:]))
         for v in variants:
             got = oracle.member(v)
             if got != base:
@@ -345,7 +349,7 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
     for j in range(start, start + lam):
         r = rep_after(j)
         if "a" in _eraser(oracle)(r.letters):
-            u = FiniteWord(c.alphabet, ("a",) * j + ("b",))
+            u = FiniteWord._of(c.alphabet, ("a",) * j + ("b",))
             witness = _condition2_witness(c, oracle, PeriodicWordSequence((), (u,)),
                                           PeriodicWordSequence((), (r,)),
                                           "constant blocks vs all-a replacement tail")

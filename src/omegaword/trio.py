@@ -32,6 +32,7 @@ bound; every verdict records which of the two it was.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -39,7 +40,7 @@ from typing import Optional, Union
 
 from .errors import AlphabetMismatchError, FormatError
 from .oracles import LanguageOracle
-from .words import Alphabet, FiniteWord, UPWord, alphabet, canonical_parts
+from .words import Alphabet, FiniteWord, UPWord, _check_letters, alphabet, canonical_parts
 
 SEPARATOR = "#"
 MARKED_SEPARATOR = "%#"
@@ -143,7 +144,7 @@ def apply_transducer(t: RationalTransducer, w: FiniteWord, *,
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return (frozenset(FiniteWord(t.output_alphabet, out) for out in outputs),
+    return (frozenset(FiniteWord._of(t.output_alphabet, out) for out in outputs),
             truncated)
 
 
@@ -249,16 +250,19 @@ def _coerce_finite(text_or_word: Union[str, FiniteWord],
     for x in text_or_word:
         if x not in letters:
             raise AlphabetMismatchError(f"letter {x!r} is not in {letters.letters}")
-    return FiniteWord(letters, tuple(text_or_word))
+    return FiniteWord._of(letters, tuple(text_or_word))
 
 
 def _distinguishing_suffix(language: FiniteLanguageOracle, u: FiniteWord,
                            v: FiniteWord, bound: int) -> Optional[FiniteWord]:
+    alpha = language.alphabet
+    _check_letters(u.letters, alpha)  # u and v may come over another alphabet
+    _check_letters(v.letters, alpha)
     for n in range(bound + 1):
-        for tail in product(language.alphabet.letters, repeat=n):
-            if (language.member(FiniteWord(language.alphabet, u.letters + tail))
-                    != language.member(FiniteWord(language.alphabet, v.letters + tail))):
-                return FiniteWord(language.alphabet, tail)
+        for tail in product(alpha.letters, repeat=n):
+            if (language.member(FiniteWord._of(alpha, u.letters + tail))
+                    != language.member(FiniteWord._of(alpha, v.letters + tail))):
+                return FiniteWord._of(alpha, tail)
     return None
 
 
@@ -320,6 +324,17 @@ class SeparatedWord:
                 raise AlphabetMismatchError(
                     "separated-word segments must share the base alphabet")
 
+    @classmethod
+    def _of(cls, alphabet: Alphabet, left: tuple[FiniteWord, ...],
+            right: tuple[FiniteWord, ...]) -> SeparatedWord:
+        """The separated word of segments already over `alphabet`; no check."""
+        s = object.__new__(cls)
+        d = s.__dict__
+        d["alphabet"] = alphabet
+        d["left"] = left
+        d["right"] = right
+        return s
+
 
 def separated_word(left, right, letters) -> SeparatedWord:
     alpha = alphabet(letters)
@@ -328,32 +343,60 @@ def separated_word(left, right, letters) -> SeparatedWord:
                          tuple(_coerce_finite(s, alpha) for s in right))
 
 
-def parse_separated(text: str, letters) -> SeparatedWord:
-    """Parse ``w1#…wn#v1%#…vm%#``; the marked separator ``%#`` is atomic."""
-    alpha = alphabet(letters)
-    left: list[FiniteWord] = []
-    right: list[FiniteWord] = []
-    current: list[str] = []
+@lru_cache(maxsize=64)
+def _separated_pattern(letters: tuple[str, ...]) -> re.Pattern:
+    """The separated words over `letters`, as one pattern: group 1 spans the
+    plain-separated segments, group 2 the marked ones.  A segment letter is
+    any one-character letter but ``#``; ``%`` is one only where no ``#``
+    follows, so ``%#`` always reads as the marked separator and every other
+    ``#`` as a plain one."""
+    plain = "".join(re.escape(x) for x in letters if len(x) == 1 and x not in "#%")
+    choices = ([f"[{plain}]"] if plain else []) + (["%(?!#)"] if "%" in letters else [])
+    seg = f"(?:{'|'.join(choices)})*" if choices else ""
+    return re.compile(f"((?:{seg}#)*)((?:{seg}%#)*)")
+
+
+def _separated_groups(text: str, alpha: Alphabet) -> tuple[str, str]:
+    """The plain and the marked group of a separated word's text, each with
+    its closing separators; raises FormatError for any other text."""
+    m = _separated_pattern(alpha.letters).fullmatch(text)
+    if m is None:
+        raise FormatError(_separated_error(text, alpha))
+    return m.groups()
+
+
+def _separated_error(text: str, alpha: Alphabet) -> str:
+    """Why a text that `_separated_pattern` rejects is no separated word:
+    the first fault of a left-to-right scan."""
+    in_right = False
     i = 0
     while i < len(text):
         if text.startswith(MARKED_SEPARATOR, i):
-            right.append(FiniteWord(alpha, tuple(current)))
-            current = []
+            in_right = True
             i += len(MARKED_SEPARATOR)
         elif text[i] == SEPARATOR:
-            if right:
-                raise FormatError("plain separator after a marked one")
-            left.append(FiniteWord(alpha, tuple(current)))
-            current = []
+            if in_right:
+                return "plain separator after a marked one"
             i += 1
         elif text[i] in alpha:
-            current.append(text[i])
             i += 1
         else:
-            raise FormatError(f"letter {text[i]!r} is not in {alpha.letters}")
-    if current:
-        raise FormatError("trailing letters after the last separator")
-    return SeparatedWord(alpha, tuple(left), tuple(right))
+            return f"letter {text[i]!r} is not in {alpha.letters}"
+    return "trailing letters after the last separator"
+
+
+def _segments(group: str, sep: str, alpha: Alphabet) -> tuple[FiniteWord, ...]:
+    """The segments of a group that `_separated_groups` returned."""
+    of = FiniteWord._of
+    return tuple([of(alpha, tuple(x)) for x in group.split(sep)[:-1]])
+
+
+def parse_separated(text: str, letters) -> SeparatedWord:
+    """Parse ``w1#…wn#v1%#…vm%#``; the marked separator ``%#`` is atomic."""
+    alpha = alphabet(letters)
+    left, right = _separated_groups(text, alpha)
+    return SeparatedWord._of(alpha, _segments(left, SEPARATOR, alpha),
+                             _segments(right, MARKED_SEPARATOR, alpha))
 
 
 def format_separated(s: SeparatedWord) -> str:
@@ -384,12 +427,21 @@ def member_L2(language: FiniteLanguageOracle, s: Union[str, SeparatedWord], *,
     ``left[i+1] ~ right[j+1]`` whenever both exist.  Those conditions chain
     the groups together stepwise, which is what forces members to use both
     separators equally often.
+
+    Text is checked by one match, as `parse_separated` checks it; a text
+    with an empty group is answered before any segment is built.
     """
     if isinstance(s, str):
-        s = parse_separated(s, language.alphabet)
-    w, v = s.left, s.right
-    if not w or not v:
-        return False
+        alpha = alphabet(language.alphabet)
+        left, right = _separated_groups(s, alpha)
+        if not left or not right:
+            return False
+        w = _segments(left, SEPARATOR, alpha)
+        v = _segments(right, MARKED_SEPARATOR, alpha)
+    else:
+        w, v = s.left, s.right
+        if not w or not v:
+            return False
 
     def eq(x: FiniteWord, y: FiniteWord) -> bool:
         return _same_class(language, x, y, bound)
@@ -410,8 +462,8 @@ def member_L2(language: FiniteLanguageOracle, s: Union[str, SeparatedWord], *,
 
 def project_to_separators(s: SeparatedWord) -> FiniteWord:
     """Erase the segments, keeping the separator skeleton."""
-    return FiniteWord(SEPARATOR_ALPHABET,
-                      (SEPARATOR,) * len(s.left) + (MARKED_SEPARATOR,) * len(s.right))
+    return FiniteWord._of(SEPARATOR_ALPHABET,
+                          (SEPARATOR,) * len(s.left) + (MARKED_SEPARATOR,) * len(s.right))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +490,7 @@ class _LoopOracle(LanguageOracle):
         rotations = {root[i:] + root[:i] for i in range(len(root))}
         for r in sorted(rotations):
             for k in range(1, self.power_bound + 1):
-                if self.language.member(FiniteWord(self.alphabet, r * k)):
+                if self.language.member(FiniteWord._of(self.alphabet, r * k)):
                     return True
         return False
 

@@ -13,6 +13,14 @@ All presentations are immutable values.  Equality of dataclass instances is
 structural (same presentation); semantic equality of the denoted infinite
 words is `up_equal` for lasso-representable words.
 
+Letters are checked where a word enters: the constructors `FiniteWord(...)`
+and `UPWord(...)`, `finite_word`, `up_word`, `with_alphabet` and
+`parse_word` check every letter against the alphabet.  Words built from
+letters of words already checked (`canonical`, `concat`, `omega_product`,
+`apply_hom`, whose images `Homomorphism` checks when it is built, and the
+internal builders of the other modules) go through the unchecked
+`FiniteWord._of` and `UPWord._of`, which trust their caller.
+
 The textual syntax, used by the CLI and the test corpus:
 
 * finite words: ``ab1a`` (one character per letter), ``eps`` for the empty word
@@ -95,11 +103,23 @@ def _check_letters(letters: Sequence[str], alpha: Alphabet) -> None:
 
 @dataclass(frozen=True)
 class FiniteWord:
+    """A finite word.  The constructor checks every letter against the
+    alphabet; `_of` does not."""
+
     alphabet: Alphabet
     letters: tuple[str, ...]
 
     def __post_init__(self):
         _check_letters(self.letters, self.alphabet)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, letters: tuple[str, ...]) -> FiniteWord:
+        """The word of letters already known to lie in `alphabet`; no check."""
+        w = object.__new__(cls)
+        d = w.__dict__
+        d["alphabet"] = alphabet
+        d["letters"] = letters
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -110,7 +130,9 @@ class FiniteWord:
 
 @dataclass(frozen=True)
 class UPWord:
-    """An ultimately periodic word ``prefix . period^omega``."""
+    """An ultimately periodic word ``prefix . period^omega``.  The
+    constructor checks that the period is nonempty and every letter lies in
+    the alphabet; `_of` does not."""
 
     alphabet: Alphabet
     prefix: tuple[str, ...]
@@ -121,6 +143,18 @@ class UPWord:
             raise FormatError("the period of a lasso word must be nonempty")
         _check_letters(self.prefix, self.alphabet)
         _check_letters(self.period, self.alphabet)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, prefix: tuple[str, ...],
+            period: tuple[str, ...]) -> UPWord:
+        """The lasso word of a nonempty period and a prefix whose letters are
+        already known to lie in `alphabet`; no check."""
+        w = object.__new__(cls)
+        d = w.__dict__
+        d["alphabet"] = alphabet
+        d["prefix"] = prefix
+        d["period"] = period
+        return w
 
     def text(self) -> str:
         return format_word(self)
@@ -240,7 +274,7 @@ class BlockWord:
         seg = lambda k: (self.block,) * k + (self.sep,)
         prefix = sum((seg(k) for k in head), ())
         period = sum((seg(k) for k in cycle), ())
-        return UPWord(self.alphabet, prefix, period)
+        return UPWord._of(self.alphabet, prefix, period)
 
 
 Word = Union[FiniteWord, UPWord, BlockWord]
@@ -347,7 +381,7 @@ def canonical_parts(prefix: tuple[str, ...],
 
 def canonical(w: UPWord) -> UPWord:
     """Shortest-prefix, primitive-period presentation of the same word."""
-    return UPWord(w.alphabet, *canonical_parts(w.prefix, w.period))
+    return UPWord._of(w.alphabet, *canonical_parts(w.prefix, w.period))
 
 
 def up_equal(u: UPWord, v: UPWord) -> bool:
@@ -369,9 +403,9 @@ def concat(x: FiniteWord, w: Word) -> Word:
     if x.alphabet != w.alphabet:
         raise AlphabetMismatchError("concat needs words over the same alphabet")
     if isinstance(w, FiniteWord):
-        return FiniteWord(x.alphabet, x.letters + w.letters)
+        return FiniteWord._of(x.alphabet, x.letters + w.letters)
     if isinstance(w, UPWord):
-        return UPWord(x.alphabet, x.letters + w.prefix, w.period)
+        return UPWord._of(x.alphabet, x.letters + w.prefix, w.period)
     raise UnsupportedWordError("cannot prepend to a block word exactly; convert it first")
 
 
@@ -393,7 +427,7 @@ def omega_product(head: Sequence[FiniteWord], cycle: Sequence[FiniteWord]) -> UP
     period = sum((wd.letters for wd in cycle), ())
     if not period:
         raise DegenerateProductError("the repeated factors concatenate to the empty word")
-    return UPWord(alpha, prefix, period)
+    return UPWord._of(alpha, prefix, period)
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +489,16 @@ def apply_hom(h: Homomorphism, w: Word) -> Word:
     if w.alphabet != h.source:
         raise AlphabetMismatchError("word alphabet differs from homomorphism source")
     if isinstance(w, FiniteWord):
-        return FiniteWord(h.target, h.of(w.letters))
+        return FiniteWord._of(h.target, h.of(w.letters))
     if isinstance(w, UPWord):
         prefix, period = h.of(w.prefix), h.of(w.period)
         if not period:
-            return FiniteWord(h.target, prefix)
-        return UPWord(h.target, prefix, period)
+            return FiniteWord._of(h.target, prefix)
+        return UPWord._of(h.target, prefix, period)
     bi, si = h.image(w.block), h.image(w.sep)
     if len(bi) == 1 and len(si) == 1:
         if bi == si:
-            return UPWord(h.target, (), bi)
+            return UPWord._of(h.target, (), bi)
         return BlockWord(h.target, bi[0], si[0], w.lengths)
     raise UnsupportedHomomorphismError(
         "block words support only homomorphisms sending the block letter and "

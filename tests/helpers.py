@@ -180,6 +180,38 @@ def all_separated_words(letters: str = "ab", max_tokens: int = 10):
             yield SeparatedWord(alpha, lw, rw)
 
 
+def ref_parse_separated(text: str, letters):
+    """`parse_separated` as a left-to-right scan, one character at a time:
+    ``%#`` is read first, then ``#``, then a letter of the alphabet."""
+    from omegaword.errors import FormatError
+    from omegaword.trio import MARKED_SEPARATOR, SEPARATOR, SeparatedWord
+
+    alpha = alphabet(letters)
+    left: list[FiniteWord] = []
+    right: list[FiniteWord] = []
+    current: list[str] = []
+    i = 0
+    while i < len(text):
+        if text.startswith(MARKED_SEPARATOR, i):
+            right.append(FiniteWord(alpha, tuple(current)))
+            current = []
+            i += len(MARKED_SEPARATOR)
+        elif text[i] == SEPARATOR:
+            if right:
+                raise FormatError("plain separator after a marked one")
+            left.append(FiniteWord(alpha, tuple(current)))
+            current = []
+            i += 1
+        elif text[i] in alpha:
+            current.append(text[i])
+            i += 1
+        else:
+            raise FormatError(f"letter {text[i]!r} is not in {alpha.letters}")
+    if current:
+        raise FormatError("trailing letters after the last separator")
+    return SeparatedWord(alpha, tuple(left), tuple(right))
+
+
 def ref_first_other_letter(w, letter: str, first: int, last: int):
     """The first position in first..last whose letter is not `letter`, or
     None, by asking `letter_at` at every position in turn."""

@@ -25,7 +25,8 @@ from omegaword.congruence import (
     state_representatives,
     validate_condition2_witness,
 )
-from omegaword.errors import BudgetExceededError, DegenerateErasureError, FormatError
+from omegaword.errors import (AlphabetMismatchError, BudgetExceededError,
+                              DegenerateErasureError, FormatError)
 from omegaword.game import ConstantDuplicator, DivergingSpoiler, play_bounded
 from omegaword.oracles import (
     LanguageOracle,
@@ -434,6 +435,11 @@ class TestCondition2:
         assert g.nth(3).text() == "a" * 7 + "b"
         assert not g.product().lengths.bounded()
         assert "..." in seq.describe() and "..." in g.describe()
+
+    def test_growing_sequence_checks_its_letters(self):
+        for block, sep in (("c", "b"), ("a", "c")):
+            with pytest.raises(AlphabetMismatchError, match="letter 'c' is not in alphabet"):
+                GrowingBlockSequence(AB, block, sep, 1, 0)
 
 
 def partition_texts(part):

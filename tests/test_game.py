@@ -418,6 +418,20 @@ class TestTranscriptJson:
             with pytest.raises(FormatError, match=f"not a transcript: {key} holds"):
                 transcript_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [[3, 1], [-1, 2], [-2, -1]])
+    def test_interval_with_bad_bounds(self, bad):
+        """Checked once as the JSON enters, with the constructor's message."""
+        with pytest.raises(FormatError) as want:
+            Interval(*bad)
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        for key in ("family", "selected", "chosen"):
+            doc = json.loads(transcript_to_json(t))
+            doc[key][0] = bad
+            with pytest.raises(FormatError) as got:
+                transcript_from_json(json.dumps(doc))
+            assert str(got.value) == str(want.value) == f"bad interval [{bad[0]}, {bad[1]}]"
+
     def test_value_of_the_wrong_kind(self):
         t = play_bounded(affine_word(), UnboundedBlocksOracle(),
                          RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)

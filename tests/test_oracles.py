@@ -129,6 +129,13 @@ class TestNeutralUnboundedBlocks:
             neutral_letter_check(UnboundedBlocksOracle(), samples=1,
                                  rng=random.Random(0))
 
+    def test_neutral_letter_check_needs_a_neutral_letter_of_the_alphabet(self):
+        class Outside(NeutralUnboundedBlocksOracle):
+            neutral_letter = "2"
+
+        with pytest.raises(AlphabetMismatchError, match="letter '2' is not in alphabet"):
+            neutral_letter_check(Outside(), samples=1, rng=random.Random(0))
+
     def test_neutral_letter_check_catches_fakes(self):
         class Fake(NeutralUnboundedBlocksOracle):
             def membership_up(self, word):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -26,7 +27,7 @@ from omegaword.trio import (
 )
 from omegaword.words import FiniteWord, alphabet, parse_word, up_word
 
-from helpers import all_separated_words, random_up
+from helpers import all_separated_words, random_up, ref_parse_separated
 
 AB = alphabet("ab")
 
@@ -210,6 +211,84 @@ class TestSeparatedWords:
     def test_convenience_constructor(self):
         s = separated_word(["a", "aa"], ["a", "aa"], "ab")
         assert format_separated(s) == "a#aa#a%#aa%#"
+
+
+def segments(s: SeparatedWord) -> tuple:
+    return s.alphabet, [w.letters for w in s.left], [w.letters for w in s.right]
+
+
+def outcome(parse, text: str, letters):
+    """The segments `parse` finds in `text`, or the type and message of
+    what it raises."""
+    try:
+        return segments(parse(text, letters))
+    except Exception as e:  # compared below, type and message
+        return type(e), str(e)
+
+
+class TestParseSeparatedReference:
+    """The one-pattern parser against the scanner it replaced
+    (`ref_parse_separated`), over `ab` and over an alphabet holding `%`,
+    where ``%#`` must still read as the marked separator."""
+
+    MALFORMED = ("c#", "a#c%#", "ac#", "c%#a#",                 # foreign letter
+                 "a%#a#", "%##", "#%#a#b%#",                    # plain after marked
+                 "a#a", "a", "a%#b", "#%#%",                    # trailing letters
+                 "%", "a%b#", "%%#", "a#%", "%a%#")             # lone %
+
+    @pytest.mark.parametrize("letters", ["ab", "a%b"])
+    def test_same_segments_on_separated_words(self, letters):
+        """A segment that ends in `%` before a plain separator spells ``%#``,
+        so over `a%b` some texts read differently or not at all; both
+        parsers must agree on those too."""
+        parsed = 0
+        for s in all_separated_words(letters, 7):
+            text = format_separated(s)
+            got = outcome(parse_separated, text, letters)
+            assert got == outcome(ref_parse_separated, text, letters), text
+            parsed += got[0] != FormatError
+        assert parsed > 4000
+
+    @pytest.mark.parametrize("letters", ["ab", "a%b"])
+    def test_same_error_on_malformed_texts(self, letters):
+        raised = 0
+        for text in self.MALFORMED:
+            want = outcome(ref_parse_separated, text, letters)
+            assert outcome(parse_separated, text, letters) == want, text
+            raised += want[0] is FormatError
+        # over a%b, "a%b#", "%%#" and "%a%#" are separated words
+        assert raised == len(self.MALFORMED) - (3 if "%" in letters else 0)
+
+    @pytest.mark.parametrize("letters", ["ab", "a%b"])
+    def test_same_outcome_on_every_short_text(self, letters):
+        for n in range(7):
+            for chars in product("ab%#c", repeat=n):
+                text = "".join(chars)
+                assert outcome(parse_separated, text, letters) == \
+                    outcome(ref_parse_separated, text, letters), text
+
+    def test_member_L2_reads_text_as_the_parser_does(self):
+        o = AnBnOracle()
+        for s in all_separated_words("ab", 7):
+            text = format_separated(s)
+            assert member_L2(o, text) == member_L2(o, parse_separated(text, o.alphabet)), text
+
+    def test_member_L2_reads_text_as_the_parser_does_with_percent_letters(self):
+        o = ExplicitOracle(["a%", "b", "%%b"], "a%b", name="small")
+        for s in all_separated_words("a%b", 7):
+            text = format_separated(s)
+            try:
+                parsed = parse_separated(text, o.alphabet)
+            except FormatError as e:
+                with pytest.raises(FormatError, match=re.escape(str(e))):
+                    member_L2(o, text, bound=1)
+                continue
+            assert member_L2(o, text, bound=1) == member_L2(o, parsed, bound=1), text
+
+    def test_member_L2_rejects_malformed_text(self):
+        for text in ("c#", "a%b#"):
+            with pytest.raises(FormatError):
+                member_L2(AnBnOracle(), text)
 
 
 class TestTwoSeparatorLanguage:
