@@ -475,8 +475,9 @@ class ConstantDuplicator(_Strategy):
         return pairs
 
     def round4(self, w_words, chosen):
-        return [finite_word(self.text, self.oracle.alphabet)
-                for _ in range(self.horizon)]
+        if self.horizon < 1:
+            return []
+        return [finite_word(self.text, self.oracle.alphabet)] * self.horizon  # words are immutable
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +786,8 @@ def transcript_from_json(text: str) -> GameTranscript:
     """The transcript of a `transcript_to_json` text.  Raises FormatError
     ("not a transcript: ...") for text that is not JSON, a document that is
     not an object, a missing key, an interval that is not a two-int list,
-    or a value of the wrong kind."""
+    or a value of the wrong kind.  Each distinct move-word text is checked
+    against the move alphabet once, and its repeats share that word."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -799,8 +801,15 @@ def transcript_from_json(text: str) -> GameTranscript:
         walpha = alphabet(doc["word_alphabet"])
         malpha = alphabet(doc["move_alphabet"])
 
+        checked: dict = {}  # move-word text -> its word, so a repeated text is checked once
+
         def fw(s: str) -> FiniteWord:
-            return finite_word(() if s == "eps" else s, malpha)
+            if not isinstance(s, str):
+                return finite_word(s, malpha)
+            w = checked.get(s)
+            if w is None:
+                w = checked[s] = finite_word(() if s == "eps" else s, malpha)
+            return w
 
         scheme = doc["scheme"]
         return GameTranscript(

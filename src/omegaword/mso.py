@@ -31,7 +31,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _accepting_cycle_nodes, _column,
-                    _letter_classes, _reachable, _relabel, accepts_up, complement,
+                    _letter_classes, _relabel, accepts_up, complement,
                     intersect, is_empty, reachable_fragment, union, with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from .oracles import LanguageOracle
@@ -688,6 +688,11 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     once per class, and the letters of a class share its rows.  A letter
     that is not first in its class finds only states its class's first
     letter already found, so the numbering is the per-letter one.
+    The thread expansion of a (class, T, O) key, its choice count (0 when
+    a thread dies under every choice) and its pick list, is computed once
+    per call and shared by every state with that T and O; the branching cap
+    is checked per state, on its spawn count times the choice count,
+    before any pick list is built.
     The search visits letters in alphabet order, thread choices in product
     order over the threads by rank, and spawn targets by rank, which is the
     order of a walk over `sorted` label sets when `sorted` orders the labels
@@ -733,27 +738,35 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     order = [init]
     seen = {init: 0}
     succ: list = []  # [state][class]: successor numbers
+    # (class, T, O) -> [thread choice count (0: a thread dies), choices, picks or None]
+    expansions: dict = {}
     i = 0
     while i < len(order):
         S, T, O = order[i]
         steps = subset_steps.get(S)
         if steps is None:
             steps = subset_steps[S] = steps_of(S)
-        threads = [(r, O >> r & 1) for r in _bits(T)]
         out: list = [()] * len(reps)
         for k, S2, spawn in steps:
-            choices = [(ones[k][r], chased) for r, chased in threads]
-            if any(not alts for alts, _ in choices):
+            threads = expansions.get((k, T, O))
+            if threads is None:
+                choices = [(ones[k][r], O >> r & 1) for r in _bits(T)]
+                threads = expansions[k, T, O] = [
+                    math.prod(len(alts) for alts, _ in choices), choices, None]
+            count, choices, picks = threads
+            if not count:
                 continue  # a mandatory thread dies under every choice
-            combos = len(spawn) * math.prod(len(alts) for alts, _ in choices)
+            combos = len(spawn) * count
             if combos > _SPAWN_COMBO_CAP:
                 raise BudgetExceededError(
                     f"universal-position branching {combos} exceeds cap")
-            picks = [(0, 0)]  # (T mask, O mask) of the picked threads, product order
-            for alts, chased in choices:
-                picks = list(dict.fromkeys(
-                    (tm | c, om | c if chased else om)
-                    for tm, om in picks for c in alts))
+            if picks is None:
+                picks = [(0, 0)]  # (T mask, O mask) of the picked threads, product order
+                for alts, chased in choices:
+                    picks = list(dict.fromkeys(
+                        (tm | c, om | c if chased else om)
+                        for tm, om in picks for c in alts))
+                threads[2] = picks
             targets = out[k] = set()
             for T2, om in dict.fromkeys((tm | c, om) for tm, om in picks for c in spawn):
                 st = (S2, T2, (om if O else T2) & ~acc)
@@ -794,16 +807,19 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     2. quotient by forward bisimulation: the coarsest partition that
        respects acceptance, found by signature refinement, where a state's
        signature is its block plus, per letter, the bit mask of the blocks
-       of its successors;
+       of its successors, stopping once every state has a block of its own;
     3. if 2 to `_SIM_STATE_GATE` classes are left, quotient by
        direct-simulation equivalence, drop every edge whose target is
        simulated by another target of the same source class and letter;
        `reachable_fragment` then keeps the part reachable from the initial
-       classes.
+       classes (without this step every kept state is reachable already).
 
     A quotient that merges states numbers its classes 0, 1, ... by first
     member in declared order (the last reachable pass may leave gaps);
-    otherwise the states keep their labels and order.
+    otherwise the states keep their labels and order.  When nothing
+    changes (every state live, each in its own bisimulation block, no
+    simulation quotient or pruning, and the input's rows and initial tuple
+    already what the quotient would write) the result is `a` itself.
 
     All three steps read one successor column per letter class
     (`_letter_classes`), since letters with equal columns give equal
@@ -820,9 +836,13 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     reps, cls = _letter_classes(map(_column, columns))
     rows = [columns[c] for c in reps]
     live = _live(rows, t.initial, t.accepting)
-    keep = [i for i, f in enumerate(live) if f]
-    pos = {i: k for k, i in enumerate(keep)}
-    post = [[[pos[j] for j in r[i] if live[j]] for r in rows] for i in keep]
+    if all(live):
+        keep = pos = range(len(live))
+        post = [[r[i] for r in rows] for i in keep]
+    else:
+        keep = [i for i, f in enumerate(live) if f]
+        pos = {i: k for k, i in enumerate(keep)}
+        post = [[[pos[j] for j in r[i] if live[j]] for r in rows] for i in keep]
 
     block = [int(t.accepting[i]) for i in keep]
     while True:  # signature: own block, then per letter the mask of successor blocks
@@ -840,6 +860,8 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
         if refined == block:
             break
         block = refined
+        if len(numbers) == len(block):  # one state per block: nothing left to split
+            break
     first: list[int] = []
     for k, b in enumerate(block):
         if b == len(first):
@@ -848,30 +870,45 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     edges = [[sorted({block[j] for j in post[k][x]}) for k in first] for x in range(len(rows))]
     acc = [t.accepting[keep[k]] for k in first]
     init = {block[pos[i]] for i in t.initial if live[i]}
+    reduced = None
     if 2 <= len(first) <= _SIM_STATE_GATE:
         reduced = _direct_sim_quotient(edges, acc, init)
-        if reduced is not None:
-            edges, acc, init = reduced
-            names = range(len(acc))
-    return reachable_fragment(BuchiAutomaton._of_table(
+    if reduced is None:
+        if len(first) == len(live) and edges == rows and tuple(sorted(init)) == t.initial:
+            return a  # every state live and in a block of its own, no edge pruned
+    else:
+        edges, acc, init = reduced
+        names = range(len(acc))
+    out = BuchiAutomaton._of_table(
         a.alphabet, tuple(names), Table(dict(zip(a.alphabet, (edges[r] for r in cls))),
-                                        tuple(sorted(init)), tuple(acc))))
+                                        tuple(sorted(init)), tuple(acc)))
+    return out if reduced is None else reachable_fragment(out)
 
 
 def _live(rows: Sequence[Sequence], initial: Sequence[int],
           accepting: Sequence[bool]) -> list[bool]:
     """Per node: is it reachable from the `initial` nodes, and does a cycle
     through an accepting node lie ahead of it?  ``rows[x][i]`` holds the
-    successors of node i under the x-th letter."""
-    seen = _reachable(rows, initial)
-    reach = [i for i, s in enumerate(seen) if s]
-    adj: list = [()] * len(seen)
-    back: list = [[] for _ in seen]
-    for i in reach:
-        adj[i] = {j for r in rows for j in r[i]}
-        for j in adj[i]:
+    successors of node i under the x-th letter.  One forward search from
+    the initial nodes builds the merged successor sets and the predecessor
+    lists of the reachable nodes; liveness then spreads backwards from the
+    accepting nodes on cycles."""
+    n = len(accepting)
+    adj: list = [()] * n
+    back: list = [[] for _ in range(n)]
+    seen = [False] * n
+    frontier = list(initial)
+    for i in frontier:
+        seen[i] = True
+    while frontier:
+        i = frontier.pop()
+        succ = adj[i] = {j for r in rows for j in r[i]}
+        for j in succ:
             back[j].append(i)
-    live = [False] * len(seen)
+            if not seen[j]:
+                seen[j] = True
+                frontier.append(j)
+    live = [False] * n
     frontier = list(_accepting_cycle_nodes([adj], initial, accepting))
     for i in frontier:
         live[i] = True
@@ -894,6 +931,12 @@ def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
     x-successor of d simulates p; that is ``sim[c] &= pre_x(sim[p])``.
     Returns the quotient's (edges, accepting flags, initial nodes), its
     classes numbered by first member.
+
+    Rows list their targets in ascending order without repeats, as a
+    `Table`'s do.  A target u of a row is dominated when another target of
+    the row simulates it: its class's simulators, as a mask over classes,
+    meet the row's target mask outside u.  When no classes merge, a scan
+    for one dominated target decides None before any row is built.
     """
     m = len(acc)
     full = (1 << m) - 1
@@ -936,17 +979,31 @@ def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
         else:
             cls.append(len(reps))
             reps.append(c)
-    out = []
-    for row in edges:
-        grouped = [set() for _ in reps]
-        for c, targets in enumerate(row):
-            grouped[cls[c]].update(cls[d] for d in targets)
-        out.append([sorted(u for u in targets
-                           if not any(v != u and sim[reps[u]] >> reps[v] & 1 for v in targets))
-                    for targets in grouped])
-    if len(reps) == m and out == edges:
-        return None
+    if len(reps) == m:  # no merge: the classes are the nodes
+        above = sim
+        if not any(len(targets) > 1 and len(_undominated(targets, sim)) < len(targets)
+                   for row in edges for targets in row):
+            return None
+        grouped_rows = edges
+    else:  # above[k]: the classes whose representatives simulate class k's
+        above = [sum(1 << k for k, r in enumerate(reps) if sim[c] >> r & 1) for c in reps]
+        grouped_rows = []
+        for row in edges:
+            grouped = [set() for _ in reps]
+            for c, targets in enumerate(row):
+                grouped[cls[c]].update(cls[d] for d in targets)
+            grouped_rows.append([sorted(targets) for targets in grouped])
+    out = [[_undominated(targets, above) for targets in row] for row in grouped_rows]
     return out, [acc[r] for r in reps], {cls[c] for c in init}
+
+
+def _undominated(targets: list, above: list) -> list:
+    """The targets that no other target simulates: u stays unless
+    ``above[u]``, the mask of u's simulators, meets the others."""
+    mask = 0
+    for u in targets:
+        mask |= 1 << u
+    return [u for u in targets if not above[u] & mask & ~(1 << u)]
 
 
 # ---------------------------------------------------------------------------

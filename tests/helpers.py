@@ -10,6 +10,7 @@ import subprocess
 import sys
 from itertools import chain, product
 from pathlib import Path
+from typing import Optional
 
 import networkx as nx
 
@@ -765,6 +766,74 @@ def _ref_sim_reduce(a: BuchiAutomaton) -> BuchiAutomaton:
         frozenset(cls[idx[q]] for q in a.initial),
         frozenset(k for k, r in enumerate(reps) if a.states[r] in a.accepting),
         frozenset(trans)))
+
+
+def ref_direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
+    """Quotient a graph by direct-simulation equivalence and drop dominated
+    edges; None when that changes nothing.  The earlier form of
+    `omegaword.mso._direct_sim_quotient`, which builds every pruned row
+    with a pairwise scan before it compares the result with its input.
+
+    ``edges[x][c]`` lists the successors of node c under the x-th letter.
+    ``sim[c]`` is the bit mask of the nodes that simulate c, the greatest
+    fixpoint of: an accepting node is simulated only by accepting ones, and
+    d simulates c only when, for every letter x and x-successor p of c, some
+    x-successor of d simulates p; that is ``sim[c] &= pre_x(sim[p])``.
+    Returns the quotient's (edges, accepting flags, initial nodes), its
+    classes numbered by first member.
+    """
+    m = len(acc)
+    full = (1 << m) - 1
+    acc_mask = sum(1 << c for c in range(m) if acc[c])
+    pre = [[0] * m for _ in edges]
+    for row, px in zip(edges, pre):
+        for c, targets in enumerate(row):
+            for d in targets:
+                px[d] |= 1 << c
+    sim = [acc_mask if f else full for f in acc]
+    letters = [(row, px, {}) for row, px in zip(edges, pre)]
+    changed = True
+    while changed:
+        changed = False
+        for c in range(m):
+            mask = sim[c]
+            for row, px, memo in letters:
+                for p in row[c]:
+                    bits = sim[p]
+                    allowed = memo.get(bits)
+                    if allowed is None:  # pre_x(bits), remembered per mask
+                        allowed = 0
+                        rest = bits
+                        while rest:
+                            low = rest & -rest
+                            allowed |= px[low.bit_length() - 1]
+                            rest ^= low
+                        memo[bits] = allowed
+                    mask &= allowed
+            if mask != sim[c]:
+                sim[c] = mask
+                changed = True
+    cls: list[int] = []
+    reps: list[int] = []
+    for c in range(m):
+        for k, r in enumerate(reps):
+            if sim[c] >> r & 1 and sim[r] >> c & 1:
+                cls.append(k)
+                break
+        else:
+            cls.append(len(reps))
+            reps.append(c)
+    out = []
+    for row in edges:
+        grouped = [set() for _ in reps]
+        for c, targets in enumerate(row):
+            grouped[cls[c]].update(cls[d] for d in targets)
+        out.append([sorted(u for u in targets
+                           if not any(v != u and sim[reps[u]] >> reps[v] & 1 for v in targets))
+                    for targets in grouped])
+    if len(reps) == m and out == edges:
+        return None
+    return out, [acc[r] for r in reps], {cls[c] for c in init}
 
 
 def ref_universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,

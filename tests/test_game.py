@@ -6,8 +6,8 @@ import pytest
 from helpers import (ref_distinct_cycles, ref_first_other_letter, ref_scheme_search,
                      ref_transcript_json)
 from omegaword import game
-from omegaword.errors import (BudgetExceededError, FormatError, IllegalMoveError,
-                              UnsupportedWordError)
+from omegaword.errors import (AlphabetMismatchError, BudgetExceededError, FormatError,
+                              IllegalMoveError, UnsupportedWordError)
 from omegaword.game import (
     DUPLICATOR,
     SPOILER,
@@ -441,6 +441,70 @@ class TestTranscriptJson:
             doc[key] = value
             with pytest.raises(FormatError, match="not a transcript"):
                 transcript_from_json(json.dumps(doc))
+
+
+class TestMoveWordChecks:
+    """Move words are checked once per distinct text as a transcript enters,
+    and a constant duplicator builds its answer once per round 4; a bad
+    word raises what a check of every word raised."""
+
+    @staticmethod
+    def finite_word_calls(monkeypatch) -> list:
+        calls = []
+        original = game.finite_word
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(game, "finite_word", spy)
+        return calls
+
+    def test_transcript_checks_each_move_text_once(self, monkeypatch):
+        t = play_bounded(parse_word("blocks(a,b;affine 1 0)"), UnboundedBlocksOracle(),
+                         DivergingSpoiler(), CopyDuplicator(), horizon=50)
+        js = transcript_to_json(t)
+        doc = json.loads(js)
+        texts = doc["spoiler_words"] + doc["duplicator_words"]
+        assert len(set(texts)) < len(texts) // 4
+        calls = self.finite_word_calls(monkeypatch)
+        assert transcript_from_json(js) == t
+        assert len(calls) == len(set(texts))
+
+    @pytest.mark.parametrize("spoiler_words, duplicator_words, first_bad", [
+        (["a", "ac", "ad", "ac"], ["ae", "a", "eps"], "ac"),
+        (["a", "eps", "ba", "a"], ["ab", "ce", "a", "ce"], "ce"),
+        (["b", "b"], [["a", "z"], "eps"], ["a", "z"]),
+    ])
+    def test_first_bad_move_word_raises_as_before(self, spoiler_words, duplicator_words,
+                                                  first_bad):
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        doc = json.loads(transcript_to_json(t))
+        doc["spoiler_words"], doc["duplicator_words"] = spoiler_words, duplicator_words
+        with pytest.raises(AlphabetMismatchError) as want:
+            finite_word(first_bad, alphabet(doc["move_alphabet"]))
+        with pytest.raises(AlphabetMismatchError) as got:
+            transcript_from_json(json.dumps(doc))
+        assert str(got.value) == str(want.value)
+
+    def test_constant_answer_built_once(self, monkeypatch):
+        oracle = UnboundedBlocksOracle()
+        d = ConstantDuplicator("ab")
+        d.begin(affine_word(), oracle, 40)
+        calls = self.finite_word_calls(monkeypatch)
+        assert d.round4([], []) == [finite_word("ab", oracle.alphabet)] * 40
+        assert len(calls) == 1
+
+    def test_constant_answer_outside_the_alphabet(self):
+        oracle = UnboundedBlocksOracle()
+        d = ConstantDuplicator("ac")
+        d.begin(affine_word(), oracle, 5)
+        with pytest.raises(AlphabetMismatchError) as want:
+            finite_word("ac", oracle.alphabet)
+        with pytest.raises(AlphabetMismatchError) as got:
+            d.round4([], [])
+        assert str(got.value) == str(want.value)
 
 
 class TestRegistries:

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from helpers import (all_up_words, lifted_automaton, random_automaton, random_sentence,
-                     ref_reduce, ref_universal_pos)
+                     ref_direct_sim_quotient, ref_reduce, ref_universal_pos)
 import omegaword.mso as mso
 from omegaword.buchi import (BuchiAutomaton, _column, _letter_classes, accepts_up, automaton,
                              complement, intersect, is_empty)
@@ -238,7 +238,8 @@ class TestReduce:
     equal automata (states tuple and order, initial, accepting and
     transition sets), so no compile output can move."""
 
-    def test_matches_reference_on_random_automata(self):
+    @staticmethod
+    def random_draws() -> list:
         rng = random.Random(404)
         cases = []
         for k in range(320):
@@ -249,15 +250,11 @@ class TestReduce:
             if len(ref_reduce(big).states) > mso._SIM_STATE_GATE:
                 break
         cases.append(big)
-        sizes = []
-        for a in cases:
-            want = ref_reduce(a)
-            assert mso._reduce(a) == want
-            sizes.append(len(want.states))
-        assert sizes.count(0) > 60  # no live state: all-rejecting draws and more
-        assert any(len(a.accepting) == len(a.states) > 3 for a in cases)
+        return cases
 
-    def test_matches_reference_on_compile_inputs(self, monkeypatch):
+    @staticmethod
+    def compile_inputs(monkeypatch, sentences: int = 20) -> list:
+        """Every `_reduce` input of the first seed-9 depth-5 compiles."""
         seen = []
         original = mso._reduce
 
@@ -267,15 +264,41 @@ class TestReduce:
 
         monkeypatch.setattr(mso, "_reduce", spy)
         rng = random.Random(9)
-        for _ in range(20):
+        for _ in range(sentences):
             phi = random_sentence(rng, depth=5)
             try:
                 compile_to_buchi(phi, AB, state_budget=1000)
             except BudgetExceededError:
                 pass
+        monkeypatch.setattr(mso, "_reduce", original)
+        return seen
+
+    def test_matches_reference_on_random_automata(self):
+        cases = self.random_draws()
+        sizes = []
+        for a in cases:
+            want = ref_reduce(a)
+            assert mso._reduce(a) == want
+            sizes.append(len(want.states))
+        assert sizes.count(0) > 60  # no live state: all-rejecting draws and more
+        assert any(len(a.accepting) == len(a.states) > 3 for a in cases)
+
+    def test_matches_reference_on_compile_inputs(self, monkeypatch):
+        seen = self.compile_inputs(monkeypatch)
         assert len(seen) > 150
         for a in seen:
-            assert original(a) == ref_reduce(a)
+            assert mso._reduce(a) == ref_reduce(a)
+
+    def test_returns_its_input_exactly_on_a_no_op(self, monkeypatch):
+        """`_reduce(a) is a` exactly when the reference leaves `a` as it is,
+        on the random draws and on the compile inputs."""
+        for cases in (self.random_draws(), self.compile_inputs(monkeypatch, 60)):
+            same = 0
+            for a in cases:
+                unchanged = ref_reduce(a) == a
+                assert (mso._reduce(a) is a) == unchanged
+                same += unchanged
+            assert 0 < same < len(cases)
 
     def test_matches_reference_on_shared_columns(self):
         """Coded-alphabet automata whose letters share successor columns,
@@ -368,6 +391,18 @@ class TestUniversalPos:
                 built += bool(want.states)
         assert raised > 10 and built > 20
 
+    def test_branching_cap_matches_reference(self):
+        """An inner automaton wide enough that the first state with two
+        threads has 28 * 28 * 28 = 21952 > `_SPAWN_COMBO_CAP` choices: the
+        construction raises before it expands them, as the reference does."""
+        n = 28
+        letters = coded_alphabet(AB, 1).letters
+        a = automaton(letters, range(n), [0], range(n),
+                      [(p, x, q) for p in range(n) for x in letters for q in range(n)])
+        want = self.outcome(ref_universal_pos, a, AB, 0, 1000)
+        assert want == (BudgetExceededError, "universal-position branching 21952 exceeds cap")
+        assert self.outcome(mso._universal_pos, a, AB, 0, 1000) == want
+
     def test_matches_reference_on_compile_inputs(self, monkeypatch):
         seen = []
         original = mso._universal_pos
@@ -391,6 +426,51 @@ class TestUniversalPos:
             assert self.outcome(original, *args) == want
             raised += isinstance(want, tuple)
         assert raised > 0
+
+
+class TestDirectSimQuotient:
+    """The simulation step against `helpers.ref_direct_sim_quotient`, the
+    form that builds every pruned row before it compares: equal results,
+    None included."""
+
+    def test_matches_reference_on_compile_inputs(self, monkeypatch):
+        seen = []
+        original = mso._direct_sim_quotient
+
+        def spy(edges, acc, init):
+            seen.append((edges, acc, init))
+            return original(edges, acc, init)
+
+        monkeypatch.setattr(mso, "_direct_sim_quotient", spy)
+        compile_seed9_set()
+        assert len(seen) > 300
+        none = 0
+        for args in seen:
+            want = ref_direct_sim_quotient(*args)
+            assert original(*args) == want
+            none += want is None
+        assert 0 < none < len(seen)
+
+    def test_matches_reference_on_random_graphs(self):
+        """Graphs of 1 to 12 nodes over 1 to 4 letters with several initial
+        nodes; rows ascending without repeats, as `_reduce` writes them."""
+        rng = random.Random(808)
+        outcomes = {"none": 0, "merged": 0, "pruned": 0}
+        for k in range(360):
+            m = rng.randint(1, 12)
+            letters = rng.randint(1, 4)
+            fanout = (1, 2, 3, m)[k % 4]
+            edges = [[sorted(rng.sample(range(m), rng.randint(0, min(fanout, m))))
+                      for _ in range(m)] for _ in range(letters)]
+            acc = [rng.random() < (0.5, 1.0, 0.2)[k % 3] for _ in range(m)]
+            init = set(rng.sample(range(m), rng.randint(1, min(3, m))))
+            want = ref_direct_sim_quotient(edges, acc, init)
+            assert mso._direct_sim_quotient(edges, acc, init) == want
+            if want is None:
+                outcomes["none"] += 1
+            else:
+                outcomes["merged" if len(want[1]) < m else "pruned"] += 1
+        assert min(outcomes.values()) > 30, outcomes
 
 
 def compile_seed9_set():
