@@ -25,24 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .buchi import (
-    DEFAULT_STATE_BUDGET,
-    accepts_up,
-    complement,
-    format_automaton,
-    intersect,
-    is_empty,
-    parse_automaton,
-    union,
-    with_canonical_names,
-)
-from .congruence import (
-    arnold_classes_bounded,
-    check_condition1,
-    format_classifier,
-    lemma_repair,
-    parse_classifier,
-)
 from .errors import (
     BudgetExceededError,
     DegenerateProductError,
@@ -51,28 +33,6 @@ from .errors import (
     UnsupportedFormulaError,
     UnsupportedHomomorphismError,
     UnsupportedWordError,
-)
-from .game import get_duplicator, get_spoiler, play_bounded, transcript_to_json
-from .mso import (
-    LAtom,
-    UPValuation,
-    _children,
-    compile_to_buchi,
-    count_latoms,
-    encode_congruence_game,
-    evaluate,
-    format_formula,
-    formula_size,
-    mso_satisfiable,
-    parse_formula,
-)
-from .oracles import get_oracle
-from .trio import (
-    get_finite_oracle,
-    member_L1,
-    member_L2,
-    parse_separated,
-    project_to_separators,
 )
 from .words import (
     UPWord,
@@ -123,9 +83,13 @@ def _names_flag(text: str) -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (json document body, optional artifact)
+# and imports the layers it uses, so an invocation loads only those
 
 
 def _cmd_buchi(args, cfg: RunConfig):
+    from .buchi import (DEFAULT_STATE_BUDGET, accepts_up, complement, format_automaton,
+                        intersect, is_empty, parse_automaton, union, with_canonical_names)
+
     a = parse_automaton(_read(args.file))
     if args.action in ("union", "intersect"):
         b = parse_automaton(_read(args.file2))
@@ -163,6 +127,9 @@ def _class_texts(partition) -> list[list[str]]:
 
 
 def _cmd_congruence(args, cfg: RunConfig):
+    from .congruence import (arnold_classes_bounded, check_condition1, format_classifier,
+                             lemma_repair, parse_classifier)
+
     budget = cfg.budget or 200000
     if args.action == "check1":
         c = parse_classifier(_read(args.file))
@@ -190,6 +157,8 @@ def _cmd_congruence(args, cfg: RunConfig):
         return {"action": "repair", "index_before": before,
                 "index_after": fixed.index, "merges": before - fixed.index,
                 "classifier": text}, text
+    from .oracles import get_oracle
+
     oracle = get_oracle(args.oracle)
     part = arnold_classes_bounded(oracle, word_bound=args.word_bound,
                                   context_bound=args.context_bound)
@@ -202,6 +171,9 @@ def _cmd_congruence(args, cfg: RunConfig):
 
 
 def _cmd_oracle(args, cfg: RunConfig):
+    from .congruence import parse_classifier
+    from .oracles import get_oracle
+
     oracle = get_oracle(args.oracle)
     if args.action == "member":
         w = parse_word(args.word)
@@ -223,6 +195,9 @@ def _cmd_oracle(args, cfg: RunConfig):
 
 
 def _cmd_game(args, cfg: RunConfig):
+    from .game import get_duplicator, get_spoiler, play_bounded, transcript_to_json
+    from .oracles import get_oracle
+
     rng = random.Random(cfg.seed)
     word = parse_word(args.word)
     oracle = get_oracle(args.oracle)
@@ -240,6 +215,8 @@ def _cmd_game(args, cfg: RunConfig):
 
 
 def _latom_symbols(phi) -> list[str]:
+    from .mso import LAtom, _children
+
     symbols = set()
     stack = [phi]
     while stack:
@@ -253,6 +230,8 @@ def _latom_symbols(phi) -> list[str]:
 def _parse_valuation(text: str) -> UPValuation:
     """Line format: ``word <word>``, ``pos <name> <int>``, ``set <name> <word
     over 01>``; blank lines are skipped."""
+    from .mso import UPValuation
+
     word = None
     positions: dict = {}
     sets: dict = {}
@@ -277,6 +256,10 @@ def _parse_valuation(text: str) -> UPValuation:
 
 
 def _cmd_mso(args, cfg: RunConfig):
+    from .buchi import DEFAULT_STATE_BUDGET, format_automaton
+    from .mso import (compile_to_buchi, count_latoms, encode_congruence_game, evaluate,
+                      format_formula, formula_size, mso_satisfiable, parse_formula)
+
     budget = cfg.budget or DEFAULT_STATE_BUDGET
     if args.action == "encode-game":
         phi = encode_congruence_game(args.alphabet, neutral=args.neutral)
@@ -321,6 +304,8 @@ def _cmd_mso(args, cfg: RunConfig):
         if not args.oracle:
             raise FormatError(
                 f"formula uses predicate(s) {symbols}; pass --oracle")
+        from .oracles import get_oracle
+
         oracle = get_oracle(args.oracle)
         oracles = {s: oracle for s in symbols}
     value = evaluate(phi, val, oracles, state_budget=budget)
@@ -330,6 +315,9 @@ def _cmd_mso(args, cfg: RunConfig):
 
 
 def _cmd_trio(args, cfg: RunConfig):
+    from .trio import (get_finite_oracle, member_L1, member_L2, parse_separated,
+                       project_to_separators)
+
     language = get_finite_oracle(args.language)
     if args.action == "l1":
         v = member_L1(language, args.input, bound=args.bound)

@@ -28,14 +28,16 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _accepting_cycle_nodes, _column,
                     _letter_classes, _relabel, accepts_up, complement,
                     intersect, is_empty, reachable_fragment, union, with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
-from .oracles import LanguageOracle
 from .words import Alphabet, UPWord, alphabet, letter_at, up_word
+
+if TYPE_CHECKING:
+    from .oracles import LanguageOracle
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +532,12 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
         raise UnsupportedFormulaError(
             f"free variables {missing} are not in the declared context")
     _require_scopes(phi, fpos, (set(ctx) - fpos) | fset)
-    out = _compile(phi, alpha, ctx, state_budget)
+    out = _compile(phi, alpha, ctx, state_budget, {})
     return with_canonical_names(_reduce(out))
 
 
 def _compile(phi: Formula, base: Alphabet, ctx: tuple[str, ...], budget: int,
-             neg: bool = False) -> BuchiAutomaton:
+             atoms: dict, neg: bool = False) -> BuchiAutomaton:
     """Automaton of `phi` (of its negation when `neg`) over the tracks of `ctx`.
 
     The negation is pushed inward by the flag: `Not` flips it, a negated
@@ -545,11 +547,13 @@ def _compile(phi: Formula, base: Alphabet, ctx: tuple[str, ...], budget: int,
     singleton intersection plus projection when it is existential; a set
     quantifier projects a body negated iff it is `ForallSet`, and
     complements the projection iff it is universal after the flip.
+    `atoms` holds the fixed track automata built so far in this compile:
+    atoms (`_atom`) and the singleton promise of a new position track.
     """
     if isinstance(phi, Not):
-        return _compile(phi.body, base, ctx, budget, not neg)
+        return _compile(phi.body, base, ctx, budget, atoms, not neg)
     if isinstance(phi, (Less, In, Letter)):
-        return _atom(phi, base, ctx, neg)
+        return _atom(phi, base, ctx, neg, atoms)
     if isinstance(phi, (And, Or, Implies)):
         if isinstance(phi, Implies):
             parts = ((phi.left, not neg), (phi.right, neg))
@@ -557,21 +561,24 @@ def _compile(phi: Formula, base: Alphabet, ctx: tuple[str, ...], budget: int,
             parts = tuple((p, neg) for p in phi.parts)
         combine = intersect if isinstance(phi, And) != neg else union
         (first, first_neg), *rest = parts
-        out = _compile(first, base, ctx, budget, first_neg)
+        out = _compile(first, base, ctx, budget, atoms, first_neg)
         for part, part_neg in rest:
-            out = _reduce(combine(out, _compile(part, base, ctx, budget, part_neg)))
+            out = _reduce(combine(out, _compile(part, base, ctx, budget, atoms, part_neg)))
         return out
     if isinstance(phi, _POS_QUANTIFIERS):
-        inner = _compile(phi.body, base, ctx + (phi.var,), budget, neg)
+        inner = _compile(phi.body, base, ctx + (phi.var,), budget, atoms, neg)
         if isinstance(phi, ForallPos) != neg:
             return _universal_pos(inner, base, len(ctx), budget)
-        singleton = _track_automaton(  # exactly one 1 on the new track
-            base, len(ctx) + 1, 2,
-            lambda head, bits: ((0, 0), (1, 1)) if bits[-1] == "0" else ((0, 1),))
+        key = ("singleton", len(ctx) + 1)  # exactly one 1 on the new track
+        if key not in atoms:
+            atoms[key] = _track_automaton(
+                base, len(ctx) + 1, 2,
+                lambda head, bits: ((0, 0), (1, 1)) if bits[-1] == "0" else ((0, 1),))
+        singleton = atoms[key]
         return _project(_reduce(intersect(inner, singleton)), base, len(ctx))
     if isinstance(phi, (ExistsSet, ForallSet)):
         universal = isinstance(phi, ForallSet)
-        inner = _compile(phi.body, base, ctx + (phi.var,), budget, universal)
+        inner = _compile(phi.body, base, ctx + (phi.var,), budget, atoms, universal)
         out = _project(inner, base, len(ctx))
         if universal != neg:
             out = _reduce(complement(out, state_budget=budget))
@@ -606,38 +613,42 @@ _NOT_LESS = {("0", "0"): ((0, 0), (1, 1), (2, 2)), ("0", "1"): ((0, 1), (1, 1), 
              ("1", "0"): ((1, 2), (2, 2)), ("1", "1"): ((0, 2), (1, 2), (2, 2))}
 
 
-def _atom(phi: Formula, base: Alphabet, ctx: tuple[str, ...],
-          neg: bool) -> BuchiAutomaton:
+def _atom(phi: Formula, base: Alphabet, ctx: tuple[str, ...], neg: bool,
+          atoms: dict) -> BuchiAutomaton:
     """Automaton of an atom, or of its negation when `neg`.
 
     A negated atom is the exact complement only on words whose position
     tracks are singletons; at the position variable's binding quantifier
-    the singleton intersection screens the rest out.
+    the singleton intersection screens the rest out.  The automaton depends
+    only on the atom's kind, `neg`, the track count and the atom's track
+    indices (or letter), so `atoms` maps that key to the one built for it.
     """
     ix = ctx.index(phi.x)
     if isinstance(phi, Less):
-        iy = ctx.index(phi.y)
-        table = _NOT_LESS if neg else _LESS
-        return _track_automaton(base, len(ctx), 3,
-                                lambda head, bits: table[bits[ix], bits[iy]])
-    if isinstance(phi, In):
-        iX = ctx.index(phi.X)
-
-        def holds(head: str, bits: str) -> bool:
-            return bits[iX] == "1"
+        arg = ctx.index(phi.y)
+    elif isinstance(phi, In):
+        arg = ctx.index(phi.X)
+    elif phi.a in base:
+        arg = phi.a
     else:
-        if phi.a not in base:
-            raise FormatError(f"letter {phi.a!r} is not in the base alphabet")
+        raise FormatError(f"letter {phi.a!r} is not in the base alphabet")
+    key = (type(phi), neg, len(ctx), ix, arg)
+    if key in atoms:
+        return atoms[key]
+    if isinstance(phi, Less):
+        table = _NOT_LESS if neg else _LESS
+        out = _track_automaton(base, len(ctx), 3,
+                               lambda head, bits: table[bits[ix], bits[arg]])
+    else:
+        def edges(head: str, bits: str):  # s1 once the test held at x
+            if bits[ix] == "0":
+                return ((0, 0), (1, 1))
+            holds = bits[arg] == "1" if isinstance(phi, In) else head == arg
+            return ((0, 1), (1, 1)) if holds != neg else ((1, 1),)
 
-        def holds(head: str, bits: str) -> bool:
-            return head == phi.a
-
-    def edges(head: str, bits: str):  # s1 once the test held at x
-        if bits[ix] == "0":
-            return ((0, 0), (1, 1))
-        return ((0, 1), (1, 1)) if holds(head, bits) != neg else ((1, 1),)
-
-    return _track_automaton(base, len(ctx), 2, edges)
+        out = _track_automaton(base, len(ctx), 2, edges)
+    atoms[key] = out
+    return out
 
 
 def _drop_last_bit(letter: str, outer: int) -> tuple[str, str]:

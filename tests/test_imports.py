@@ -1,0 +1,131 @@
+"""Start-up scope: ``import omegaword`` loads no submodule, a public name
+loads the module that defines it (with what that module imports), and each
+CLI command loads only the layers it uses.  These checks run in fresh
+interpreters, because the test process has imported every module long
+before they run.  So do the CLI runs that are compared with `cli.run`: in
+this process every layer is loaded already, in whatever order the earlier
+tests chose, so an import that fails when a command loads its layer first
+(a circular one, say) would not show here."""
+
+import importlib
+
+import pytest
+
+import omegaword
+from helpers import run_python
+from omegaword.buchi import automaton, format_automaton
+from omegaword.cli import run
+from omegaword.congruence import classifier, format_classifier
+
+BUCHI = {"errors", "words", "buchi"}
+CONGRUENCE = BUCHI | {"congruence"}
+ORACLES = CONGRUENCE | {"oracles"}
+MSO = BUCHI | {"mso"}
+
+# (argv with {file} placeholders, the omegaword submodules it loads besides cli)
+CLI_CASES = {
+    "buchi": (["buchi", "member", "{aut}", "--word", "(ab)^w"], BUCHI),
+    "congruence": (["congruence", "check1", "{clf}"], CONGRUENCE),
+    "congruence-arnold": (["congruence", "arnold", "--oracle", "U",
+                           "--word-bound", "2", "--context-bound", "2"], ORACLES),
+    "oracle": (["oracle", "member", "--oracle", "U", "--word", "ab(a)^w"], ORACLES),
+    "oracle-violation": (["oracle", "violation", "{clf}", "--oracle", "U"], ORACLES),
+    "game": (["game", "play", "--word", "(ab)^w", "--oracle", "U",
+              "--spoiler", "diverging", "--duplicator", "copy", "--horizon", "3"],
+             ORACLES | {"game"}),
+    "mso": (["mso", "compile", "{mso}"], MSO),
+    "mso-eval": (["mso", "eval", "{pred}", "--valuation", "{val}", "--oracle", "U"],
+                 MSO | ORACLES),
+    "trio": (["trio", "l2", "--input", "a#aa#a%#aa%#"], ORACLES | {"trio"}),
+}
+
+
+@pytest.fixture
+def files(tmp_path):
+    texts = {
+        "aut": format_automaton(automaton(
+            "ab", ["q0", "q1"], {"q0"}, {"q1"},
+            {("q0", "b", "q0"), ("q0", "a", "q1"), ("q1", "a", "q1"), ("q1", "b", "q0")})),
+        "clf": format_classifier(classifier(
+            "ab", ["q0", "q1"], "q0",
+            {("q0", "a", "q1"), ("q0", "b", "q0"), ("q1", "a", "q1"), ("q1", "b", "q1")},
+            {"q0": "A", "q1": "A"})),
+        "mso": "(forall1 x (exists1 y (and (< x y) (letter y a))))",
+        "pred": "(pred L Xa Xb)",
+        "val": "set Xa (10)^w\nset Xb (01)^w\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in texts}
+
+
+def cli_argv(case: str, files: dict) -> list:
+    return [arg.format(**files) for arg in CLI_CASES[case][0]]
+
+
+def loaded_after(code: str) -> set:
+    """The omegaword submodules that a fresh interpreter holds after `code`."""
+    proc = run_python(["-c", code + "\nimport sys\nprint(' '.join(m[len('omegaword.'):] "
+                                    "for m in sys.modules if m.startswith('omegaword.')))"])
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import omegaword") == set()
+
+
+def test_parse_automaton_loads_only_its_layer():
+    assert loaded_after("from omegaword import parse_automaton") == BUCHI
+
+
+def test_parse_formula_adds_only_mso():
+    assert loaded_after("from omegaword import parse_automaton, parse_formula") == MSO
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_command_loads_only_its_layers(case, files):
+    code = (f"from omegaword.cli import run\nrc = run({cli_argv(case, files)!r})\n"
+            "assert rc == 0, rc")
+    assert loaded_after(code) == CLI_CASES[case][1] | {"cli"}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_in_fresh_interpreter_matches_run(case, files, capsys):
+    argv = cli_argv(case, files)
+    rc = run(argv)
+    out = capsys.readouterr().out
+    proc = run_python(["-m", "omegaword.cli", *argv])
+    assert (proc.returncode, proc.stdout) == (rc, out), proc.stderr
+    assert rc == 0
+
+
+def test_every_public_name_is_its_modules_object():
+    for module, names in omegaword._PUBLIC.items():
+        mod = importlib.import_module(f"omegaword.{module}")
+        for name in names:
+            value = getattr(omegaword, name)
+            assert value is getattr(mod, name)
+            assert value.__module__ == mod.__name__
+    assert len(set(omegaword.__all__)) == len(omegaword.__all__) == 70
+    assert set(omegaword.__all__) | set(omegaword._PUBLIC) <= set(dir(omegaword))
+
+
+def test_star_import_binds_every_name():
+    ns: dict = {}
+    exec("from omegaword import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(omegaword.__all__)
+    assert all(ns[name] is getattr(omegaword, name) for name in ns)
+
+
+def test_submodule_resolves_as_attribute():
+    proc = run_python(["-c", "import omegaword\nprint(omegaword.game.__name__)"])
+    assert (proc.returncode, proc.stdout) == (0, "omegaword.game\n"), proc.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        omegaword.no_such_name
+    with pytest.raises(ImportError):
+        exec("from omegaword import no_such_name", {})

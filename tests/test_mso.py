@@ -209,6 +209,25 @@ class TestCompile:
             with pytest.raises(FormatError):
                 compile_to_buchi(phi, AB, ctx)
 
+    def test_fixed_automata_built_once_per_compile(self, monkeypatch):
+        """Equal atoms, and the singleton promises of existential position
+        quantifiers at one track count, share one automaton within a
+        compile: 8 occurrences, 5 distinct.  The next compile builds its
+        own."""
+        built = []
+        original = mso._track_automaton
+
+        def spy(base, m, k, edges):
+            built.append((m, k))
+            return original(base, m, k, edges)
+
+        monkeypatch.setattr(mso, "_track_automaton", spy)
+        phi = parse_formula("(exists1 x (and (letter x a) (exists1 y (and (< x y) (letter y a)))"
+                            " (exists1 z (and (< x z) (letter z a)))))")
+        first = compile_to_buchi(phi, AB)
+        assert sorted(built) == [(1, 2), (1, 2), (2, 2), (2, 2), (2, 3)]
+        assert compile_to_buchi(phi, AB) == first and len(built) == 10
+
     def test_negated_compile_matches_complement(self):
         """The negation pushed inward by the compiler against the
         profile-monoid complement of the plain compile, an independent path:
