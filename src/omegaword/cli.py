@@ -171,7 +171,6 @@ def _cmd_congruence(args, cfg: RunConfig):
 
 
 def _cmd_oracle(args, cfg: RunConfig):
-    from .congruence import parse_classifier
     from .oracles import get_oracle
 
     oracle = get_oracle(args.oracle)
@@ -181,6 +180,8 @@ def _cmd_oracle(args, cfg: RunConfig):
         _note(f"{format_word(w)} in {oracle.name}: {verdict}")
         return {"action": "member", "oracle": oracle.name,
                 "word": format_word(w), "member": verdict}, None
+    from .congruence import parse_classifier
+
     c = parse_classifier(_read(args.file))
     witness = oracle.find_condition2_violation(c)
     rp = witness.replaced_product

@@ -5,14 +5,15 @@ An oracle decides membership for the presentation classes it supports
 anything it cannot decide exactly.  The registry covers:
 
 * ``U``        words over {a, b} whose all-`a` stretches are unbounded
-* ``Uprime``   words over {a, b, 1} that land in ``U`` after erasing the
-               neutral letter ``1``
+* ``Uprime``   ``neutral:U`` under its old name
 * ``P``        the ultimately periodic (lasso-presentable) words over {a, b}
 * ``primes``   words ending in (a^n b)-blocks repeated forever, n prime
 * ``singleton:<word>``  one infinite word
 * ``regular:<file>``    the language of the automaton in the file
+* ``neutral:<oracle>``  the words over the oracle's alphabet plus a neutral
+                        letter ``1`` that land in the oracle after erasing it
 
-``U`` and ``Uprime`` also ship a violation finder: given any finite
+``U`` and its neutral wrappers also ship a violation finder: given any finite
 classifier, it produces a factor sequence and a classwise-equivalent
 replacement whose infinite products the language tells apart.  No finite
 classifier survives this, which is the structural reason these languages
@@ -22,18 +23,9 @@ are not recognized by any finite-state device.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .buchi import BuchiAutomaton, accepts_up
-from .congruence import (
-    Classifier,
-    Condition2ViolationWitness,
-    GrowingBlockSequence,
-    PeriodicWordSequence,
-    _condition2_witness,
-    _eraser,
-    class_representatives,
-)
 from .errors import (
     AlphabetMismatchError,
     DegenerateErasureError,
@@ -54,8 +46,10 @@ from .words import (
     with_alphabet,
 )
 
+if TYPE_CHECKING:
+    from .congruence import Classifier, Condition2ViolationWitness
+
 AB = alphabet("ab")
-AB1 = alphabet("ab1")
 
 
 class LanguageOracle:
@@ -76,6 +70,8 @@ class LanguageOracle:
     contract: they build one verdict row per erased word, over contexts
     without that letter, and ask the oracle only about erased words.
     `neutral_letter_check` tests the contract by sampling."""
+    finder: Optional[Callable[[LanguageOracle, Classifier], Condition2ViolationWitness]] = None
+    """The violation finder, called as ``finder(oracle, classifier)``, or None."""
 
     def member(self, w: Word) -> bool:
         if isinstance(w, FiniteWord):
@@ -105,11 +101,77 @@ class LanguageOracle:
         raise UnsupportedWordError(f"{self.name} does not decide block words")
 
     def find_condition2_violation(self, c: Classifier) -> Condition2ViolationWitness:
-        raise UnsupportedWordError(f"{self.name} has no violation finder")
+        if self.finder is None:
+            raise UnsupportedWordError(f"{self.name} has no violation finder")
+        return self.finder(self, c)
 
     @property
     def has_violation_finder(self) -> bool:
-        return type(self).find_condition2_violation is not LanguageOracle.find_condition2_violation
+        return self.finder is not None
+
+
+def _unbounded_runs_violation(oracle: LanguageOracle,
+                              c: Classifier) -> Condition2ViolationWitness:
+    """A product-recognition violation against any finite classifier: the
+    finder of `UnboundedBlocksOracle` and of its neutral wrappers.
+
+    The factor sequence u_i = a^i b has an eventually periodic class
+    sequence (the classifier has finitely many states), so the classwise
+    replacement sequence uses finitely many representative words and its
+    product has bounded all-`a` runs, or no `b` at all.  Either way one of
+    two candidates separates the products:
+
+    * the growing sequence itself: its product has unbounded runs and
+      belongs, while the replacement product usually does not;
+    * otherwise every repeated replacement erases to a block of `a` only,
+      and a constant sequence a^n b ... (not a member) gets replaced by a
+      word with an all-`a` tail (a member).
+    """
+    from .congruence import (GrowingBlockSequence, PeriodicWordSequence, _condition2_witness,
+                             _eraser, class_representatives)
+
+    if not {"a", "b"} <= set(c.alphabet.letters):
+        raise UnsupportedWordError("the violation finder needs letters a and b")
+    if not set(c.alphabet.letters) <= set(oracle.alphabet.letters):
+        raise AlphabetMismatchError("classifier alphabet must embed into the oracle's")
+    reps = class_representatives(c)
+
+    def rep_after(i: int) -> FiniteWord:
+        word = ("a",) * i + ("b",)
+        return reps[c.classify(word)]
+
+    # states after a^i trace a rho shape; find its head and cycle lengths
+    seen = {}
+    s, row = c._table.initial, c._table.succ["a"]
+    i = 0
+    while s not in seen:
+        seen[s] = i
+        s = row[s]
+        i += 1
+    mu, lam = seen[s], i - seen[s]
+    start = max(mu, 1)
+    head = tuple(rep_after(j) for j in range(1, start))
+    cycle = tuple(rep_after(j) for j in range(start, start + lam))
+
+    witness = _condition2_witness(c, oracle, GrowingBlockSequence(c.alphabet, "a", "b", 1, 0),
+                                  PeriodicWordSequence(head, cycle),
+                                  "growing blocks vs bounded replacement")
+    if witness is not None:
+        return witness
+
+    # replacement product was still a member: every repeated representative
+    # erases to a-only letters and at least one has an a; a constant
+    # sequence at that index flips the verdicts
+    for j in range(start, start + lam):
+        r = rep_after(j)
+        if "a" in _eraser(oracle)(r.letters):
+            u = FiniteWord._of(c.alphabet, ("a",) * j + ("b",))
+            witness = _condition2_witness(c, oracle, PeriodicWordSequence((), (u,)),
+                                          PeriodicWordSequence((), (r,)),
+                                          "constant blocks vs all-a replacement tail")
+            if witness is not None:
+                return witness
+    raise AssertionError("no violation found; the classifier cannot be finite")
 
 
 class UnboundedBlocksOracle(LanguageOracle):
@@ -122,45 +184,13 @@ class UnboundedBlocksOracle(LanguageOracle):
 
     name = "U"
     alphabet = AB
+    finder = staticmethod(_unbounded_runs_violation)
 
     def membership_up(self, w: UPWord) -> bool:
         return max_letter_run(w, "a") is None
 
     def membership_block(self, w: BlockWord) -> bool:
         return max_letter_run(w, "a") is None
-
-    def find_condition2_violation(self, c: Classifier) -> Condition2ViolationWitness:
-        return _unbounded_runs_violation(self, c)
-
-
-class NeutralUnboundedBlocksOracle(LanguageOracle):
-    """Words over {a, b, 1} whose `1`-erasure has unbounded all-`a` intervals.
-
-    The letter 1 is neutral: inserting or deleting it never changes
-    membership.  Erasure must leave an infinite word; a lasso word whose
-    period is all 1s has no infinite erasure and is rejected as unsupported
-    (DegenerateErasureError).
-    """
-
-    name = "Uprime"
-    alphabet = AB1
-    neutral_letter = "1"
-
-    def membership_up(self, w: UPWord) -> bool:
-        erase = _eraser(self)
-        period = erase(w.period)
-        if not period:
-            raise DegenerateErasureError(
-                "erasing the neutral letter leaves a finite word")
-        return max_letter_run(UPWord._of(AB, erase(w.prefix), period), "a") is None
-
-    def membership_block(self, w: BlockWord) -> bool:
-        # erasure leaves sep^omega when the block letter is neutral; otherwise
-        # it keeps the growing blocks, whose runs are the unbounded ones
-        return (w.sep if w.block == "1" else w.block) == "a"
-
-    def find_condition2_violation(self, c: Classifier) -> Condition2ViolationWitness:
-        return _unbounded_runs_violation(self, c)
 
 
 class LassoOracle(LanguageOracle):
@@ -244,6 +274,42 @@ class RegularOracle(LanguageOracle):
         raise UnsupportedWordError("automaton oracles decide lasso-presentable words only")
 
 
+class NeutralOracle(LanguageOracle):
+    """The words over `base`'s alphabet plus `letter` whose erasure (every
+    `letter` deleted) belongs to `base`; `letter` is neutral by construction.
+
+    Erasure must leave an infinite word: a lasso word whose period is all
+    `letter` has none and is rejected as unsupported (DegenerateErasureError).
+    A growing block word whose block letter is neutral erases to sep^omega,
+    one whose separator is neutral to block^omega, and any other goes to
+    `base` as it is.  The violation finder is `base`'s, asked about this
+    oracle.
+    """
+
+    def __init__(self, base: LanguageOracle, letter: str, name: Optional[str] = None):
+        self.base = base
+        self.alphabet = Alphabet(base.alphabet.letters + (letter,))
+        self.neutral_letter = letter
+        self.finder = base.finder
+        self.name = name or f"neutral:{base.name}"
+
+    def _erase(self, z: tuple) -> tuple:
+        letter = self.neutral_letter
+        return tuple(x for x in z if x != letter) if letter in z else z
+
+    def membership_up(self, w: UPWord) -> bool:
+        period = self._erase(w.period)
+        if not period:
+            raise DegenerateErasureError("erasing the neutral letter leaves a finite word")
+        base = self.base
+        return base.membership_up(UPWord._of(base.alphabet, self._erase(w.prefix), period))
+
+    def membership_block(self, w: BlockWord) -> bool:
+        if self.neutral_letter in (w.block, w.sep):  # erases as (block sep)^omega does
+            return self.membership_up(UPWord._of(self.alphabet, (), (w.block, w.sep)))
+        return self.base.membership_block(w)
+
+
 # ---------------------------------------------------------------------------
 # the neutral-letter property, tested by sampling
 
@@ -295,70 +361,6 @@ def neutral_letter_check(oracle: LanguageOracle, *, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# violation finder for the unbounded-runs languages
-
-
-def _unbounded_runs_violation(oracle: LanguageOracle,
-                              c: Classifier) -> Condition2ViolationWitness:
-    """A product-recognition violation against any finite classifier.
-
-    The factor sequence u_i = a^i b has an eventually periodic class
-    sequence (the classifier has finitely many states), so the classwise
-    replacement sequence uses finitely many representative words and its
-    product has bounded all-`a` runs, or no `b` at all.  Either way one of
-    two candidates separates the products:
-
-    * the growing sequence itself: its product has unbounded runs and
-      belongs, while the replacement product usually does not;
-    * otherwise every repeated replacement erases to a block of `a` only,
-      and a constant sequence a^n b ... (not a member) gets replaced by a
-      word with an all-`a` tail (a member).
-    """
-    if not {"a", "b"} <= set(c.alphabet.letters):
-        raise UnsupportedWordError("the violation finder needs letters a and b")
-    if not set(c.alphabet.letters) <= set(oracle.alphabet.letters):
-        raise AlphabetMismatchError("classifier alphabet must embed into the oracle's")
-    reps = class_representatives(c)
-
-    def rep_after(i: int) -> FiniteWord:
-        word = ("a",) * i + ("b",)
-        return reps[c.classify(word)]
-
-    # states after a^i trace a rho shape; find its head and cycle lengths
-    seen = {}
-    s, row = c._table.initial, c._table.succ["a"]
-    i = 0
-    while s not in seen:
-        seen[s] = i
-        s = row[s]
-        i += 1
-    mu, lam = seen[s], i - seen[s]
-    start = max(mu, 1)
-    head = tuple(rep_after(j) for j in range(1, start))
-    cycle = tuple(rep_after(j) for j in range(start, start + lam))
-
-    witness = _condition2_witness(c, oracle, GrowingBlockSequence(c.alphabet, "a", "b", 1, 0),
-                                  PeriodicWordSequence(head, cycle),
-                                  "growing blocks vs bounded replacement")
-    if witness is not None:
-        return witness
-
-    # replacement product was still a member: every repeated representative
-    # erases to a-only letters and at least one has an a; a constant
-    # sequence at that index flips the verdicts
-    for j in range(start, start + lam):
-        r = rep_after(j)
-        if "a" in _eraser(oracle)(r.letters):
-            u = FiniteWord._of(c.alphabet, ("a",) * j + ("b",))
-            witness = _condition2_witness(c, oracle, PeriodicWordSequence((), (u,)),
-                                          PeriodicWordSequence((), (r,)),
-                                          "constant blocks vs all-a replacement tail")
-            if witness is not None:
-                return witness
-    raise AssertionError("no violation found; the classifier cannot be finite")
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
@@ -367,7 +369,7 @@ def get_oracle(name: str) -> LanguageOracle:
     if name == "U":
         return UnboundedBlocksOracle()
     if name == "Uprime":
-        return NeutralUnboundedBlocksOracle()
+        return NeutralOracle(UnboundedBlocksOracle(), "1", "Uprime")
     if name == "P":
         return LassoOracle()
     if name == "primes":
@@ -379,4 +381,9 @@ def get_oracle(name: str) -> LanguageOracle:
         from .buchi import parse_automaton
         with open(path, "r", encoding="utf-8") as fh:
             return RegularOracle(parse_automaton(fh.read()), name=name)
+    if name.startswith("neutral:"):
+        base = get_oracle(name[len("neutral:"):])
+        if "1" in base.alphabet:
+            raise FormatError(f"{base.name} already has the letter 1")
+        return NeutralOracle(base, "1", name)
     raise FormatError(f"unknown oracle {name!r}")

@@ -178,6 +178,18 @@ class TestOracle:
         assert rc == 0
         assert doc["original_member"] != doc["replaced_member"]
 
+    def test_neutral_wrapper(self, capsys, tmp_path):
+        rc, doc = invoke(capsys, ["oracle", "member", "--oracle", "neutral:U",
+                                  "--word", "b1(a1)^w"])
+        assert rc == 0 and doc["oracle"] == "neutral:U" and doc["member"] is True
+        f = tmp_path / "one.clf"
+        f.write_text(format_classifier(classifier(
+            "ab", ["q"], "q",
+            {("q", "a", "q"), ("q", "b", "q")}, {"q": "X"})))
+        rc, doc = invoke(capsys, ["oracle", "violation", str(f),
+                                  "--oracle", "neutral:P"])
+        assert rc == 1 and doc["error"] == "neutral:P has no violation finder"
+
 
 class TestMso:
     def test_sat_example(self, capsys, tmp_path):

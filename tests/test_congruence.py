@@ -30,7 +30,6 @@ from omegaword.errors import (AlphabetMismatchError, BudgetExceededError,
 from omegaword.game import ConstantDuplicator, DivergingSpoiler, play_bounded
 from omegaword.oracles import (
     LanguageOracle,
-    NeutralUnboundedBlocksOracle,
     RegularOracle,
     get_oracle,
 )
@@ -414,7 +413,7 @@ class TestCondition2:
             outcomes.add((type(inner).__name__, got is None))
         assert {ok for _, ok in outcomes} == {True, False}
         assert {name for name, _ in outcomes} == {
-            "UnboundedBlocksOracle", "NeutralUnboundedBlocksOracle", "RegularOracle"}
+            "UnboundedBlocksOracle", "NeutralOracle", "RegularOracle"}
 
     def test_product_member_degenerate_is_false(self):
         oracle = UnboundedRunsStub()
@@ -676,7 +675,7 @@ class TestCheckedEntry:
         assert len(calls) == 1
         merges = sum(c.index - lemma_repair(c).index for c in corpus)
         kernels = [profile_kernel_classifier(a) for a in automata]
-        t = play_bounded(up_word("", "aab", AB), NeutralUnboundedBlocksOracle(),
+        t = play_bounded(up_word("", "aab", AB), get_oracle("Uprime"),
                          DivergingSpoiler(), ConstantDuplicator("a"), horizon=10)
         assert merges > 0 and len(kernels) == 15 and t.scheme is not None
         assert len(calls) == 1

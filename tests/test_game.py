@@ -33,8 +33,8 @@ from omegaword.game import (
 )
 from omegaword.oracles import (
     LassoOracle,
-    NeutralUnboundedBlocksOracle,
     UnboundedBlocksOracle,
+    get_oracle,
 )
 from omegaword.words import alphabet, finite_word, parse_word, up_word
 
@@ -171,7 +171,7 @@ class TestPlays:
         assert validate_transcript(t) == []
 
     def test_copy_many_seeds_both_oracles(self):
-        for oracle in (UnboundedBlocksOracle(), NeutralUnboundedBlocksOracle()):
+        for oracle in (UnboundedBlocksOracle(), get_oracle("Uprime")):
             for seed in range(20):
                 t = play_bounded(affine_word(), oracle,
                                  RandomSpoiler(random.Random(seed)),
@@ -194,7 +194,7 @@ class TestPlays:
         assert t.winner == SPOILER
 
     def test_diverging_beats_constant_responder(self):
-        t = play_bounded(up_word("", "aab", AB), NeutralUnboundedBlocksOracle(),
+        t = play_bounded(up_word("", "aab", AB), get_oracle("Uprime"),
                          DivergingSpoiler(), ConstantDuplicator("a"), horizon=10)
         assert t.winner == SPOILER
         assert t.forfeit is None
@@ -251,7 +251,7 @@ class TestSchemeSearch:
     def test_matches_undeduplicated_search(self):
         rng = random.Random(31)
         outcomes = set()
-        for oracle in (UnboundedBlocksOracle(), NeutralUnboundedBlocksOracle()):
+        for oracle in (UnboundedBlocksOracle(), get_oracle("Uprime")):
             letters = oracle.alphabet.letters
             for kind in ("copy", "near copy", "random", "constant"):
                 for _ in range(8):
@@ -317,7 +317,7 @@ class TestAdjudication:
             assert again.verdicts == t.verdicts
 
     def test_json_round_trip(self):
-        oracle = NeutralUnboundedBlocksOracle()
+        oracle = get_oracle("Uprime")
         t = play_bounded(affine_word(), oracle,
                          RandomSpoiler(random.Random(4)),
                          CopyDuplicator(), horizon=5)
@@ -350,7 +350,7 @@ class _QuitAt:
 
 
 class TestTranscriptJson:
-    ORACLES = (UnboundedBlocksOracle(), NeutralUnboundedBlocksOracle())
+    ORACLES = (UnboundedBlocksOracle(), get_oracle("Uprime"))
     WORDS = ("blocks(a,b;affine 1 0)", "(aab)^w", "b(aaaab)^w")
 
     def plays(self):

@@ -19,7 +19,7 @@ from omegaword.congruence import classifier, format_classifier
 
 BUCHI = {"errors", "words", "buchi"}
 CONGRUENCE = BUCHI | {"congruence"}
-ORACLES = CONGRUENCE | {"oracles"}
+ORACLES = BUCHI | {"oracles"}
 MSO = BUCHI | {"mso"}
 
 # (argv with {file} placeholders, the omegaword submodules it loads besides cli)
@@ -27,16 +27,21 @@ CLI_CASES = {
     "buchi": (["buchi", "member", "{aut}", "--word", "(ab)^w"], BUCHI),
     "congruence": (["congruence", "check1", "{clf}"], CONGRUENCE),
     "congruence-arnold": (["congruence", "arnold", "--oracle", "U",
-                           "--word-bound", "2", "--context-bound", "2"], ORACLES),
+                           "--word-bound", "2", "--context-bound", "2"],
+                          ORACLES | {"congruence"}),
     "oracle": (["oracle", "member", "--oracle", "U", "--word", "ab(a)^w"], ORACLES),
-    "oracle-violation": (["oracle", "violation", "{clf}", "--oracle", "U"], ORACLES),
+    "oracle-neutral": (["oracle", "member", "--oracle", "neutral:P", "--word", "1(a1b)^w"],
+                       ORACLES),
+    "oracle-violation": (["oracle", "violation", "{clf}", "--oracle", "U"],
+                         ORACLES | {"congruence"}),
     "game": (["game", "play", "--word", "(ab)^w", "--oracle", "U",
               "--spoiler", "diverging", "--duplicator", "copy", "--horizon", "3"],
-             ORACLES | {"game"}),
+             ORACLES | {"congruence", "game"}),
     "mso": (["mso", "compile", "{mso}"], MSO),
     "mso-eval": (["mso", "eval", "{pred}", "--valuation", "{val}", "--oracle", "U"],
                  MSO | ORACLES),
     "trio": (["trio", "l2", "--input", "a#aa#a%#aa%#"], ORACLES | {"trio"}),
+    "trio-l1": (["trio", "l1", "--input", "aab#aab"], ORACLES | {"trio"}),
 }
 
 
@@ -77,6 +82,11 @@ def test_import_loads_no_submodule():
 
 def test_parse_automaton_loads_only_its_layer():
     assert loaded_after("from omegaword import parse_automaton") == BUCHI
+
+
+def test_oracles_load_no_congruence():
+    assert loaded_after("import omegaword.oracles") == ORACLES
+    assert loaded_after("import omegaword.trio") == ORACLES | {"trio"}
 
 
 def test_parse_formula_adds_only_mso():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -20,7 +20,7 @@ from omegaword.errors import (
 )
 from omegaword.oracles import (
     LassoOracle,
-    NeutralUnboundedBlocksOracle,
+    NeutralOracle,
     PrimeBlocksOracle,
     RegularOracle,
     SingletonOracle,
@@ -32,6 +32,7 @@ from omegaword.words import (
     alphabet,
     finite_word,
     parse_word,
+    to_up_word,
     up_word,
 )
 
@@ -86,7 +87,7 @@ class TestUnboundedBlocks:
 
 class TestNeutralUnboundedBlocks:
     def test_erasure_semantics(self):
-        o = NeutralUnboundedBlocksOracle()
+        o = get_oracle("Uprime")
         assert o.member(w("(a1)^w"))
         assert o.member(w("b11(1a)^w"))
         assert not o.member(w("(ab1)^w"))
@@ -94,14 +95,14 @@ class TestNeutralUnboundedBlocks:
         assert o.member(w("(a)^w"))
 
     def test_degenerate_erasure(self):
-        o = NeutralUnboundedBlocksOracle()
+        o = get_oracle("Uprime")
         with pytest.raises(DegenerateErasureError):
             o.member(w("(1)^w"))
         with pytest.raises(DegenerateErasureError):
             o.member(w("ab(1)^w"))
 
     def test_block_words_with_neutral_pieces(self):
-        o = NeutralUnboundedBlocksOracle()
+        o = get_oracle("Uprime")
         assert o.member(w("blocks(a,b;affine 1 0)"))
         assert o.member(w("blocks(a,1;affine 1 0)"))
         assert o.member(w("blocks(a,1;constant 2)"))
@@ -112,7 +113,7 @@ class TestNeutralUnboundedBlocks:
             o.member(w("blocks(b,1;constant 0)"))
 
     def test_agrees_with_plain_oracle_on_neutral_free_words(self):
-        o, u = NeutralUnboundedBlocksOracle(), UnboundedBlocksOracle()
+        o, u = get_oracle("Uprime"), UnboundedBlocksOracle()
         rng = random.Random(5)
         for _ in range(100):
             p = tuple(rng.choice("ab") for _ in range(rng.randrange(0, 3)))
@@ -121,7 +122,7 @@ class TestNeutralUnboundedBlocks:
             assert o.member(word) == u.member(word)
 
     def test_neutral_letter_check_passes(self):
-        o = NeutralUnboundedBlocksOracle()
+        o = get_oracle("Uprime")
         assert neutral_letter_check(o, samples=150, rng=random.Random(1)) is None
 
     def test_neutral_letter_check_needs_neutral(self):
@@ -130,20 +131,93 @@ class TestNeutralUnboundedBlocks:
                                  rng=random.Random(0))
 
     def test_neutral_letter_check_needs_a_neutral_letter_of_the_alphabet(self):
-        class Outside(NeutralUnboundedBlocksOracle):
-            neutral_letter = "2"
-
+        outside = get_oracle("Uprime")
+        outside.neutral_letter = "2"
         with pytest.raises(AlphabetMismatchError, match="letter '2' is not in alphabet"):
-            neutral_letter_check(Outside(), samples=1, rng=random.Random(0))
+            neutral_letter_check(outside, samples=1, rng=random.Random(0))
 
     def test_neutral_letter_check_catches_fakes(self):
-        class Fake(NeutralUnboundedBlocksOracle):
+        class Fake(NeutralOracle):
             def membership_up(self, word):
                 return "1" in word.prefix  # blatantly not neutral
 
-        bad = neutral_letter_check(Fake(), samples=150, rng=random.Random(2))
+        fake = Fake(UnboundedBlocksOracle(), "1")
+        bad = neutral_letter_check(fake, samples=150, rng=random.Random(2))
         assert bad is not None
         assert bad["expected"] != bad["got"]
+
+
+class TestNeutralOracle:
+    """Uprime is `neutral:U` under its old name.  Its verdicts are checked
+    against U on erasures that the tests build themselves."""
+
+    DEGENERATE = "erasing the neutral letter leaves a finite word"
+
+    @staticmethod
+    def erase(z):
+        return "".join(x for x in z if x != "1")
+
+    def test_uprime_is_the_wrapper_of_u(self):
+        o = get_oracle("Uprime")
+        assert isinstance(o, NeutralOracle) and type(o.base) is UnboundedBlocksOracle
+        assert (o.name, o.alphabet, o.neutral_letter) == ("Uprime", AB1, "1")
+        assert o.has_violation_finder
+
+    def test_lassos_are_decided_by_u_on_their_erasure(self):
+        o, u = get_oracle("Uprime"), UnboundedBlocksOracle()
+        for n, m in product(range(4), range(1, 4)):
+            for p, v in product(product("ab1", repeat=n), product("ab1", repeat=m)):
+                word = up_word(p, v, AB1)
+                if set(v) == {"1"}:
+                    with pytest.raises(DegenerateErasureError) as exc:
+                        o.member(word)
+                    assert str(exc.value) == self.DEGENERATE
+                else:
+                    assert o.member(word) is u.member(
+                        up_word(self.erase(p), self.erase(v), AB)), word
+
+    def test_block_words_of_every_letter_pair(self):
+        o, u = get_oracle("Uprime"), UnboundedBlocksOracle()
+        for block, sep in permutations("ab1", 2):
+            for spec in ("constant 0", "constant 2", "ep 1|1 2", "ep 3 0|0 1"):
+                word = w(f"blocks({block},{sep};{spec})")
+                lasso = to_up_word(word)
+                if set(lasso.period) == {"1"}:
+                    with pytest.raises(DegenerateErasureError) as exc:
+                        o.member(word)
+                    assert str(exc.value) == self.DEGENERATE
+                else:
+                    assert o.member(word) is u.member(up_word(
+                        self.erase(lasso.prefix), self.erase(lasso.period), AB)), word
+            for spec in ("affine 1 0", "affine 2 3"):
+                # the growing blocks of the non-neutral letter, or its omega-power
+                expected = (sep if block == "1" else block) == "a"
+                assert o.member(w(f"blocks({block},{sep};{spec})")) is expected
+
+    @pytest.mark.parametrize("base", ["U", "P", "primes", "singleton:a(ab)^w",
+                                      "singleton:blocks(a,b;affine 1 0)", "regular"])
+    def test_every_registry_base_passes_neutral_letter_check(self, base, tmp_path):
+        if base == "regular":
+            path = tmp_path / "aut.txt"
+            path.write_text(format_automaton(random_automaton(random.Random(4))))
+            base = f"regular:{path}"
+        o = get_oracle(f"neutral:{base}")
+        assert (o.name, o.neutral_letter) == (f"neutral:{base}", "1")
+        assert o.alphabet.letters == get_oracle(base).alphabet.letters + ("1",)
+        assert neutral_letter_check(o, samples=500, rng=random.Random(3)) is None
+
+    def test_finder_is_the_bases(self):
+        assert get_oracle("neutral:U").has_violation_finder
+        assert not get_oracle("neutral:P").has_violation_finder
+        c = classifier(AB, ("q",), "q", {("q", "a"): "q", ("q", "b"): "q"}, {"q": "all"})
+        with pytest.raises(UnsupportedWordError, match="^neutral:P has no violation finder$"):
+            get_oracle("neutral:P").find_condition2_violation(c)
+
+    def test_registry_rejects_a_base_without_room_for_the_letter(self):
+        with pytest.raises(FormatError, match="Uprime already has the letter 1"):
+            get_oracle("neutral:Uprime")
+        with pytest.raises(FormatError, match="unknown oracle 'nope'"):
+            get_oracle("neutral:nope")
 
 
 class TestLassoOracle:
@@ -218,7 +292,6 @@ def test_bounded_block_words_are_decided_as_their_lassos():
     """Every oracle gives a block word with bounded lengths over its
     alphabet the verdict, or the error, of the lasso word it spells."""
     from omegaword.trio import AnBnOracle, loop_representation
-    from omegaword.words import to_up_word
 
     rng = random.Random(17)
     oracles = [get_oracle(name) for name in ("U", "Uprime", "P", "primes")]
@@ -309,7 +382,7 @@ class TestViolationFinder:
 
     def test_neutral_oracle_finder(self):
         rng = random.Random(22)
-        o = NeutralUnboundedBlocksOracle()
+        o = get_oracle("Uprime")
         for letters in ("ab", "ab1"):
             for _ in range(5):
                 a = random_automaton(rng, letters=letters)
