@@ -35,7 +35,6 @@ from .errors import (
     UnsupportedWordError,
 )
 from .words import (
-    UPWord,
     alphabet,
     format_word,
     parse_word,
@@ -67,10 +66,6 @@ def _note(msg: str) -> None:
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
-
-
-def _as_up(w) -> UPWord:
-    return w if isinstance(w, UPWord) else to_up_word(w)
 
 
 def _alpha_flag(text: str):
@@ -111,7 +106,7 @@ def _cmd_buchi(args, cfg: RunConfig):
         w = None if witness is None else format_word(witness)
         _note("language is empty" if empty else f"nonempty; witness {w}")
         return {"action": "empty", "empty": empty, "witness": w}, None
-    w = with_alphabet(_as_up(parse_word(args.word)), a.alphabet)
+    w = with_alphabet(to_up_word(parse_word(args.word)), a.alphabet)
     verdict = accepts_up(a, w)
     _note(f"{format_word(w)}: {'accepted' if verdict else 'rejected'}")
     return {"action": "member", "word": format_word(w), "accepts": verdict}, None
@@ -215,19 +210,6 @@ def _cmd_game(args, cfg: RunConfig):
             "transcript": json.loads(text)}, text
 
 
-def _latom_symbols(phi) -> list[str]:
-    from .mso import LAtom, _children
-
-    symbols = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, LAtom):
-            symbols.add(f.symbol)
-        stack.extend(_children(f))
-    return sorted(symbols)
-
-
 def _parse_valuation(text: str) -> UPValuation:
     """Line format: ``word <word>``, ``pos <name> <int>``, ``set <name> <word
     over 01>``; blank lines are skipped."""
@@ -242,11 +224,11 @@ def _parse_valuation(text: str) -> UPValuation:
             continue
         try:
             if parts[0] == "word" and len(parts) == 2:
-                word = _as_up(parse_word(parts[1]))
+                word = to_up_word(parse_word(parts[1]))
             elif parts[0] == "pos" and len(parts) == 3:
                 positions[parts[1]] = int(parts[2])
             elif parts[0] == "set" and len(parts) == 3:
-                sets[parts[1]] = with_alphabet(_as_up(parse_word(parts[2])),
+                sets[parts[1]] = with_alphabet(to_up_word(parse_word(parts[2])),
                                                alphabet("01"))
             else:
                 raise FormatError(
@@ -258,8 +240,8 @@ def _parse_valuation(text: str) -> UPValuation:
 
 def _cmd_mso(args, cfg: RunConfig):
     from .buchi import DEFAULT_STATE_BUDGET, format_automaton
-    from .mso import (compile_to_buchi, count_latoms, encode_congruence_game, evaluate,
-                      format_formula, formula_size, mso_satisfiable, parse_formula)
+    from .mso import (_latoms, compile_to_buchi, count_latoms, encode_congruence_game,
+                      evaluate, format_formula, formula_size, mso_satisfiable, parse_formula)
 
     budget = cfg.budget or DEFAULT_STATE_BUDGET
     if args.action == "encode-game":
@@ -299,7 +281,7 @@ def _cmd_mso(args, cfg: RunConfig):
                 "automaton": text}, text
     phi = parse_formula(_read(args.file))
     val = _parse_valuation(_read(args.valuation))
-    symbols = _latom_symbols(phi)
+    symbols = sorted({f.symbol for f in _latoms(phi)})
     oracles = None
     if symbols:
         if not args.oracle:

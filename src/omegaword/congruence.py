@@ -595,15 +595,6 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
 # bounded congruences of an infinite-word language
 
 
-def _eraser(oracle) -> Callable[[tuple], tuple]:
-    """Deletes the oracle's neutral letter from a raw letter tuple; the
-    identity when the oracle declares none."""
-    neutral = getattr(oracle, "neutral_letter", None)
-    if neutral is None:
-        return lambda z: z
-    return lambda z: tuple(x for x in z if x != neutral) if neutral in z else z
-
-
 def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
     """Membership of prefix.period^omega given as erased letter tuples (no
     neutral letter, nonempty period), asking the oracle once per distinct
@@ -715,9 +706,9 @@ def _bounded_partition(oracle, word_bound: int, context_bound: int,
                 + tuple(right_row(w + u) for w in finite))
 
     row = arnold_row if two_sided else right_row
-    erase = _eraser(oracle)
     words = _words_up_to(oracle.alphabet, word_bound)
-    return _partition(words, [row(erase(u.letters)) for u in words])
+    return _partition(words, [row(tuple(x for x in u.letters if x != neutral)
+                                  if neutral in u.letters else u.letters) for u in words])
 
 
 def arnold_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:

@@ -187,69 +187,65 @@ class Forfeit:
 def validate_transcript(t: GameTranscript) -> list[str]:
     """All rule violations in the recorded rounds (empty list: legal play),
     round by round.  Rounds cut short by a forfeit are simply absent and not
-    judged."""
-    return (_round1_faults(t) + _round2_faults(t) + _round3_faults(t)
-            + _round4_faults(t) + _round5_faults(t))
+    judged.  `play_bounded` judges each move of rounds 2-5 by the same
+    per-round rules, so a move it accepts is one this reports nothing for."""
+    return (_round1_faults(t.family)
+            + _round2_faults(t.word, t.family, t.selected, t.chosen)
+            + _words_faults(3, t.spoiler_words, t.selected, len(t.selected))
+            + _words_faults(4, t.duplicator_words, t.chosen, len(t.selected))
+            + _round5_faults(t.scheme, len(t.spoiler_words)))
 
 
-def _round1_faults(t: GameTranscript) -> list[str]:
+def _round1_faults(family) -> list[str]:
     return [f"round1 disjointness: {a} vs {b}"
-            for a, b in zip(t.family, t.family[1:]) if not a < b]
+            for a, b in zip(family, family[1:]) if not a < b]
 
 
-def _round2_faults(t: GameTranscript) -> list[str]:
-    """The round-2 rules; `play_bounded` checks Duplicator's round-2 move
-    with these alone.  The label check reports the first non-a position of
-    each V_i.  It asks `first_other_letter`, which on a growing block word
-    jumps from segment to segment instead of reading every position of V_i."""
+def _round2_faults(word: Word, family, selected, chosen) -> list[str]:
+    """The round-2 rules.  The label check reports the first non-a position
+    of each V_i.  It asks `first_other_letter`, which on a growing block
+    word jumps from segment to segment instead of reading every position of
+    V_i."""
     out = []
-    n = len(t.selected)
-    if len(t.chosen) != n:
+    if len(chosen) != len(selected):
         out.append("round2 pairing: each W_i needs its V_i")
-    fam = set(t.family)
-    for i, w in enumerate(t.selected, 1):
+    fam = set(family)
+    for i, w in enumerate(selected, 1):
         if w not in fam:
             out.append(f"round2 membership: W_{i} not in the family")
     chain: list[Interval] = []
-    for w, v in zip(t.selected, t.chosen):
+    for w, v in zip(selected, chosen):
         chain += [w, v]
     for a, b in zip(chain, chain[1:]):
         if not a < b:
             out.append(f"round2 interleaving: {a} not before {b}")
-    for i, v in enumerate(t.chosen, 1):
-        p = first_other_letter(t.word, "a", v.first, v.last)
+    for i, v in enumerate(chosen, 1):
+        p = first_other_letter(word, "a", v.first, v.last)
         if p is not None:
             out.append(f"round2 labels: V_{i} covers a non-a position {p}")
     return out
 
 
-def _round3_faults(t: GameTranscript) -> list[str]:
-    out = []
-    for i, (w, iv) in enumerate(zip(t.spoiler_words, t.selected), 1):
-        if len(w) >= len(iv):
-            out.append(f"round3 length bound: |w_{i}| = {len(w)} vs |W_{i}| = {len(iv)}")
-    if t.spoiler_words and len(t.spoiler_words) != len(t.selected):
-        out.append("round3 count: one word per interval pair")
+def _words_faults(round_no: int, words, intervals, pairs: int) -> list[str]:
+    """The rules of round 3 (Spoiler's w_i, each shorter than its W_i) or
+    round 4 (Duplicator's v_i, each shorter than its V_i), with one word per
+    interval pair when any word was played."""
+    w, iv = ("w", "W") if round_no == 3 else ("v", "V")
+    out = [f"round{round_no} length bound: |{w}_{i}| = {len(x)} vs |{iv}_{i}| = {len(v)}"
+           for i, (x, v) in enumerate(zip(words, intervals), 1) if len(x) >= len(v)]
+    if words and len(words) != pairs:
+        out.append(f"round{round_no} count: one word per interval pair")
     return out
 
 
-def _round4_faults(t: GameTranscript) -> list[str]:
+def _round5_faults(scheme: Optional[IndexScheme], rounds: int) -> list[str]:
+    """The round-5 rules, for a scheme over `rounds` materialized rounds."""
     out = []
-    for i, (w, iv) in enumerate(zip(t.duplicator_words, t.chosen), 1):
-        if len(w) >= len(iv):
-            out.append(f"round4 length bound: |v_{i}| = {len(w)} vs |V_{i}| = {len(iv)}")
-    if t.duplicator_words and len(t.duplicator_words) != len(t.selected):
-        out.append("round4 count: one word per interval pair")
-    return out
-
-
-def _round5_faults(t: GameTranscript) -> list[str]:
-    out = []
-    if t.scheme is not None:
-        seq = t.scheme.head + t.scheme.cycle
-        if not t.scheme.cycle:
+    if scheme is not None:
+        seq = scheme.head + scheme.cycle
+        if not scheme.cycle:
             out.append("round5 cycle: must be nonempty")
-        if any(i < 1 or i > len(t.spoiler_words) for i in seq):
+        if any(i < 1 or i > rounds for i in seq):
             out.append("round5 range: indices must refer to materialized rounds")
         elif any(a >= b for a, b in zip(seq, seq[1:])):
             out.append("round5 ordering: indices must increase strictly")
@@ -268,23 +264,26 @@ def adjudicate(t: GameTranscript, oracle) -> GameTranscript:
     """Winner as a pure function of the transcript (idempotent): forfeits
     lose immediately; otherwise the scheme's two products are put to the
     oracle and Duplicator wins exactly when the verdicts agree."""
-    if t.forfeit is not None:
-        player = t.forfeit[0]
-        winner = DUPLICATOR if player == SPOILER else SPOILER
-        return replace(t, winner=winner, verdicts=None, verdict_notes=("", ""),
-                       adjudication_error=None)
-    if t.scheme is None:
+    if t.forfeit is None and t.scheme is None:
         return replace(t, winner=None, adjudication_error="no round-5 scheme")
-    seq_w, seq_v = _factor_sequences(t.scheme, t.spoiler_words, t.duplicator_words)
+    verdicts, verdict_notes, winner, error = _adjudication(
+        t.forfeit, t.scheme, t.spoiler_words, t.duplicator_words, oracle)
+    return replace(t, verdicts=verdicts, verdict_notes=verdict_notes, winner=winner,
+                   adjudication_error=error)
+
+
+def _adjudication(forfeit, scheme: Optional[IndexScheme], w_words, v_words, oracle) -> tuple:
+    """(verdicts, verdict_notes, winner, adjudication_error) of a play that
+    ended in `forfeit`, or else with `scheme`."""
+    if forfeit is not None:
+        return None, ("", ""), DUPLICATOR if forfeit[0] == SPOILER else SPOILER, None
+    seq_w, seq_v = _factor_sequences(scheme, w_words, v_words)
     try:
         mw, note_w = product_member(oracle, seq_w)
         mv, note_v = product_member(oracle, seq_v)
     except UnsupportedWordError as e:
-        return replace(t, winner=None, verdicts=None, verdict_notes=("", ""),
-                       adjudication_error=f"oracle could not decide a product: {e}")
-    winner = DUPLICATOR if mw == mv else SPOILER
-    return replace(t, winner=winner, verdicts=(mw, mv),
-                   verdict_notes=(note_w, note_v), adjudication_error=None)
+        return None, ("", ""), None, f"oracle could not decide a product: {e}"
+    return (mw, mv), (note_w, note_v), DUPLICATOR if mw == mv else SPOILER, None
 
 
 # ---------------------------------------------------------------------------
@@ -293,84 +292,85 @@ def adjudicate(t: GameTranscript, oracle) -> GameTranscript:
 
 def play_bounded(word: Word, oracle, spoiler, duplicator, *,
                  horizon: int) -> GameTranscript:
-    """One bounded play.  Strategies move through their round callbacks; any
-    illegal move forfeits for its author.  The returned transcript always
-    passes validate_transcript and carries the adjudication."""
+    """One bounded play.  Strategies move through their round callbacks; a
+    move of the wrong shape raises IllegalMoveError, and a move that breaks
+    a rule forfeits for its author, with the messages `validate_transcript`
+    reports for it as the reason: rounds 2-5 are judged by the validator's
+    own per-round rules.  Each legal move is kept, and the transcript is
+    built once, when play ends; it always passes validate_transcript and
+    carries the adjudication."""
     if horizon < 1:
         raise IllegalMoveError("horizon must be at least 1")
     spoiler.begin(word, oracle, horizon)
     duplicator.begin(word, oracle, horizon)
-    notes: list[str] = []
+    family = None
+    selected = chosen = w_words = v_words = ()
+    scheme = None
 
-    t = GameTranscript(word, horizon, getattr(oracle, "name", "?"), (), "",
-                       (), (), (), (), None, None, None, ("", ""), None, None)
-
-    def finish(tt: GameTranscript) -> GameTranscript:
-        tt = replace(tt, family=family.materialized if family else (),
-                     notes=tuple(notes + list(getattr(spoiler, "notes", ()))))
-        return adjudicate(tt, oracle)
-
-    def forfeited(tt, player, round_no, reason):
-        return finish(replace(tt, forfeit=(player, round_no, reason)))
+    def end(forfeit: Optional[tuple[str, int, str]] = None) -> GameTranscript:
+        """The adjudicated transcript of the moves kept so far."""
+        verdicts, verdict_notes, winner, error = _adjudication(
+            forfeit, scheme, w_words, v_words, oracle)
+        return GameTranscript(
+            word, horizon, getattr(oracle, "name", "?"),
+            family.materialized if family else (), family.note if family else "",
+            selected, chosen, w_words, v_words, scheme, forfeit,
+            verdicts, verdict_notes, winner, error, tuple(getattr(spoiler, "notes", ())))
 
     # round 1
-    family = None
     move = spoiler.round1()
     if isinstance(move, Forfeit):
-        return forfeited(t, SPOILER, 1, move.reason)
+        return end((SPOILER, 1, move.reason))
     if not isinstance(move, IntervalFamily):
         raise IllegalMoveError("round 1 must produce an IntervalFamily")
     family = move
-    t = replace(t, family_note=family.note)
 
     # round 2
     move = duplicator.round2(family)
     if isinstance(move, Forfeit):
-        return forfeited(t, DUPLICATOR, 2, move.reason)
+        return end((DUPLICATOR, 2, move.reason))
     pairs = list(move)
     if len(pairs) != horizon or not all(
             isinstance(w, Interval) and isinstance(v, Interval) for w, v in pairs):
         raise IllegalMoveError("round 2 must produce horizon many (W, V) pairs")
-    selected = tuple(w for w, _ in pairs)
-    chosen = tuple(v for _, v in pairs)
-    t2 = replace(t, selected=selected, chosen=chosen)
-    bad = _round2_faults(replace(t2, family=family.materialized))
+    ws = tuple(w for w, _ in pairs)
+    vs = tuple(v for _, v in pairs)
+    bad = _round2_faults(word, family.materialized, ws, vs)
     if bad:
-        return forfeited(t, DUPLICATOR, 2, "; ".join(bad))
-    t = t2
+        return end((DUPLICATOR, 2, "; ".join(bad)))
+    selected, chosen = ws, vs
 
     # round 3
     move = spoiler.round3(selected)
     if isinstance(move, Forfeit):
-        return forfeited(t, SPOILER, 3, move.reason)
-    w_words = _as_words(move, horizon, oracle.alphabet, "round 3")
-    for i, (w, iv) in enumerate(zip(w_words, selected), 1):
-        if len(w) >= len(iv):
-            return forfeited(t, SPOILER, 3, f"|w_{i}| = {len(w)} too long for W_{i}")
-    t = replace(t, spoiler_words=w_words)
+        return end((SPOILER, 3, move.reason))
+    words = _as_words(move, horizon, oracle.alphabet, "round 3")
+    bad = _words_faults(3, words, selected, horizon)
+    if bad:
+        return end((SPOILER, 3, "; ".join(bad)))
+    w_words = words
 
     # round 4
     move = duplicator.round4(w_words, chosen)
     if isinstance(move, Forfeit):
-        return forfeited(t, DUPLICATOR, 4, move.reason)
-    v_words = _as_words(move, horizon, oracle.alphabet, "round 4")
-    for i, (v, iv) in enumerate(zip(v_words, chosen), 1):
-        if len(v) >= len(iv):
-            return forfeited(t, DUPLICATOR, 4, f"|v_{i}| = {len(v)} too long for V_{i}")
-    t = replace(t, duplicator_words=v_words)
+        return end((DUPLICATOR, 4, move.reason))
+    words = _as_words(move, horizon, oracle.alphabet, "round 4")
+    bad = _words_faults(4, words, chosen, horizon)
+    if bad:
+        return end((DUPLICATOR, 4, "; ".join(bad)))
+    v_words = words
 
     # round 5
     move = spoiler.round5(w_words, v_words)
     if isinstance(move, Forfeit):
-        return forfeited(t, SPOILER, 5, move.reason)
+        return end((SPOILER, 5, move.reason))
     if not isinstance(move, IndexScheme):
         raise IllegalMoveError("round 5 must produce an IndexScheme")
-    seq = move.head + move.cycle
-    if (not move.cycle or any(i < 1 or i > horizon for i in seq)
-            or any(a >= b for a, b in zip(seq, seq[1:]))):
-        return forfeited(t, SPOILER, 5, f"illegal index scheme {move}")
-    t = replace(t, scheme=move)
-    return finish(t)
+    bad = _round5_faults(move, horizon)
+    if bad:
+        return end((SPOILER, 5, "; ".join(bad)))
+    scheme = move
+    return end()
 
 
 def _as_words(move, horizon, alpha: Alphabet, where: str) -> tuple[FiniteWord, ...]:
@@ -475,8 +475,6 @@ class ConstantDuplicator(_Strategy):
         return pairs
 
     def round4(self, w_words, chosen):
-        if self.horizon < 1:
-            return []
         return [finite_word(self.text, self.oracle.alphabet)] * self.horizon  # words are immutable
 
 
@@ -566,8 +564,6 @@ class DivergingSpoiler(_Strategy):
                     out.append(cand)
                     p = (p + step + 1) % len(vocab)
                     break
-            else:
-                out.append(FiniteWord._of(self.oracle.alphabet, ()))
         return out
 
     def round5(self, w_words, v_words):

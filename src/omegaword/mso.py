@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _accepting_cycle_nodes, _column,
                     _letter_classes, _relabel, accepts_up, complement,
@@ -156,14 +156,22 @@ def formula_size(phi: Formula) -> int:
     return 1 + sum(formula_size(c) for c in _children(phi))
 
 
+def _latoms(phi: Formula) -> Iterator[LAtom]:
+    """The predicate-atom occurrences of `phi`, in no particular order."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, LAtom):
+            yield f
+        stack.extend(_children(f))
+
+
 def has_latoms(phi: Formula) -> bool:
-    return isinstance(phi, LAtom) or any(has_latoms(c) for c in _children(phi))
+    return next(_latoms(phi), None) is not None
 
 
 def count_latoms(phi: Formula) -> int:
-    if isinstance(phi, LAtom):
-        return 1
-    return sum(count_latoms(c) for c in _children(phi))
+    return sum(1 for _ in _latoms(phi))
 
 
 def free_variables(phi: Formula) -> tuple[frozenset[str], frozenset[str]]:
@@ -709,8 +717,8 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     order of a walk over `sorted` label sets when `sorted` orders the labels
     totally; the states are numbered in order of discovery.  Only at the
     end do states become labels ``(frozenset S, frozenset T, frozenset O)``
-    of inner labels, and only the live ones: `_reduce` drops the others
-    first and keeps the order of the rest, so its result is unchanged.
+    of inner labels; `_reduce` then drops the dead ones and keeps the order
+    of the rest.
     """
     alpha = coded_alphabet(base, outer)
     t = a._table
@@ -791,17 +799,13 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
                 targets.add(j)
         succ.append(out)
         i += 1
-    live = _live(list(zip(*succ)), (0,), [not O for _, _, O in order])
-    kept = [i for i, f in enumerate(live) if f]
     labels = [a.states[q] for q in by_rank]
-    sets = {m: frozenset(labels[r] for r in _bits(m)) for i in kept for m in order[i]}
-    pos = {i: k for k, i in enumerate(kept)}
-    rows = [[sorted(pos[j] for j in succ[i][k] if live[j]) for i in kept]
-            for k in range(len(reps))]
-    table = Table(dict(zip(alpha, (rows[k] for k in cls))),
-                  (0,) if live[0] else (), tuple(not order[i][2] for i in kept))
+    sets = {m: frozenset(labels[r] for r in _bits(m)) for st in order for m in st}
+    rows = [[sorted(out[k]) for out in succ] for k in range(len(reps))]
+    table = Table(dict(zip(alpha, (rows[k] for k in cls))), (0,),
+                  tuple(not O for _, _, O in order))
     return _reduce(BuchiAutomaton._of_table(
-        alpha, tuple(tuple(map(sets.__getitem__, order[i])) for i in kept), table))
+        alpha, tuple(tuple(map(sets.__getitem__, st)) for st in order), table))
 
 
 _SIM_STATE_GATE = 200

@@ -128,7 +128,7 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
       word with an all-`a` tail (a member).
     """
     from .congruence import (GrowingBlockSequence, PeriodicWordSequence, _condition2_witness,
-                             _eraser, class_representatives)
+                             class_representatives)
 
     if not {"a", "b"} <= set(c.alphabet.letters):
         raise UnsupportedWordError("the violation finder needs letters a and b")
@@ -164,7 +164,7 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
     # sequence at that index flips the verdicts
     for j in range(start, start + lam):
         r = rep_after(j)
-        if "a" in _eraser(oracle)(r.letters):
+        if "a" in r.letters:
             u = FiniteWord._of(c.alphabet, ("a",) * j + ("b",))
             witness = _condition2_witness(c, oracle, PeriodicWordSequence((), (u,)),
                                           PeriodicWordSequence((), (r,)),

@@ -247,6 +247,53 @@ class TestPlays:
                          DivergingSpoiler(), CopyDuplicator(), horizon=3)
 
 
+class _IllegalAt:
+    """A strategy that plays like `inner` but breaks a rule at one round:
+    words as long as their intervals in round 3 or 4, a decreasing index
+    scheme in round 5.  It keeps the illegal move in `move`."""
+
+    def __init__(self, inner, round_no: int):
+        self.inner = inner
+        self.round_no = round_no
+
+    def __getattr__(self, name):
+        if name == f"round{self.round_no}":
+            return self.illegal
+        return getattr(self.inner, name)
+
+    def illegal(self, *args):
+        if self.round_no == 5:
+            self.move = IndexScheme((2,), (1,))
+        else:
+            intervals = args[0] if self.round_no == 3 else args[1]
+            self.move = tuple(finite_word("a" * len(v), AB) for v in intervals)
+        return self.move
+
+
+class TestSharedRulebook:
+    """The engine judges a move by the rules `validate_transcript` applies
+    to it: an illegal move forfeits with exactly the validator's messages."""
+
+    @pytest.mark.parametrize("round_no, player, field", [
+        (3, SPOILER, "spoiler_words"),
+        (4, DUPLICATOR, "duplicator_words"),
+        (5, SPOILER, "scheme"),
+    ])
+    def test_illegal_move_forfeits_with_the_validators_reasons(self, round_no, player, field):
+        spoiler, duplicator = RandomSpoiler(random.Random(5)), CopyDuplicator()
+        if player == SPOILER:
+            spoiler = cheat = _IllegalAt(spoiler, round_no)
+        else:
+            duplicator = cheat = _IllegalAt(duplicator, round_no)
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(), spoiler, duplicator,
+                         horizon=3)
+        faults = validate_transcript(_with(t, **{field: cheat.move}))
+        assert faults and all(m.startswith(f"round{round_no} ") for m in faults)
+        assert t.forfeit == (player, round_no, "; ".join(faults))
+        assert t.winner == (DUPLICATOR if player == SPOILER else SPOILER)
+        assert validate_transcript(t) == []
+
+
 class TestSchemeSearch:
     def test_matches_undeduplicated_search(self):
         rng = random.Random(31)

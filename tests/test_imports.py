@@ -7,7 +7,9 @@ this process every layer is loaded already, in whatever order the earlier
 tests chose, so an import that fails when a command loads its layer first
 (a circular one, say) would not show here."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +141,29 @@ def test_unknown_name_raises_attribute_error():
         omegaword.no_such_name
     with pytest.raises(ImportError):
         exec("from omegaword import no_such_name", {})
+
+
+def unused_relative_imports(tree: ast.Module) -> list[str]:
+    """The names bound by a `from .x import name` anywhere in the module (a
+    function body or an `if TYPE_CHECKING:` block included) that no name in
+    the module reads.  Annotations are expressions in the tree, so a name
+    used only in an annotation counts as used."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {node.lineno}: {alias.asname or alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name != "*" and (alias.asname or alias.name) not in used]
+
+
+@pytest.mark.parametrize("path", sorted(Path(omegaword.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_relative_import(path):
+    assert unused_relative_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_unused_relative_import_check_sees_annotations_and_type_checking():
+    tree = ast.parse("from typing import TYPE_CHECKING\n"
+                     "from .words import Word, FiniteWord as FW, alphabet\n"
+                     "if TYPE_CHECKING:\n    from .buchi import BuchiAutomaton, Table\n"
+                     "def f(w: Word) -> BuchiAutomaton:\n    return alphabet(w)\n")
+    assert unused_relative_imports(tree) == ["line 2: FW", "line 4: Table"]
