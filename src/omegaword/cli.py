@@ -60,6 +60,12 @@ class RunConfig:
     output: Optional[str]
 
 
+def _budget(cfg: RunConfig, name: str) -> dict:
+    """`{name: budget}` when ``OMEGAWORD_STEP_BUDGET`` is set; otherwise
+    nothing, so the callee keeps its own default."""
+    return {} if cfg.budget is None else {name: cfg.budget}
+
+
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -82,8 +88,8 @@ def _names_flag(text: str) -> tuple[str, ...]:
 
 
 def _cmd_buchi(args, cfg: RunConfig):
-    from .buchi import (DEFAULT_STATE_BUDGET, accepts_up, complement, format_automaton,
-                        intersect, is_empty, parse_automaton, union, with_canonical_names)
+    from .buchi import (accepts_up, complement, format_automaton, intersect, is_empty,
+                        parse_automaton, union, with_canonical_names)
 
     a = parse_automaton(_read(args.file))
     if args.action in ("union", "intersect"):
@@ -95,8 +101,7 @@ def _cmd_buchi(args, cfg: RunConfig):
         return {"action": args.action, "states": len(out.states),
                 "automaton": text}, text
     if args.action == "complement":
-        out = with_canonical_names(
-            complement(a, state_budget=cfg.budget or DEFAULT_STATE_BUDGET))
+        out = with_canonical_names(complement(a, **_budget(cfg, "state_budget")))
         text = format_automaton(out)
         _note(f"complement: {len(out.states)} states")
         return {"action": "complement", "states": len(out.states),
@@ -125,10 +130,10 @@ def _cmd_congruence(args, cfg: RunConfig):
     from .congruence import (arnold_classes_bounded, check_condition1, format_classifier,
                              lemma_repair, parse_classifier)
 
-    budget = cfg.budget or 200000
+    budget = _budget(cfg, "budget")
     if args.action == "check1":
         c = parse_classifier(_read(args.file))
-        v = check_condition1(c, budget=budget)
+        v = check_condition1(c, **budget)
         if v is None:
             _note("condition (1) holds")
             return {"action": "check1", "ok": True, "violation": None}, None
@@ -145,7 +150,7 @@ def _cmd_congruence(args, cfg: RunConfig):
     if args.action == "repair":
         c = parse_classifier(_read(args.file))
         before = c.index
-        fixed = lemma_repair(c, budget=budget)
+        fixed = lemma_repair(c, **budget)
         text = format_classifier(fixed)
         _note(f"repaired in {before - fixed.index} merges "
               f"({before} -> {fixed.index} classes)")
@@ -239,11 +244,11 @@ def _parse_valuation(text: str) -> UPValuation:
 
 
 def _cmd_mso(args, cfg: RunConfig):
-    from .buchi import DEFAULT_STATE_BUDGET, format_automaton
+    from .buchi import format_automaton
     from .mso import (_latoms, compile_to_buchi, count_latoms, encode_congruence_game,
                       evaluate, format_formula, formula_size, mso_satisfiable, parse_formula)
 
-    budget = cfg.budget or DEFAULT_STATE_BUDGET
+    budget = _budget(cfg, "state_budget")
     if args.action == "encode-game":
         phi = encode_congruence_game(args.alphabet, neutral=args.neutral)
         _note(f"sentence of size {formula_size(phi)}, "
@@ -260,8 +265,7 @@ def _cmd_mso(args, cfg: RunConfig):
         if path is None:
             raise FormatError("no formula file (pass it positionally or with --file)")
         phi = parse_formula(_read(path))
-        sat, model = mso_satisfiable(phi, args.alphabet, args.free,
-                                     state_budget=budget)
+        sat, model = mso_satisfiable(phi, args.alphabet, args.free, **budget)
         if not sat:
             _note("UNSAT")
             return {"action": "sat", "satisfiable": False, "model": None}, None
@@ -271,8 +275,7 @@ def _cmd_mso(args, cfg: RunConfig):
         return {"action": "sat", "satisfiable": True, "model": doc}, None
     if args.action == "compile":
         phi = parse_formula(_read(args.file))
-        machine = compile_to_buchi(phi, args.alphabet, args.free,
-                                   state_budget=budget)
+        machine = compile_to_buchi(phi, args.alphabet, args.free, **budget)
         text = format_automaton(machine)
         _note(f"{len(machine.states)} states over "
               f"{len(machine.alphabet)} coded letters")
@@ -291,7 +294,7 @@ def _cmd_mso(args, cfg: RunConfig):
 
         oracle = get_oracle(args.oracle)
         oracles = {s: oracle for s in symbols}
-    value = evaluate(phi, val, oracles, state_budget=budget)
+    value = evaluate(phi, val, oracles, **budget)
     _note(f"value: {value}")
     return {"action": "eval", "value": value,
             "predicates": {s: args.oracle for s in symbols}}, None

@@ -53,7 +53,7 @@ SPOILER = "Spoiler"
 DUPLICATOR = "Duplicator"
 
 FAMILY_BUDGET = 100000
-SCAN_BUDGET = 10 ** 6  # farthest position CopyDuplicator scans for an a-run
+SCAN_BUDGET = 10 ** 6  # farthest V_i end the copy, random and constant duplicators play
 VOCAB_BOUND = 2  # longest word DivergingSpoiler picks its round-3 words from
 
 
@@ -394,6 +394,30 @@ class _Strategy:
         self.horizon = horizon
         self.notes: list[str] = []
 
+    def _round2(self, family: IntervalFamily, need: Callable[[Interval], int],
+                forfeit: str, pick_last: Optional[Callable[[int, int], int]] = None):
+        """Round 2 of the duplicators: take each W_i from the family after
+        the previous V_i and put V_i at the first all-a window of `need(W_i)`
+        positions after W_i; `pick_last(s, e)`, when given, picks V_i's end
+        inside that window s..e.  Forfeits with `forfeit`, formatted with
+        `need` and W_i's `last`, when no such window remains, and when the
+        window ends past `SCAN_BUDGET`."""
+        pairs = []
+        pos = -1
+        for _ in range(self.horizon):
+            w = family.next_after(pos)
+            n = need(w)
+            run = next_letter_run(self.word, "a", n, w.last + 1)
+            if run is None:
+                return Forfeit(forfeit.format(need=n, last=w.last))
+            s, e = run
+            if e > SCAN_BUDGET:
+                return Forfeit(f"scan budget {SCAN_BUDGET} exhausted")
+            v = Interval(s, e if pick_last is None else pick_last(s, e))
+            pairs.append((w, v))
+            pos = v.last
+        return pairs
+
 
 class CopyDuplicator(_Strategy):
     """Mirror the opponent: pick V_i as an all-a interval at least as long
@@ -402,46 +426,27 @@ class CopyDuplicator(_Strategy):
     exactly the case of bounded a-runs."""
 
     def round2(self, family: IntervalFamily):
-        pairs = []
-        pos = -1
-        for i in range(1, self.horizon + 1):
-            w = family.next_after(pos)
-            need = len(w)
-            run = next_letter_run(self.word, "a", need, w.last + 1)
-            if run is None:
-                return Forfeit(
-                    f"no all-a interval of size {need} beyond position {w.last}")
-            s, _ = run
-            if s + need - 1 > SCAN_BUDGET:
-                return Forfeit(f"scan budget {SCAN_BUDGET} exhausted")
-            v = Interval(s, s + need - 1)
-            pairs.append((w, v))
-            pos = v.last
-        return pairs
+        return self._round2(family, len,
+                            "no all-a interval of size {need} beyond position {last}")
 
     def round4(self, w_words, chosen):
         return list(w_words)
 
 
 class RandomDuplicator(_Strategy):
-    """Any legal V_i (the next nonempty a-run), then random short answers."""
+    """V_i is the first a-position after W_i, and every answer is the empty
+    word: V_i's end is drawn inside a one-position window and each answer's
+    length below |V_i| = 1, so both draws have one outcome, though they
+    still consume the seeded stream.  Drawing V_i inside the whole a-run
+    changes `PINNED_GAME` and the benchmark goldens, so that fix waits for
+    their re-record (ROADMAP item 12)."""
 
     def __init__(self, rng):
         self.rng = rng
 
     def round2(self, family: IntervalFamily):
-        pairs = []
-        pos = -1
-        for _ in range(self.horizon):
-            w = family.next_after(pos)
-            run = next_letter_run(self.word, "a", 1, w.last + 1)
-            if run is None:
-                return Forfeit("no a-labelled position remains")
-            s, e = run
-            v = Interval(s, self.rng.randint(s, e))
-            pairs.append((w, v))
-            pos = v.last
-        return pairs
+        return self._round2(family, lambda w: 1, "no a-labelled position remains",
+                            self.rng.randint)
 
     def round4(self, w_words, chosen):
         letters = self.oracle.alphabet.letters
@@ -461,18 +466,7 @@ class ConstantDuplicator(_Strategy):
 
     def round2(self, family: IntervalFamily):
         need = len(self.text) + 1
-        pairs = []
-        pos = -1
-        for _ in range(self.horizon):
-            w = family.next_after(pos)
-            run = next_letter_run(self.word, "a", need, w.last + 1)
-            if run is None:
-                return Forfeit(f"no all-a interval of size {need} remains")
-            s, _ = run
-            v = Interval(s, s + need - 1)
-            pairs.append((w, v))
-            pos = v.last
-        return pairs
+        return self._round2(family, lambda w: need, "no all-a interval of size {need} remains")
 
     def round4(self, w_words, chosen):
         return [finite_word(self.text, self.oracle.alphabet)] * self.horizon  # words are immutable
@@ -610,13 +604,7 @@ class DivergingSpoiler(_Strategy):
         return None
 
     def _separates(self, scheme, w_words, v_words) -> bool:
-        sw, sv = _factor_sequences(scheme, w_words, v_words)
-        try:
-            mw, _ = product_member(self.oracle, sw)
-            mv, _ = product_member(self.oracle, sv)
-        except UnsupportedWordError:
-            return False
-        return mw != mv
+        return _adjudication(None, scheme, w_words, v_words, self.oracle)[2] == SPOILER
 
 
 def _distinct_cycles(contents: list) -> Iterator[tuple[int, ...]]:

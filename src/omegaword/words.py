@@ -522,37 +522,16 @@ def _runs_in(window: Sequence[str], letter: str) -> list[tuple[int, int]]:
     return runs
 
 
-def _lasso_runs(u: UPWord, letter: str) -> tuple[list[tuple[int, int]],
-                                                 list[tuple[int, int]]]:
-    """Maximal `letter`-runs of a lasso word whose period is not all-`letter`.
-
-    Returns (once, periodic): `once` lists runs that occur exactly once, at
-    the recorded position; each (s, e) in `periodic` recurs at
-    (s + k*|period|, e + k*|period|) for every k >= 0.  Together these cover
-    every maximal run of the word.
-
-    Why a window of prefix + 3 periods suffices: a run inside the periodic
-    region is shorter than the period (it would otherwise cover every residue
-    and the period would be all-`letter`), and a run crossing out of the
-    prefix dies before one full period for the same reason.  So runs starting
-    before prefix+period happen once, runs starting in the second period copy
-    are clean periodic representatives, and everything later is a duplicate.
-    """
-    pl, vl = len(u.prefix), len(u.period)
-    window = u.prefix + u.period * 3
-    once, periodic = [], []
-    for s, e in _runs_in(window, letter):
-        if s < pl + vl:
-            once.append((s, e))
-        elif s < pl + 2 * vl:
-            periodic.append((s, e))
-    return once, periodic
-
-
 def max_letter_run(w: InfiniteWord, letter: str) -> Optional[int]:
     """Length of the longest `letter`-run in w, or None when runs are unbounded.
 
-    Exact: decided from the presentation, not by sampling.
+    Exact: decided from the presentation, not by sampling.  On a lasso whose
+    period is not all-`letter`, the window prefix + 2 periods holds every
+    run length.  A run inside the periodic part is shorter than the period
+    (it would otherwise cover every residue), and a run that starts in the
+    prefix dies before one full period for the same reason.  So each run
+    that starts in the prefix or in the first period copy ends inside the
+    window, and every later run repeats one of those or a tail of one.
     """
     if isinstance(w, BlockWord) and w._up_form is None:
         if letter == w.block:
@@ -564,8 +543,7 @@ def max_letter_run(w: InfiniteWord, letter: str) -> Optional[int]:
     assert u is not None
     if all(x == letter for x in u.period):
         return None
-    once, periodic = _lasso_runs(u, letter)
-    return max((e - s + 1 for s, e in once + periodic), default=0)
+    return max((e - s + 1 for s, e in _runs_in(u.prefix + u.period * 2, letter)), default=0)
 
 
 def next_letter_run(w: InfiniteWord, letter: str, min_len: int,
@@ -573,58 +551,32 @@ def next_letter_run(w: InfiniteWord, letter: str, min_len: int,
     """First position p >= start where positions p..p+min_len-1 all carry `letter`.
 
     Returns (p, p + min_len - 1), or None when no such window exists anywhere
-    at or after `start`.  Exact for lasso words and for the block letter of a
-    growing block word.
+    at or after `start` (a negative start counts as 0).  Exact for lasso
+    words and for the block letter of a growing block word.
+
+    One search: a window that meets another letter at q moves on to q + 1.
+    On a lasso a window that starts past the prefix recurs one period later,
+    so the search stops one period past max(start, |prefix|).  On a growing
+    block word the blocks outgrow every window, so it needs no stop.
     """
     if min_len <= 0:
         raise ValueError("min_len must be positive")
+    p = max(start, 0)
     if isinstance(w, BlockWord) and w._up_form is None:
         if letter != w.block:
             raise UnsupportedWordError(
                 "run search on growing block words supports only the block letter")
-        m = w._segment_of(start)  # every earlier block ends before start
-        while True:
-            k = w.lengths.nth(m)
-            s = w._segment_end(m - 1)
-            p = max(s, start)
-            if (s + k - 1) - p + 1 >= min_len:
-                return (p, p + min_len - 1)
-            m += 1
-    u = w._up_form if isinstance(w, BlockWord) else w
-    assert u is not None
-    if all(x == letter for x in u.period):
-        # one infinite run, possibly reaching back through the prefix tail,
-        # preceded by finitely many runs inside the prefix
-        tail = 0
-        while tail < len(u.prefix) and u.prefix[-1 - tail] == letter:
-            tail += 1
-        inf_start = len(u.prefix) - tail
-        best = max(start, inf_start)
-        for s, e in _runs_in(u.prefix[:inf_start], letter):
-            p = max(s, start)
-            if e - p + 1 >= min_len:
-                best = min(best, p)
-        return (best, best + min_len - 1)
-    vl = len(u.period)
-    once, periodic = _lasso_runs(u, letter)
-    candidates = []
-    for s, e in once:
-        p = max(s, start)
-        if e - p + 1 >= min_len:
-            candidates.append(p)
-    for s, e in periodic:
-        if e - s + 1 < min_len:
-            continue
-        k0 = max(0, -(-(start - s) // vl))  # first full copy at or after start
-        candidates.append(s + k0 * vl)
-        if k0 > 0:
-            # the copy straddling `start` may still leave enough room
-            if (e + (k0 - 1) * vl) - start + 1 >= min_len:
-                candidates.append(start)
-    if not candidates:
-        return None
-    p = min(candidates)
-    return (p, p + min_len - 1)
+        stop = None
+    else:
+        u = w._up_form if isinstance(w, BlockWord) else w
+        assert u is not None
+        stop = max(p, len(u.prefix)) + len(u.period)
+    while stop is None or p < stop:
+        q = first_other_letter(w, letter, p, p + min_len - 1)
+        if q is None:
+            return (p, p + min_len - 1)
+        p = q + 1
+    return None
 
 
 # ---------------------------------------------------------------------------

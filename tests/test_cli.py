@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from omegaword.buchi import automaton, format_automaton, parse_automaton
 from omegaword.cli import run
 from omegaword.congruence import classifier, format_classifier, parse_classifier

@@ -33,7 +33,7 @@ from omegaword.oracles import (
     RegularOracle,
     get_oracle,
 )
-from omegaword.words import FiniteWord, alphabet, finite_word, up_word
+from omegaword.words import alphabet, finite_word, up_word
 
 from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
                      ref_bounded_classes, ref_check_condition1, ref_check_condition2_bounded,

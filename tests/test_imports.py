@@ -143,16 +143,28 @@ def test_unknown_name_raises_attribute_error():
         exec("from omegaword import no_such_name", {})
 
 
-def unused_relative_imports(tree: ast.Module) -> list[str]:
-    """The names bound by a `from .x import name` anywhere in the module (a
-    function body or an `if TYPE_CHECKING:` block included) that no name in
-    the module reads.  Annotations are expressions in the tree, so a name
-    used only in an annotation counts as used."""
+def unused_imports(tree: ast.Module, relative_only: bool = False) -> list[str]:
+    """The names bound by an import anywhere in the module (a function body
+    or an `if TYPE_CHECKING:` block included) that no name in the module
+    reads; with `relative_only`, only those of a `from .x import name`.
+    `import a.b` binds `a`, and `__future__` imports bind nothing.
+    Annotations are expressions in the tree, so a name used only in an
+    annotation counts as used."""
+    def counted(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or not relative_only and node.module != "__future__"
+        return isinstance(node, ast.Import) and not relative_only
+
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"line {node.lineno}: {alias.asname or alias.name}"
-            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    return [f"line {node.lineno}: {name}"
+            for node in ast.walk(tree) if counted(node)
             for alias in node.names
-            if alias.name != "*" and (alias.asname or alias.name) not in used]
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if alias.name != "*" and name not in used]
+
+
+def unused_relative_imports(tree: ast.Module) -> list[str]:
+    return unused_imports(tree, relative_only=True)
 
 
 @pytest.mark.parametrize("path", sorted(Path(omegaword.__file__).parent.glob("*.py")),
@@ -167,3 +179,19 @@ def test_unused_relative_import_check_sees_annotations_and_type_checking():
                      "if TYPE_CHECKING:\n    from .buchi import BuchiAutomaton, Table\n"
                      "def f(w: Word) -> BuchiAutomaton:\n    return alphabet(w)\n")
     assert unused_relative_imports(tree) == ["line 2: FW", "line 4: Table"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_import_in_tests(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_unused_import_check_counts_absolute_and_plain_imports():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, re, json as j\n"
+                     "from typing import Any, Optional\n"
+                     "from .words import Word\n"
+                     "print(os.sep, re, Any)\n")
+    assert unused_imports(tree) == ["line 2: j", "line 3: Optional", "line 4: Word"]
+    assert unused_relative_imports(tree) == ["line 4: Word"]

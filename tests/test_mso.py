@@ -14,16 +14,15 @@ import omegaword.mso as mso
 from omegaword.buchi import (BuchiAutomaton, _column, _letter_classes, accepts_up, automaton,
                              complement, intersect, is_empty)
 from omegaword.errors import BudgetExceededError, FormatError, UnsupportedFormulaError
-from omegaword.mso import (And, ExistsPos, ExistsSet, ForallPos, ForallSet, Implies,
-                           In, LAtom, Less, Letter, Not, Or, UPValuation,
-                           check_scopes, code_valuation, coded_alphabet,
+from omegaword.mso import (And, ExistsSet, ForallSet, In, LAtom, Less, Letter, Not,
+                           UPValuation, check_scopes, code_valuation, coded_alphabet,
                            compile_to_buchi, count_latoms, decode_partition,
                            encode_congruence_game, evaluate, format_formula,
                            formula_size, free_variables, has_latoms,
                            indicator_set, is_closed, mso_satisfiable,
                            parse_formula, render_formula, singleton_set)
 from omegaword.oracles import LassoOracle, RegularOracle
-from omegaword.words import alphabet, parse_word, up_word
+from omegaword.words import alphabet, up_word
 
 AB = alphabet("ab")
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from omegaword.errors import (
 from helpers import ref_first_other_letter
 from omegaword.words import (
     AffineLengths,
-    Alphabet,
     BlockWord,
     ConstantLengths,
     EventuallyPeriodicLengths,
@@ -307,6 +307,29 @@ def test_run_search_on_lasso_words():
         got = next_letter_run(w, letter, min_len, start)
         want = _naive_next_run(w, letter, min_len, start)
         assert got == want, (w, letter, min_len, start)
+
+
+def test_run_search_matches_scan_on_every_small_lasso():
+    """Every lasso over {a,b} with a prefix of at most 3 letters and a
+    period of 1-3, both letters, min_len 1-6 and start -2..15.  The scan
+    reaches one period and one window past max(start, |prefix|), so any
+    window it misses repeats one it saw; its longest run is the longest of
+    the word, unless the period is all one letter."""
+    for prefix, period in product((p for n in range(4) for p in product("ab", repeat=n)),
+                                  (p for n in range(1, 4) for p in product("ab", repeat=n))):
+        w = UPWord(AB, prefix, period)
+        text = "".join(prefix_of(w, 15 + len(prefix) + len(period) + 6))
+        for letter, other in ("ab", "ba"):
+            unbounded = set(period) == {letter}
+            for min_len in range(1, 7):
+                for start in range(-2, 16):
+                    horizon = max(start, 0) + len(prefix) + len(period) + min_len
+                    want = _naive_next_run(w, letter, min_len, max(start, 0), horizon)
+                    assert next_letter_run(w, letter, min_len, start) == want, (
+                        w, letter, min_len, start)
+                    longest = max(map(len, text[:horizon].split(other)))
+                    assert max_letter_run(w, letter) == (None if unbounded else longest)
+    assert next_letter_run(up_word("", "ab", AB), "a", 1, 1) == (2, 2)
 
 
 def test_run_search_none_means_none():
