@@ -21,7 +21,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,19 +50,10 @@ _BUDGET_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized run parameters shared by every subcommand."""
-
-    seed: int
-    budget: Optional[int]  # None: each operation keeps its own default
-    output: Optional[str]
-
-
-def _budget(cfg: RunConfig, name: str) -> dict:
-    """`{name: budget}` when ``OMEGAWORD_STEP_BUDGET`` is set; otherwise
-    nothing, so the callee keeps its own default."""
-    return {} if cfg.budget is None else {name: cfg.budget}
+def _budget(budget: Optional[int], name: str) -> dict:
+    """`{name: budget}` when ``OMEGAWORD_STEP_BUDGET`` set `budget`;
+    otherwise nothing, so the callee keeps its own default."""
+    return {} if budget is None else {name: budget}
 
 
 def _note(msg: str) -> None:
@@ -83,11 +73,12 @@ def _names_flag(text: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (json document body, optional artifact)
-# and imports the layers it uses, so an invocation loads only those
+# subcommand handlers: each takes (args, the step budget or None), returns
+# (json document body, optional artifact) and imports the layers it uses,
+# so an invocation loads only those
 
 
-def _cmd_buchi(args, cfg: RunConfig):
+def _cmd_buchi(args, budget: Optional[int]):
     from .buchi import (accepts_up, complement, format_automaton, intersect, is_empty,
                         parse_automaton, union, with_canonical_names)
 
@@ -101,7 +92,7 @@ def _cmd_buchi(args, cfg: RunConfig):
         return {"action": args.action, "states": len(out.states),
                 "automaton": text}, text
     if args.action == "complement":
-        out = with_canonical_names(complement(a, **_budget(cfg, "state_budget")))
+        out = with_canonical_names(complement(a, **_budget(budget, "state_budget")))
         text = format_automaton(out)
         _note(f"complement: {len(out.states)} states")
         return {"action": "complement", "states": len(out.states),
@@ -126,14 +117,14 @@ def _class_texts(partition) -> list[list[str]]:
     return classes
 
 
-def _cmd_congruence(args, cfg: RunConfig):
+def _cmd_congruence(args, budget: Optional[int]):
     from .congruence import (arnold_classes_bounded, check_condition1, format_classifier,
                              lemma_repair, parse_classifier)
 
-    budget = _budget(cfg, "budget")
+    limits = _budget(budget, "budget")
     if args.action == "check1":
         c = parse_classifier(_read(args.file))
-        v = check_condition1(c, **budget)
+        v = check_condition1(c, **limits)
         if v is None:
             _note("condition (1) holds")
             return {"action": "check1", "ok": True, "violation": None}, None
@@ -150,7 +141,7 @@ def _cmd_congruence(args, cfg: RunConfig):
     if args.action == "repair":
         c = parse_classifier(_read(args.file))
         before = c.index
-        fixed = lemma_repair(c, **budget)
+        fixed = lemma_repair(c, **limits)
         text = format_classifier(fixed)
         _note(f"repaired in {before - fixed.index} merges "
               f"({before} -> {fixed.index} classes)")
@@ -170,7 +161,7 @@ def _cmd_congruence(args, cfg: RunConfig):
             "non_transitive": len(part.non_transitive)}, None
 
 
-def _cmd_oracle(args, cfg: RunConfig):
+def _cmd_oracle(args, budget: Optional[int]):
     from .oracles import get_oracle
 
     oracle = get_oracle(args.oracle)
@@ -195,11 +186,11 @@ def _cmd_oracle(args, cfg: RunConfig):
             "note": witness.note}, None
 
 
-def _cmd_game(args, cfg: RunConfig):
+def _cmd_game(args, budget: Optional[int]):
     from .game import get_duplicator, get_spoiler, play_bounded, transcript_to_json
     from .oracles import get_oracle
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     word = parse_word(args.word)
     oracle = get_oracle(args.oracle)
     spoiler = get_spoiler(args.spoiler, rng)
@@ -211,7 +202,7 @@ def _cmd_game(args, cfg: RunConfig):
     _note(f"winner: {t.winner}")
     return {"action": "play", "word": format_word(word), "oracle": oracle.name,
             "spoiler": args.spoiler, "duplicator": args.duplicator,
-            "horizon": args.horizon, "seed": cfg.seed, "winner": t.winner,
+            "horizon": args.horizon, "seed": args.seed, "winner": t.winner,
             "transcript": json.loads(text)}, text
 
 
@@ -243,12 +234,12 @@ def _parse_valuation(text: str) -> UPValuation:
     return UPValuation(word=word, positions=positions, sets=sets)
 
 
-def _cmd_mso(args, cfg: RunConfig):
+def _cmd_mso(args, budget: Optional[int]):
     from .buchi import format_automaton
     from .mso import (_latoms, compile_to_buchi, count_latoms, encode_congruence_game,
                       evaluate, format_formula, formula_size, mso_satisfiable, parse_formula)
 
-    budget = _budget(cfg, "state_budget")
+    limits = _budget(budget, "state_budget")
     if args.action == "encode-game":
         phi = encode_congruence_game(args.alphabet, neutral=args.neutral)
         _note(f"sentence of size {formula_size(phi)}, "
@@ -265,7 +256,7 @@ def _cmd_mso(args, cfg: RunConfig):
         if path is None:
             raise FormatError("no formula file (pass it positionally or with --file)")
         phi = parse_formula(_read(path))
-        sat, model = mso_satisfiable(phi, args.alphabet, args.free, **budget)
+        sat, model = mso_satisfiable(phi, args.alphabet, args.free, **limits)
         if not sat:
             _note("UNSAT")
             return {"action": "sat", "satisfiable": False, "model": None}, None
@@ -275,7 +266,7 @@ def _cmd_mso(args, cfg: RunConfig):
         return {"action": "sat", "satisfiable": True, "model": doc}, None
     if args.action == "compile":
         phi = parse_formula(_read(args.file))
-        machine = compile_to_buchi(phi, args.alphabet, args.free, **budget)
+        machine = compile_to_buchi(phi, args.alphabet, args.free, **limits)
         text = format_automaton(machine)
         _note(f"{len(machine.states)} states over "
               f"{len(machine.alphabet)} coded letters")
@@ -294,13 +285,13 @@ def _cmd_mso(args, cfg: RunConfig):
 
         oracle = get_oracle(args.oracle)
         oracles = {s: oracle for s in symbols}
-    value = evaluate(phi, val, oracles, **budget)
+    value = evaluate(phi, val, oracles, **limits)
     _note(f"value: {value}")
     return {"action": "eval", "value": value,
             "predicates": {s: args.oracle for s in symbols}}, None
 
 
-def _cmd_trio(args, cfg: RunConfig):
+def _cmd_trio(args, budget: Optional[int]):
     from .trio import (get_finite_oracle, member_L1, member_L2, parse_separated,
                        project_to_separators)
 
@@ -474,16 +465,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if budget < 1:
             return _fail(args.command, FormatError(
                 "OMEGAWORD_STEP_BUDGET must be positive"), 2)
-    cfg = RunConfig(getattr(args, "seed", 0), budget, getattr(args, "output", None))
     try:
-        doc, artifact = _HANDLERS[args.command](args, cfg)
+        doc, artifact = _HANDLERS[args.command](args, budget)
     except _BUDGET_ERRORS as exc:
         return _fail(args.command, exc, 1)
     except (OmegawordError, OSError) as exc:
         return _fail(args.command, exc, 2)
-    if cfg.output and artifact is not None:
-        Path(cfg.output).write_text(artifact, encoding="utf-8")
-        _note(f"wrote {cfg.output}")
+    output = getattr(args, "output", None)
+    if output and artifact is not None:
+        Path(output).write_text(artifact, encoding="utf-8")
+        _note(f"wrote {output}")
     print(json.dumps({"command": args.command, **doc},
                      indent=2, sort_keys=True))
     return 0

@@ -387,6 +387,16 @@ def _as_words(move, horizon, alpha: Alphabet, where: str) -> tuple[FiniteWord, .
 # duplicator strategies
 
 
+def _random_words(rng, alpha: Alphabet, intervals) -> list[FiniteWord]:
+    """One random word per interval, shorter than it: its length drawn by
+    `randrange`, then each letter by `choice`."""
+    out = []
+    for iv in intervals:
+        k = rng.randrange(0, len(iv))
+        out.append(FiniteWord._of(alpha, tuple(rng.choice(alpha.letters) for _ in range(k))))
+    return out
+
+
 class _Strategy:
     def begin(self, word, oracle, horizon):
         self.word = word
@@ -449,13 +459,7 @@ class RandomDuplicator(_Strategy):
                             self.rng.randint)
 
     def round4(self, w_words, chosen):
-        letters = self.oracle.alphabet.letters
-        out = []
-        for v in chosen:
-            k = self.rng.randrange(0, len(v))
-            out.append(FiniteWord._of(self.oracle.alphabet,
-                                      tuple(self.rng.choice(letters) for _ in range(k))))
-        return out
+        return _random_words(self.rng, self.oracle.alphabet, chosen)
 
 
 class ConstantDuplicator(_Strategy):
@@ -495,13 +499,7 @@ class RandomSpoiler(_Strategy):
         return IntervalFamily(nth, "random sizes 1-5, gaps 1-4")
 
     def round3(self, selected):
-        letters = self.oracle.alphabet.letters
-        out = []
-        for w in selected:
-            k = self.rng.randrange(0, len(w))
-            out.append(FiniteWord._of(self.oracle.alphabet,
-                                      tuple(self.rng.choice(letters) for _ in range(k))))
-        return out
+        return _random_words(self.rng, self.oracle.alphabet, selected)
 
     def round5(self, w_words, v_words):
         n = self.horizon

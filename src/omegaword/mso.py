@@ -25,7 +25,7 @@ Surface syntax is parenthesized prefix notation::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -149,6 +149,20 @@ def _children(phi: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def _slots(atom: Formula) -> tuple[tuple[str, bool], ...]:
+    """The (variable, is-position) pairs of an atom, in slot order; a
+    connective or quantifier has none."""
+    if isinstance(atom, Less):
+        return ((atom.x, True), (atom.y, True))
+    if isinstance(atom, In):
+        return ((atom.x, True), (atom.X, False))
+    if isinstance(atom, Letter):
+        return ((atom.x, True),)
+    if isinstance(atom, LAtom):
+        return tuple((v, False) for v in atom.args)
+    return ()
+
+
 def formula_size(phi: Formula) -> int:
     """Node count; a predicate atom weighs 1 plus its arity."""
     if isinstance(phi, LAtom):
@@ -181,23 +195,14 @@ def free_variables(phi: Formula) -> tuple[frozenset[str], frozenset[str]]:
     sets: set[str] = set()
 
     def walk(f: Formula, bound: frozenset) -> None:
-        if isinstance(f, Less):
-            pos.update({f.x, f.y} - bound)
-        elif isinstance(f, Letter):
-            if f.x not in bound:
-                pos.add(f.x)
-        elif isinstance(f, In):
-            if f.x not in bound:
-                pos.add(f.x)
-            if f.X not in bound:
-                sets.add(f.X)
-        elif isinstance(f, LAtom):
-            sets.update(set(f.args) - bound)
-        elif isinstance(f, _QUANTIFIERS):
+        if isinstance(f, _QUANTIFIERS):
             walk(f.body, bound | {f.var})
-        else:
-            for c in _children(f):
-                walk(c, bound)
+            return
+        for v, is_pos in _slots(f):
+            if v not in bound:
+                (pos if is_pos else sets).add(v)
+        for c in _children(f):
+            walk(c, bound)
 
     walk(phi, frozenset())
     return frozenset(pos), frozenset(sets)
@@ -220,43 +225,30 @@ def check_scopes(phi: Formula, *, free_positions: Iterable[str] = (),
     """
     problems: list[str] = []
 
-    def use(v: str, want_pos: bool, pos_pool: frozenset, set_pool: frozenset,
-            atom: Formula) -> None:
-        if v in (pos_pool if want_pos else set_pool):
-            return
-        where = render_formula(atom)
-        if want_pos:
-            if v in set_pool:
-                problems.append(f"set variable {v!r} used as a position in {where}")
-            else:
-                problems.append(f"unbound position variable {v!r} in {where}")
-        elif v in pos_pool:
-            problems.append(f"position variable {v!r} used as a set in {where}")
-        else:
-            problems.append(f"unbound set variable {v!r} in {where}")
-
     def walk(f: Formula, pos_pool: frozenset, set_pool: frozenset) -> None:
-        if isinstance(f, Less):
-            use(f.x, True, pos_pool, set_pool, f)
-            use(f.y, True, pos_pool, set_pool, f)
-        elif isinstance(f, In):
-            use(f.x, True, pos_pool, set_pool, f)
-            use(f.X, False, pos_pool, set_pool, f)
-        elif isinstance(f, Letter):
-            use(f.x, True, pos_pool, set_pool, f)
-        elif isinstance(f, LAtom):
-            for v in f.args:
-                use(v, False, pos_pool, set_pool, f)
-        elif isinstance(f, _QUANTIFIERS):
+        if isinstance(f, _QUANTIFIERS):
             if f.var in pos_pool or f.var in set_pool:
                 problems.append(f"variable {f.var!r} bound twice along a path")
             if isinstance(f, _POS_QUANTIFIERS):
                 walk(f.body, pos_pool | {f.var}, set_pool)
             else:
                 walk(f.body, pos_pool, set_pool | {f.var})
-        else:
-            for c in _children(f):
-                walk(c, pos_pool, set_pool)
+            return
+        for v, want_pos in _slots(f):
+            if v in (pos_pool if want_pos else set_pool):
+                continue
+            where = render_formula(f)
+            if want_pos:
+                if v in set_pool:
+                    problems.append(f"set variable {v!r} used as a position in {where}")
+                else:
+                    problems.append(f"unbound position variable {v!r} in {where}")
+            elif v in pos_pool:
+                problems.append(f"position variable {v!r} used as a set in {where}")
+            else:
+                problems.append(f"unbound set variable {v!r} in {where}")
+        for c in _children(f):
+            walk(c, pos_pool, set_pool)
 
     walk(phi, frozenset(free_positions), frozenset(free_sets))
     return problems
@@ -275,10 +267,11 @@ def _require_scopes(phi: Formula, free_positions: Iterable[str],
 # ---------------------------------------------------------------------------
 # surface syntax
 
-_QUANT_HEADS = {"exists1": ExistsPos, "forall1": ForallPos,
-                "exists2": ExistsSet, "forall2": ForallSet}
-_HEAD_OF = {ExistsPos: "exists1", ForallPos: "forall1",
+_HEAD_OF = {Less: "<", In: "in", Letter: "letter", LAtom: "pred",
+            Not: "not", And: "and", Or: "or", Implies: "implies",
+            ExistsPos: "exists1", ForallPos: "forall1",
             ExistsSet: "exists2", ForallSet: "forall2"}
+_NODE_OF = {head: kind for kind, head in _HEAD_OF.items()}
 
 
 def parse_formula(text: str) -> Formula:
@@ -312,66 +305,47 @@ def _formula_of(expr) -> Formula:
     if not expr or not isinstance(expr[0], str):
         raise FormatError("a formula must start with an operator token")
     head, args = expr[0], expr[1:]
-
-    def names(n: int):
-        if len(args) != n or not all(isinstance(a, str) for a in args):
-            raise FormatError(f"({head} ...) takes exactly {n} variable/letter tokens")
-        return args
-
-    if head == "<":
-        x, y = names(2)
-        return Less(x, y)
-    if head == "in":
-        x, big = names(2)
-        return In(x, big)
-    if head == "letter":
-        x, a = names(2)
-        return Letter(x, a)
-    if head == "pred":
+    kind = _NODE_OF.get(head)
+    if kind is None:
+        raise FormatError(f"unknown operator {head!r}")
+    if kind in (Less, In, Letter):
+        if len(args) != 2 or not all(isinstance(a, str) for a in args):
+            raise FormatError(f"({head} ...) takes exactly 2 variable/letter tokens")
+        return kind(*args)
+    if kind is LAtom:
         if len(args) < 2 or not all(isinstance(a, str) for a in args):
             raise FormatError("(pred SYMBOL X1 ... Xk) needs a symbol and set variables")
         return LAtom(args[0], tuple(args[1:]))
-    if head == "not":
+    if kind is Not:
         if len(args) != 1:
             raise FormatError("(not F) takes exactly one formula")
         return Not(_formula_of(args[0]))
-    if head in ("and", "or"):
+    if kind in (And, Or):
         if not args:
             raise FormatError(f"({head} ...) needs at least one part")
-        parts = tuple(_formula_of(a) for a in args)
-        return And(parts) if head == "and" else Or(parts)
-    if head == "implies":
+        return kind(tuple(_formula_of(a) for a in args))
+    if kind is Implies:
         if len(args) != 2:
             raise FormatError("(implies F G) takes exactly two formulas")
         return Implies(_formula_of(args[0]), _formula_of(args[1]))
-    if head in _QUANT_HEADS:
-        if len(args) != 2 or not isinstance(args[0], str):
-            raise FormatError(f"({head} VAR F) expected")
-        return _QUANT_HEADS[head](args[0], _formula_of(args[1]))
-    raise FormatError(f"unknown operator {head!r}")
+    if len(args) != 2 or not isinstance(args[0], str):
+        raise FormatError(f"({head} VAR F) expected")
+    return kind(args[0], _formula_of(args[1]))
 
 
 def format_formula(phi: Formula) -> str:
-    """Prefix-syntax text; inverse of parse_formula."""
-    if isinstance(phi, Less):
-        return f"(< {phi.x} {phi.y})"
-    if isinstance(phi, In):
-        return f"(in {phi.x} {phi.X})"
-    if isinstance(phi, Letter):
-        return f"(letter {phi.x} {phi.a})"
-    if isinstance(phi, LAtom):
-        return "(pred " + " ".join((phi.symbol,) + phi.args) + ")"
-    if isinstance(phi, Not):
-        return f"(not {format_formula(phi.body)})"
-    if isinstance(phi, And):
-        return "(and " + " ".join(format_formula(p) for p in phi.parts) + ")"
-    if isinstance(phi, Or):
-        return "(or " + " ".join(format_formula(p) for p in phi.parts) + ")"
-    if isinstance(phi, Implies):
-        return f"(implies {format_formula(phi.left)} {format_formula(phi.right)})"
-    if isinstance(phi, _QUANTIFIERS):
-        return f"({_HEAD_OF[type(phi)]} {phi.var} {format_formula(phi.body)})"
-    raise FormatError(f"unknown formula node {type(phi).__name__}")
+    """Prefix-syntax text; inverse of parse_formula.  The head, then the
+    node's fields in order: a tuple spread out, a subformula in its own
+    parentheses."""
+    head = _HEAD_OF.get(type(phi))
+    if head is None:
+        raise FormatError(f"unknown formula node {type(phi).__name__}")
+    tokens = [head]
+    for f in fields(phi):
+        value = getattr(phi, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            tokens.append(format_formula(item) if isinstance(item, Formula) else item)
+    return "(" + " ".join(tokens) + ")"
 
 
 def render_formula(phi: Formula) -> str:

@@ -81,9 +81,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def index(self, letter: str) -> int:
-        return self.letters.index(letter)
-
 
 def alphabet(spec: Union[Alphabet, str, Iterable[str]]) -> Alphabet:
     """Convenience constructor: ``alphabet("ab1")`` or ``alphabet(["a","b"])``;
@@ -331,9 +328,16 @@ def first_other_letter(w: Word, letter: str, first: int, last: int) -> Optional[
     On a growing block word the segment holding `first` is searched once;
     from there each step jumps to the next letter change, so the cost
     follows the number of segments the window spans, not its length.  Other
-    presentations are scanned position by position.
+    presentations are scanned position by position; on a lasso (or a block
+    word with bounded blocks) the scan stops one period past
+    max(first, |prefix|), since every later position repeats the letter one
+    period earlier.
     """
-    if not (isinstance(w, BlockWord) and w._up_form is None):
+    if isinstance(w, BlockWord) and w._up_form is not None:
+        w = w._up_form
+    if isinstance(w, UPWord) and first >= 0:
+        last = min(last, max(first, len(w.prefix)) + len(w.period) - 1)
+    if not isinstance(w, BlockWord):
         return next((p for p in range(first, last + 1) if letter_at(w, p) != letter), None)
     if first < 0:
         raise IndexError("negative position")

@@ -195,3 +195,50 @@ def test_unused_import_check_counts_absolute_and_plain_imports():
                      "print(os.sep, re, Any)\n")
     assert unused_imports(tree) == ["line 2: j", "line 3: Optional", "line 4: Word"]
     assert unused_relative_imports(tree) == ["line 4: Word"]
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private names a module defines at its top level: the functions,
+    classes and assigned names that start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attribute names and the
+    names a `from … import` takes."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(omegaword.__file__).parent.glob("*.py")}
+    used = set().union(*map(referenced_names, trees.values()))
+    defined = [f"{name}: {d}" for name, tree in sorted(trees.items())
+               for d in private_definitions(tree)]
+    assert len(defined) > 90
+    assert [d for d in defined if d.split(": ")[1] not in used] == []
+
+
+def test_private_name_check_sees_calls_attributes_and_imports():
+    tree = ast.parse("import m\n_A = 1\n_B: int = 2\n_C, _D = 3, 4\n__all__ = []\n"
+                     "def _f():\n    return _A + m._B\n"
+                     "class _K:\n    def _method(self):\n        pass\n"
+                     "from .x import _C\n_E = 5\n")
+    assert private_definitions(tree) == ["_A", "_B", "_C", "_D", "_f", "_K", "_E"]
+    assert [d for d in private_definitions(tree) if d not in referenced_names(tree)] == \
+        ["_D", "_f", "_K", "_E"]

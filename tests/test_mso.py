@@ -46,11 +46,17 @@ class TestSyntax:
             "(exists2 X (forall1 x (in x X)))",
             "(pred L Xa Xb)",
             "(and (< x y) (< y z) (letter z b))",
+            "(forall2 X (or (in x X) (not (in y X))))",
         ]
         for text in texts:
             phi = parse_formula(text)
             assert format_formula(phi) == text
             assert parse_formula(format_formula(phi)) == phi
+
+    def test_head_table_covers_every_node_kind(self):
+        assert set(mso._HEAD_OF) == set(mso.Formula.__subclasses__())
+        assert len(mso._HEAD_OF) == 12
+        assert {mso._NODE_OF[h]: h for h in mso._NODE_OF} == mso._HEAD_OF
 
     def test_parse_rejects_malformed(self):
         bad = ["", "x", "(< x)", "(bogus x y)", "(and)", "(not a b)",
@@ -104,6 +110,10 @@ class TestScopes:
         assert len(problems) == 2 and all("unbound" in p for p in problems)
         assert check_scopes(parse_formula("(< x y)"),
                             free_positions=("x", "y")) == []
+
+    def test_unbound_set_variable(self):
+        assert check_scopes(parse_formula("(in x X)"), free_positions=["x"]) == \
+            ["unbound set variable 'X' in x ∈ X"]
 
     def test_sort_clashes(self):
         phi = parse_formula("(exists2 X (exists1 x (< x X)))")
@@ -608,6 +618,12 @@ class TestEvaluate:
             evaluate(parse_formula("(pred P X)"),
                      UPValuation(sets={"X": indicator_set("", "1")}),
                      {"P": LassoOracle()})
+
+    def test_quantifier_over_a_variable_at_both_sorts(self):
+        phi = parse_formula("(exists1 y (and (< x y) (in y x)))")
+        with pytest.raises(UnsupportedFormulaError,
+                           match=r"^variables used at both sorts: \['x'\]$"):
+            evaluate(phi, UPValuation())
 
     def test_agreement_smoke(self):
         rng = random.Random(11)

@@ -116,6 +116,11 @@ class TestRightCongruence:
                             for w in (u, v)]
                 assert o.member(extended[0]) != o.member(extended[1])
 
+    def test_oracle_decides_when_the_suffix_bound_is_too_short(self):
+        # a^5 and a^6 differ only past three letters: the oracle's own answer
+        v = right_congruence_finite(AnBnOracle(), "aaaaa", "aaaaaa", bound=3)
+        assert v == CongruenceVerdict(False, True, None)
+
     def test_inexact_oracle_reports_its_limits(self):
         just_aa = ExplicitOracle(["aa"], "ab", name="just-aa")
         v = right_congruence_finite(just_aa, "aa", "aaaa", bound=3)

@@ -140,6 +140,33 @@ def test_first_other_letter_on_growing_blocks():
     assert first_other_letter(empty_first, "a", 0, 5) == 0
 
 
+def test_lasso_scan_stops_after_one_period(monkeypatch):
+    import omegaword.words as words
+
+    calls = []
+    real = words.letter_at
+
+    def counted(w, i):
+        calls.append(i)
+        if len(calls) > 100:
+            raise AssertionError("the scan did not stop")
+        return real(w, i)
+
+    monkeypatch.setattr(words, "letter_at", counted)
+    bounded = BlockWord(AB, "a", "b", EventuallyPeriodicLengths((3,), (2, 1)))
+    ba = up_word("b", "a", AB)
+    cases = [(ba, "a", 0, 0), (ba, "a", 1, None), (ba, "a", 5, None),
+             (up_word("ab", "aab", AB), "a", 8, 10), (up_word("", "b", AB), "a", 0, 0),
+             (bounded, "a", 0, 3), (bounded, "a", 4, 6)]
+    for w, letter, first, want in cases:
+        u = w._up_form if isinstance(w, BlockWord) else w
+        calls.clear()
+        assert first_other_letter(w, letter, first, 10 ** 12) == want
+        assert len(calls) <= len(u.prefix) + len(u.period)
+    with pytest.raises(IndexError):
+        first_other_letter(ba, "a", -1, 10 ** 12)
+
+
 def test_constant_blocks_equal_lasso():
     w = BlockWord(AB, "a", "b", ConstantLengths(2))
     assert up_equal(to_up_word(w), up_word("", "aab", AB))
