@@ -36,7 +36,9 @@ The bounded congruences of an infinite-word language itself (two-sided with
 lasso tails and infinite products, or right with lasso tails only) are
 sampled the same way: all context instantiations up to a length bound of at
 least 1.  Each word gets one row of membership verdicts over the fixed
-contexts (an observation table), and words whose rows agree are related.
+contexts (an observation table), and words with equal rows form one group;
+the one row that may hold wildcards merges groups as `BoundedPartition`
+says.
 
 When the oracle declares a neutral letter, every verdict depends only on
 the words with that letter erased (see `LanguageOracle.neutral_letter`).
@@ -48,8 +50,9 @@ False in every row, so it is left out.
 
 A power w(u v)^omega whose repeated word u v is empty is no infinite word
 either.  Without a neutral letter n this happens only for u and v empty:
-the empty word's row leaves those slots undefined (the wildcard None), and
-non-transitivity can only come from them.  With n, the erased empty slot
+the empty word's two-sided row leaves those slots undefined (the wildcard
+None).  Right rows have no power slots, so at most one row has wildcards,
+and non-transitivity can only come from it.  With n, the erased empty slot
 holds False instead, which relates the same words.  For the raw context
 v = n gives the empty word False at w(n)^omega, a finite word after
 erasure, and gives a word u its verdict at w(u n)^omega, which is its
@@ -631,54 +634,45 @@ def _memo_member(oracle) -> Callable[[tuple, tuple], bool]:
 class BoundedPartition:
     """Classes of words up to the word bound, under one bounded congruence.
 
-    Two words are related when their verdict rows over the bounded contexts
-    agree wherever both are defined.  Only the empty word's row has undefined
-    slots (its skipped power contexts), and only when the oracle declares no
-    neutral letter, so only a triple through the empty word can fail
-    transitivity.  Such failures are surfaced in `non_transitive` rather
-    than repaired, and the classes are then the transitive closure of the
-    relation.
+    Words with equal verdict rows form one group.  At most one row has
+    wildcards (see the module docstring), and its group absorbs every group
+    whose row agrees with it wherever it is defined; the classes are these
+    merged groups and the other groups, in the order of their first words,
+    each in word order.  Two groups absorbed through the wildcard row
+    disagree with each other, so each pair of their words around a word
+    with that row fails transitivity.  The first ten such triples (i, j, k),
+    in word order of i, then j, then k, are surfaced in `non_transitive`
+    rather than repaired; no other triple fails, since rows without
+    wildcards agree only when they are equal.
     """
 
     classes: tuple[tuple[FiniteWord, ...], ...]
     non_transitive: tuple[tuple[FiniteWord, FiniteWord, FiniteWord], ...]
 
 
-def _rows_agree(r: tuple, s: tuple) -> bool:
-    return all(a == b or a is None or b is None for a, b in zip(r, s))
-
-
 def _partition(words: list[FiniteWord], rows: list[tuple]) -> BoundedPartition:
+    """The `BoundedPartition` of `words` with verdict rows `rows`."""
     index: dict = {}
-    rid = [index.setdefault(r, len(index)) for r in rows]
-    agree = [[_rows_agree(r, s) for s in index] for r in index]
-    verdict = [[agree[a][b] for b in rid] for a in rid]
-    n = len(words)
+    group = [index.setdefault(r, len(index)) for r in rows]
+    owner = list(range(len(index)))  # the group whose class holds each group
     bad: tuple = ()
-    if any(None in r for r in index):  # without a wildcard, agreeing is equality
-        bad = tuple(itertools.islice(
-            ((words[i], words[j], words[k])
-             for i in range(n) for j in range(n) if i != j and verdict[i][j]
-             for k in range(n) if k != i and k != j and verdict[j][k] and not verdict[i][k]),
-            10))
-    # transitive closure via union-find
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if verdict[i][j]:
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(words[i])
-    classes = tuple(tuple(g) for g in groups.values())
-    return BoundedPartition(classes, bad)
+    wild = next((r for r in index if None in r), None)
+    if wild is not None:
+        hub = index[wild]
+        slots = [k for k, x in enumerate(wild) if x is not None]
+        for g, r in enumerate(index):
+            if all(r[k] == wild[k] for k in slots):
+                owner[g] = hub
+        absorbed = [i for i, g in enumerate(group) if g != hub and owner[g] == hub]
+        if len({group[i] for i in absorbed}) > 1:
+            centre = [j for j, g in enumerate(group) if g == hub]
+            bad = tuple(itertools.islice(
+                ((words[i], words[j], words[k]) for i in absorbed for j in centre
+                 for k in absorbed if group[k] != group[i]), 10))
+    classes: dict = {}
+    for u, g in zip(words, group):
+        classes.setdefault(owner[g], []).append(u)
+    return BoundedPartition(tuple(map(tuple, classes.values())), bad)
 
 
 def _bounded_partition(oracle, word_bound: int, context_bound: int,

@@ -465,8 +465,6 @@ def decode_partition(tracks: Sequence[UPWord], letters) -> Optional[UPWord]:
     alpha = alphabet(letters)
     if len(tracks) != len(alpha):
         raise FormatError("one indicator track per alphabet letter required")
-    if not tracks:
-        raise FormatError("cannot decode an empty family of tracks")
     n = max(len(t.prefix) for t in tracks)
     p = math.lcm(*[len(t.period) for t in tracks])
     out = []

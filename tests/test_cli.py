@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from omegaword.buchi import automaton, format_automaton, parse_automaton
 from omegaword.cli import run
 from omegaword.congruence import classifier, format_classifier, parse_classifier
@@ -335,3 +337,28 @@ class TestExitCodes:
         rc, doc = invoke(capsys, ["buchi", "member", str(fa),
                                   "--word", "blocks(a,b;affine 1 0)"])
         assert rc == 1 and doc["kind"] == "UnsupportedWordError"
+
+    @pytest.mark.parametrize("text, message", [
+        ("alphabet a\nstates q\n", "classifier file needs alphabet/states/initial lines"),
+        ("alphabet a\ninitial q\nstates q\nclass q c\nq a q\n",
+         "line 2 must start with 'states'"),
+        ("alphabet a\nstates q p\ninitial q p\nclass q c\nclass p c\nq a q\np a p\n",
+         "classifiers have exactly one initial state"),
+        ("alphabet a\nstates q\ninitial q\nclass q\nq a q\n", "bad class line 'class q'"),
+        ("alphabet a\nstates q\ninitial q\nclass q c\nq a\n", "bad line 'q a'"),
+    ])
+    def test_classifier_parse_errors(self, capsys, tmp_path, text, message):
+        f = tmp_path / "c.clf"
+        f.write_text(text)
+        rc, doc = invoke(capsys, ["congruence", "check1", str(f)])
+        assert rc == 2 and doc["kind"] == "FormatError" and doc["error"] == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("alphabet a\nstates q q\ninitial q\naccepting q\nq a q\n", "duplicate state"),
+        ("alphabet a\nstates q\ninitial p\naccepting q\nq a q\n", "undeclared state 'p'"),
+    ])
+    def test_automaton_parse_errors(self, capsys, tmp_path, text, message):
+        f = tmp_path / "a.aut"
+        f.write_text(text)
+        rc, doc = invoke(capsys, ["buchi", "empty", str(f)])
+        assert rc == 2 and doc["kind"] == "FormatError" and doc["error"] == message

@@ -8,6 +8,7 @@ from omegaword.buchi import accepts_up, automaton
 from omegaword.congruence import (
     BoundedPartition,
     Classifier,
+    Condition2ViolationWitness,
     GrowingBlockSequence,
     PeriodicWordSequence,
     _partition,
@@ -373,6 +374,18 @@ class TestCondition2:
         assert w.original_member != w.replaced_member
         assert validate_condition2_witness(c, oracle, w)
 
+    def test_witness_with_a_replacement_in_another_class_is_rejected(self):
+        # a and b lie in different classes of the last-letter classifier, so
+        # the verdicts alone (a^w in U, b^w not) do not make a witness
+        c = last_letter_classifier()
+        oracle = get_oracle("U")
+        original = PeriodicWordSequence((), (finite_word("a", AB),))
+        replaced = PeriodicWordSequence((), (finite_word("b", AB),))
+        assert product_member(oracle, original)[0] and not product_member(oracle, replaced)[0]
+        witness = Condition2ViolationWitness(original, replaced, original.product(),
+                                             replaced.product(), True, False)
+        assert not validate_condition2_witness(c, oracle, witness)
+
     def test_kernel_classifier_of_automaton_finds_nothing(self):
         a = inf_a()
         c = profile_kernel_classifier(a)
@@ -441,6 +454,33 @@ class TestCondition2:
                 GrowingBlockSequence(AB, block, sep, 1, 0)
 
 
+def brute_force_partition(words, rows):
+    """Related pairs are rows that agree wherever both are defined (None is
+    a wildcard); the classes are the transitive closure of that relation, in
+    the order of their first words, and the triples the first ten (i, j, k)
+    with i ~ j, j ~ k and not i ~ k."""
+    n = len(rows)
+    rel = [[all(x == y or x is None or y is None for x, y in zip(rows[i], rows[j]))
+            for j in range(n)] for i in range(n)]
+    cls = [None] * n
+    classes = []
+    for i in range(n):
+        if cls[i] is None:
+            cls[i], todo, members = len(classes), [i], []
+            while todo:
+                x = todo.pop()
+                members.append(x)
+                for y in range(n):
+                    if rel[x][y] and cls[y] is None:
+                        cls[y] = cls[i]
+                        todo.append(y)
+            classes.append(tuple(words[x] for x in sorted(members)))
+    triples = [(words[i], words[j], words[k])
+               for i in range(n) for j in range(n) for k in range(n)
+               if len({i, j, k}) == 3 and rel[i][j] and rel[j][k] and not rel[i][k]]
+    return BoundedPartition(tuple(classes), tuple(triples[:10]))
+
+
 def partition_texts(part):
     return ([[w.text() for w in cls] for cls in part.classes],
             [tuple(w.text() for w in t) for t in part.non_transitive])
@@ -483,6 +523,40 @@ class TestBoundedCongruences:
         assert isinstance(part, BoundedPartition)
         assert len(part.non_transitive) > 0
         assert len(part.classes) == 1  # closure merges all three
+
+    @pytest.mark.parametrize("rows, expected_triples", [
+        # T and F groups both agree with the wildcard row at index 2: more
+        # than ten triples, of which the first ten in (i, j, k) order
+        ([(True,), (False,), (None,), (True,), (False,), (True,), (False,), (True,)],
+         [(0, 2, 1), (0, 2, 4), (0, 2, 6), (1, 2, 0), (1, 2, 3), (1, 2, 5), (1, 2, 7),
+          (3, 2, 1), (3, 2, 4), (3, 2, 6)]),
+        # the wildcard row agrees with no group: nothing merges
+        ([(True, True), (None, False), (False, True), (True, True)], []),
+        # it agrees with one group only: that group merges, no triple
+        ([(False, True), (True, False), (None, False), (True, False)], []),
+    ], ids=["capped", "wildcard-alone", "one-group"])
+    def test_partition_hand_cases_match_brute_force(self, rows, expected_triples):
+        words = congruence._words_up_to(AB, 3)[:len(rows)]
+        part = _partition(words, rows)
+        assert part == brute_force_partition(words, rows)
+        assert part.non_transitive == tuple(
+            tuple(words[x] for x in t) for t in expected_triples)
+
+    def test_partition_matches_brute_force_on_random_rows(self):
+        rng = random.Random(17)
+        words = congruence._words_up_to(AB, 4)
+        capped = wildcard_alone = 0
+        for _ in range(600):
+            n, m = rng.randint(1, 30), rng.randint(1, 4)
+            rows = [tuple(rng.random() < 0.5 for _ in range(m)) for _ in range(n)]
+            w = rng.randrange(n) if rng.random() < 0.8 else None  # the wildcard word
+            if w is not None:
+                rows[w] = tuple(None if rng.random() < 0.6 else x for x in rows[w])
+            part = _partition(words[:n], rows)
+            assert part == brute_force_partition(words[:n], rows)
+            capped += len(part.non_transitive) == 10
+            wildcard_alone += w is not None and None in rows[w] and (words[w],) in part.classes
+        assert capped and wildcard_alone
 
     @pytest.mark.parametrize("name,word_bound", [
         pytest.param("U", 2, id="U"), pytest.param("P", 2, id="P"),

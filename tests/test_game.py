@@ -6,6 +6,7 @@ import pytest
 from helpers import (ref_distinct_cycles, ref_first_other_letter, ref_scheme_search,
                      ref_transcript_json)
 from omegaword import game
+from omegaword.congruence import Condition2ViolationWitness, PeriodicWordSequence
 from omegaword.errors import (AlphabetMismatchError, BudgetExceededError, FormatError,
                               IllegalMoveError, UnsupportedWordError)
 from omegaword.game import (
@@ -240,6 +241,27 @@ class TestPlays:
         with pytest.raises(IllegalMoveError):
             play_bounded(affine_word(), UnboundedBlocksOracle(),
                          Alien(random.Random(3)), CopyDuplicator(), horizon=6)
+
+    @pytest.mark.parametrize("factor, notes, cycle", [
+        ("b", ("violation witness realized in the transcript",), (3,)),
+        # bbb is not among the round-3 words, so no round realizes it
+        ("bbb", ("witness not realizable within horizon; direct scheme search succeeded",),
+         (1,)),
+    ])
+    def test_diverging_realizes_a_periodic_witness(self, factor, notes, cycle):
+        class PeriodicFinder(UnboundedBlocksOracle):
+            @staticmethod
+            def finder(oracle, c):
+                seq = PeriodicWordSequence((), (finite_word(factor, AB),))
+                return Condition2ViolationWitness(seq, seq, seq.product(), seq.product(),
+                                                  False, False)
+
+        t = play_bounded(up_word("", "aab", AB), PeriodicFinder(),
+                         DivergingSpoiler(), ConstantDuplicator("a"), horizon=6)
+        assert t.notes == notes
+        assert t.scheme == IndexScheme((), cycle)
+        assert t.winner == SPOILER
+        assert validate_transcript(t) == []
 
     def test_diverging_needs_violation_finder(self):
         with pytest.raises(UnsupportedWordError):
