@@ -681,19 +681,27 @@ def with_canonical_names(a: BuchiAutomaton) -> BuchiAutomaton:
 # text format
 
 
-def parse_automaton(text: str) -> BuchiAutomaton:
+def _read_header(text: str, kind: str, keys: tuple[str, ...]) -> tuple[dict, list[str]]:
+    """The header of an automaton or classifier file: the words after each
+    of the `keys`, which open the first lines in that order, and the lines
+    after them.  Blank lines and comment lines (``#``) are skipped."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 4:
-        raise FormatError("automaton file needs alphabet/states/initial/accepting lines")
+    if len(lines) < len(keys):
+        raise FormatError(f"{kind} file needs {'/'.join(keys)} lines")
     heads = {}
-    for i, key in enumerate(("alphabet", "states", "initial", "accepting")):
+    for i, key in enumerate(keys):
         parts = lines[i].split()
-        if not parts or parts[0] != key:
+        if parts[0] != key:
             raise FormatError(f"line {i + 1} must start with '{key}'")
         heads[key] = parts[1:]
+    return heads, lines[len(keys):]
+
+
+def parse_automaton(text: str) -> BuchiAutomaton:
+    heads, rest = _read_header(text, "automaton", ("alphabet", "states", "initial", "accepting"))
     trans = []
-    for ln in lines[4:]:
+    for ln in rest:
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError(f"bad transition line {ln!r}")

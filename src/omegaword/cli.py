@@ -65,7 +65,10 @@ def _read(path: str) -> str:
 
 
 def _alpha_flag(text: str):
-    return alphabet(text.split(","))
+    try:
+        return alphabet(text.split(","))
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _names_flag(text: str) -> tuple[str, ...]:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .buchi import BuchiAutomaton, _closure, transition_monoid
+from .buchi import BuchiAutomaton, _closure, _read_header, transition_monoid
 from .errors import (
     DegenerateErasureError,
     DegenerateProductError,
@@ -726,21 +726,12 @@ def right_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> Bou
 
 
 def parse_classifier(text: str) -> Classifier:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 3:
-        raise FormatError("classifier file needs alphabet/states/initial lines")
-    heads = {}
-    for i, key in enumerate(("alphabet", "states", "initial")):
-        parts = lines[i].split()
-        if not parts or parts[0] != key:
-            raise FormatError(f"line {i + 1} must start with '{key}'")
-        heads[key] = parts[1:]
+    heads, rest = _read_header(text, "classifier", ("alphabet", "states", "initial"))
     if len(heads["initial"]) != 1:
         raise FormatError("classifiers have exactly one initial state")
     classes: dict = {}
     delta = {}
-    for ln in lines[3:]:
+    for ln in rest:
         parts = ln.split()
         if parts[0] == "class":
             if len(parts) != 3:

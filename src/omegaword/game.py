@@ -693,6 +693,42 @@ _TRANSCRIPT_KEYS = ("adjudication_error", "chosen", "duplicator_words", "family"
                     "family_note", "forfeit", "horizon", "move_alphabet", "notes",
                     "oracle", "scheme", "selected", "spoiler_words", "verdict_notes",
                     "verdicts", "winner", "word", "word_alphabet")
+
+
+def _row(x, *kinds: type) -> bool:
+    """Is x a JSON list of values of exactly these kinds, in this order?"""
+    return (type(x) is list and len(x) == len(kinds)
+            and all(type(v) is k for v, k in zip(x, kinds)))
+
+
+def _list_of(x, kind: type) -> bool:
+    return type(x) is list and all(type(v) is kind for v in x)
+
+
+_TEXT = ("a string", lambda x: type(x) is str)
+_NULL_OR_TEXT = ("null or a string", lambda x: x is None or type(x) is str)
+_TEXTS = ("a list of strings", lambda x: _list_of(x, str))
+# The kind of each field of a transcript document but the intervals, which
+# `_intervals_from_json` checks, and the move words, which are texts or letter
+# lists checked as they are read.
+_FIELD_KINDS = {
+    "adjudication_error": _NULL_OR_TEXT,
+    "family_note": _TEXT,
+    "forfeit": ("null or [str, int, str]", lambda x: x is None or _row(x, str, int, str)),
+    "horizon": ("an int >= 1", lambda x: type(x) is int and x >= 1),
+    "move_alphabet": _TEXTS,
+    "notes": _TEXTS,
+    "oracle": _TEXT,
+    "scheme": ("null or int lists under head and cycle",
+               lambda x: x is None or (type(x) is dict and _list_of(x.get("head"), int)
+                                       and _list_of(x.get("cycle"), int))),
+    "verdict_notes": ("two strings", lambda x: _row(x, str, str)),
+    "verdicts": ("null or two bools", lambda x: x is None or _row(x, bool, bool)),
+    "winner": _NULL_OR_TEXT,
+    "word": _TEXT,
+    "word_alphabet": _TEXTS,
+}
+
 # One interval at its depth in the document, as `json.dumps(indent=2)` lays it out.
 _INTERVAL = "[\n      %d,\n      %d\n    ]"
 
@@ -779,6 +815,9 @@ def transcript_from_json(text: str) -> GameTranscript:
     missing = [k for k in _TRANSCRIPT_KEYS if k not in doc]
     if missing:
         raise FormatError(f"not a transcript: missing {', '.join(missing)}")
+    for key, (kind, ok) in _FIELD_KINDS.items():
+        if not ok(doc[key]):
+            raise FormatError(f"not a transcript: {key} holds {doc[key]!r}, not {kind}")
     try:
         walpha = alphabet(doc["word_alphabet"])
         malpha = alphabet(doc["move_alphabet"])

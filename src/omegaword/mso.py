@@ -1013,9 +1013,18 @@ def evaluate(phi: Formula, val: UPValuation,
     A valuation without a word evaluates against a default one-letter word,
     which suits formulas that never mention letters.  An ill-scoped formula
     (`check_scopes`, with the formula's free variables declared at the
-    sorts they are used at) raises FormatError.
+    sorts they are used at) raises FormatError, and so does a valuation
+    with a position that is no int >= 0 or a set with a letter other than
+    0/1, whatever the formula reads of it.
     """
     _require_scopes(phi, *free_variables(phi))
+    for n in val.positions.values():
+        if type(n) is not int or n < 0:
+            raise FormatError("positions are nonnegative")
+    for s in val.sets.values():
+        for b in s.prefix + s.period:
+            if b not in ("0", "1"):
+                raise FormatError(f"indicator letters must be 0/1, found {b!r}")
     word = val.word if val.word is not None else up_word("", "a", alphabet("a"))
 
     def pos_of(v: str) -> int:

@@ -1,8 +1,9 @@
 """Membership oracles for languages of infinite words.
 
-An oracle decides membership for the presentation classes it supports
-(lasso words and block words), declares its alphabet, and fails loudly on
-anything it cannot decide exactly.  The registry covers:
+An oracle declares its alphabet and decides membership in one method,
+`decide`, which `LanguageOracle.member` calls on a lasso word or a growing
+block word over that alphabet; it fails loudly on any word it cannot decide
+exactly.  The registry covers:
 
 * ``U``        words over {a, b} whose all-`a` stretches are unbounded
 * ``Uprime``   ``neutral:U`` under its old name
@@ -36,6 +37,7 @@ from .words import (
     Alphabet,
     BlockWord,
     FiniteWord,
+    InfiniteWord,
     UPWord,
     Word,
     _check_letters,
@@ -53,13 +55,14 @@ AB = alphabet("ab")
 
 
 class LanguageOracle:
-    """Base class: dispatch plus alphabet embedding.
+    """Base class: one normalization, then the subclass's `decide`.
 
     Words whose letters all belong to the oracle's alphabet are accepted
     regardless of the (possibly smaller) alphabet they were built over.  A
-    block word with bounded lengths is the lasso word it spells: it goes to
-    `membership_up`, and only the letters it spells must embed (all blocks
-    may be empty).  `membership_block` sees growing blocks only.
+    block word with bounded lengths is the lasso word it spells, and only
+    the letters it spells must embed (all blocks may be empty).  So
+    `decide` sees a lasso word or a growing block word, and a subclass
+    tests the presentation only where its answer depends on it.
     """
 
     name: str = "?"
@@ -78,10 +81,7 @@ class LanguageOracle:
             raise UnsupportedWordError("a finite word is not an infinite word")
         if isinstance(w, BlockWord) and w.lengths.bounded():
             w = w._up_form
-        w = self._embed(w)
-        if isinstance(w, UPWord):
-            return self.membership_up(w)
-        return self.membership_block(w)
+        return self.decide(self._embed(w))
 
     def _embed(self, w: Word) -> Word:
         if w.alphabet == self.alphabet:
@@ -94,11 +94,11 @@ class LanguageOracle:
         raise AlphabetMismatchError(
             f"word over {w.alphabet.letters} does not embed into {self.alphabet.letters}")
 
-    def membership_up(self, w: UPWord) -> bool:
-        raise UnsupportedWordError(f"{self.name} does not decide lasso words")
-
-    def membership_block(self, w: BlockWord) -> bool:
-        raise UnsupportedWordError(f"{self.name} does not decide block words")
+    def decide(self, w: InfiniteWord) -> bool:
+        """Membership of a lasso word or a growing block word over the
+        oracle's alphabet; see the class docstring."""
+        kind = "lasso" if isinstance(w, UPWord) else "block"
+        raise UnsupportedWordError(f"{self.name} does not decide {kind} words")
 
     def find_condition2_violation(self, c: Classifier) -> Condition2ViolationWitness:
         if self.finder is None:
@@ -186,10 +186,7 @@ class UnboundedBlocksOracle(LanguageOracle):
     alphabet = AB
     finder = staticmethod(_unbounded_runs_violation)
 
-    def membership_up(self, w: UPWord) -> bool:
-        return max_letter_run(w, "a") is None
-
-    def membership_block(self, w: BlockWord) -> bool:
+    def decide(self, w: InfiniteWord) -> bool:
         return max_letter_run(w, "a") is None
 
 
@@ -201,11 +198,8 @@ class LassoOracle(LanguageOracle):
     name = "P"
     alphabet = AB
 
-    def membership_up(self, w: UPWord) -> bool:
-        return True
-
-    def membership_block(self, w: BlockWord) -> bool:
-        return False
+    def decide(self, w: InfiniteWord) -> bool:
+        return isinstance(w, UPWord)
 
 
 def _is_prime(n: int) -> bool:
@@ -230,12 +224,11 @@ class PrimeBlocksOracle(LanguageOracle):
     name = "primes"
     alphabet = AB
 
-    def membership_up(self, w: UPWord) -> bool:
+    def decide(self, w: InfiniteWord) -> bool:
+        if isinstance(w, BlockWord):
+            return False
         root = canonical_parts(w.prefix, w.period)[1]
         return root.count("b") == 1 and _is_prime(len(root) - 1)
-
-    def membership_block(self, w: BlockWord) -> bool:
-        return False
 
 
 class SingletonOracle(LanguageOracle):
@@ -250,10 +243,9 @@ class SingletonOracle(LanguageOracle):
         up = target._up_form if isinstance(target, BlockWord) else target
         self._lasso = None if up is None else canonical_parts(up.prefix, up.period)
 
-    def membership_up(self, w: UPWord) -> bool:
-        return canonical_parts(w.prefix, w.period) == self._lasso
-
-    def membership_block(self, w: BlockWord) -> bool:
+    def decide(self, w: InfiniteWord) -> bool:
+        if isinstance(w, UPWord):
+            return canonical_parts(w.prefix, w.period) == self._lasso
         t = self.target
         return (isinstance(t, BlockWord)
                 and (w.block, w.sep, w.lengths) == (t.block, t.sep, t.lengths))
@@ -267,11 +259,10 @@ class RegularOracle(LanguageOracle):
         self.alphabet = automaton.alphabet
         self.name = name or "regular"
 
-    def membership_up(self, w: UPWord) -> bool:
+    def decide(self, w: InfiniteWord) -> bool:
+        if isinstance(w, BlockWord):
+            raise UnsupportedWordError("automaton oracles decide lasso-presentable words only")
         return accepts_up(self.automaton, w)
-
-    def membership_block(self, w: BlockWord) -> bool:
-        raise UnsupportedWordError("automaton oracles decide lasso-presentable words only")
 
 
 class NeutralOracle(LanguageOracle):
@@ -282,8 +273,8 @@ class NeutralOracle(LanguageOracle):
     `letter` has none and is rejected as unsupported (DegenerateErasureError).
     A growing block word whose block letter is neutral erases to sep^omega,
     one whose separator is neutral to block^omega, and any other goes to
-    `base` as it is.  The violation finder is `base`'s, asked about this
-    oracle.
+    `base` as the same block word over `base`'s alphabet.  The violation
+    finder is `base`'s, asked about this oracle.
     """
 
     def __init__(self, base: LanguageOracle, letter: str, name: Optional[str] = None):
@@ -297,17 +288,16 @@ class NeutralOracle(LanguageOracle):
         letter = self.neutral_letter
         return tuple(x for x in z if x != letter) if letter in z else z
 
-    def membership_up(self, w: UPWord) -> bool:
+    def decide(self, w: InfiniteWord) -> bool:
+        base = self.base
+        if isinstance(w, BlockWord):
+            if self.neutral_letter not in (w.block, w.sep):
+                return base.decide(with_alphabet(w, base.alphabet))
+            w = UPWord._of(self.alphabet, (), (w.block, w.sep))  # erases as w does
         period = self._erase(w.period)
         if not period:
             raise DegenerateErasureError("erasing the neutral letter leaves a finite word")
-        base = self.base
-        return base.membership_up(UPWord._of(base.alphabet, self._erase(w.prefix), period))
-
-    def membership_block(self, w: BlockWord) -> bool:
-        if self.neutral_letter in (w.block, w.sep):  # erases as (block sep)^omega does
-            return self.membership_up(UPWord._of(self.alphabet, (), (w.block, w.sep)))
-        return self.base.membership_block(w)
+        return base.decide(UPWord._of(base.alphabet, self._erase(w.prefix), period))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from typing import Optional, Union
 
 from .errors import AlphabetMismatchError, FormatError
 from .oracles import LanguageOracle
-from .words import Alphabet, FiniteWord, UPWord, _check_letters, alphabet, canonical_parts
+from .words import (Alphabet, BlockWord, FiniteWord, InfiniteWord, _check_letters, alphabet,
+                    canonical_parts)
 
 SEPARATOR = "#"
 MARKED_SEPARATOR = "%#"
@@ -245,7 +246,11 @@ class CongruenceVerdict:
 
 def _coerce_finite(text_or_word: Union[str, FiniteWord],
                    letters: Alphabet) -> FiniteWord:
+    """The word of a text over `letters`, or a finite word whose letters
+    all belong to `letters`, whatever alphabet it was built over."""
     if isinstance(text_or_word, FiniteWord):
+        if text_or_word.alphabet != letters:
+            _check_letters(text_or_word.letters, letters)
         return text_or_word
     for x in text_or_word:
         if x not in letters:
@@ -256,8 +261,6 @@ def _coerce_finite(text_or_word: Union[str, FiniteWord],
 def _distinguishing_suffix(language: FiniteLanguageOracle, u: FiniteWord,
                            v: FiniteWord, bound: int) -> Optional[FiniteWord]:
     alpha = language.alphabet
-    _check_letters(u.letters, alpha)  # u and v may come over another alphabet
-    _check_letters(v.letters, alpha)
     for n in range(bound + 1):
         for tail in product(alpha.letters, repeat=n):
             if (language.member(FiniteWord._of(alpha, u.letters + tail))
@@ -429,7 +432,9 @@ def member_L2(language: FiniteLanguageOracle, s: Union[str, SeparatedWord], *,
     separators equally often.
 
     Text is checked by one match, as `parse_separated` checks it; a text
-    with an empty group is answered before any segment is built.
+    with an empty group is answered before any segment is built.  The
+    segments of a separated word over another alphabet are checked against
+    the language's alphabet.
     """
     if isinstance(s, str):
         alpha = alphabet(language.alphabet)
@@ -440,6 +445,9 @@ def member_L2(language: FiniteLanguageOracle, s: Union[str, SeparatedWord], *,
         v = _segments(right, MARKED_SEPARATOR, alpha)
     else:
         w, v = s.left, s.right
+        if s.alphabet.letters != language.alphabet.letters:
+            for seg in w + v:
+                _check_letters(seg.letters, language.alphabet)
         if not w or not v:
             return False
 
@@ -485,7 +493,9 @@ class _LoopOracle(LanguageOracle):
         self.alphabet = language.alphabet
         self.name = f"loop:{language.name}"
 
-    def membership_up(self, w: UPWord) -> bool:
+    def decide(self, w: InfiniteWord) -> bool:
+        if isinstance(w, BlockWord):
+            return False  # growing blocks are never ultimately periodic
         root = canonical_parts(w.prefix, w.period)[1]
         rotations = {root[i:] + root[:i] for i in range(len(root))}
         for r in sorted(rotations):
@@ -493,9 +503,6 @@ class _LoopOracle(LanguageOracle):
                 if self.language.member(FiniteWord._of(self.alphabet, r * k)):
                     return True
         return False
-
-    def membership_block(self, w) -> bool:
-        return False  # growing blocks are never ultimately periodic
 
 
 def loop_representation(language: FiniteLanguageOracle, *,

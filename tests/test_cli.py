@@ -362,3 +362,62 @@ class TestExitCodes:
         f.write_text(text)
         rc, doc = invoke(capsys, ["buchi", "empty", str(f)])
         assert rc == 2 and doc["kind"] == "FormatError" and doc["error"] == message
+
+
+# Malformed invocations of every command and the exit code that the CLI
+# documents for each: 1 for an unsupported word presentation, 2 for a usage
+# error (bad flags, malformed input).  Paths are written as {aut}, {bad_aut},
+# {clf}, {bad_clf}, {phi}, {letter_x} and {neg_pos}.
+MALFORMED = [
+    (["buchi", "empty", "{bad_aut}"], 2),
+    (["buchi", "member", "{aut}", "--word", "ab("], 2),
+    (["buchi", "member", "{aut}", "--word", "blocks(a,b;affine 1 0)"], 1),
+    (["buchi", "union", "{aut}"], 2),
+    (["congruence", "check1", "{bad_clf}"], 2),
+    (["congruence", "arnold", "--oracle", "U", "--word-bound", "0", "--context-bound", "2"], 2),
+    (["congruence", "arnold", "--oracle", "nope", "--word-bound", "2", "--context-bound", "2"], 2),
+    (["oracle", "member", "--oracle", "U", "--word", "ab"], 1),
+    (["oracle", "member", "--oracle", "U", "--word", "(c)^w"], 2),
+    (["oracle", "violation", "{clf}", "--oracle", "P"], 1),
+    (["game", "play", "--word", "(a)^w", "--oracle", "U", "--spoiler", "nope",
+      "--duplicator", "copy", "--horizon", "3"], 2),
+    (["game", "play", "--word", "(a)^w", "--oracle", "U", "--spoiler", "random",
+      "--duplicator", "copy", "--horizon", "0"], 2),
+    (["mso", "sat", "{phi}", "--alphabet", "a,a"], 2),
+    (["mso", "sat", "{phi}", "--alphabet", "a, b"], 2),
+    (["mso", "sat", "{phi}", "--alphabet", "a,,b"], 2),
+    (["mso", "compile", "{phi}", "--alphabet", "a,a"], 2),
+    (["mso", "encode-game", "--alphabet", "a,a,1"], 2),
+    (["mso", "encode-game", "--alphabet", "a,,1"], 2),
+    (["mso", "eval", "{letter_x}", "--valuation", "{neg_pos}"], 2),
+    (["trio", "l1", "--input", "a"], 2),
+    (["trio", "l2", "--input", "a#c%#"], 2),
+    (["trio", "project", "--input", "a#%#b"], 2),
+    (["trio", "l2", "--input", "a#a%#", "--bound", "0"], 2),
+]
+
+
+def test_malformed_invocations_exit_with_their_codes(capsys, tmp_path):
+    files = {
+        "aut": format_automaton(inf_a_automaton()),
+        "bad_aut": "alphabet a\nstates q\n",
+        "clf": format_classifier(splitting_classifier()),
+        "bad_clf": "alphabet a\nstates q\n",
+        "phi": INF_A,
+        "letter_x": "(letter x a)",
+        "neg_pos": "word (ab)^w\npos x -1\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    wrong = []
+    for argv, code in MALFORMED:
+        try:
+            rc = run([a.format(**paths) for a in argv])
+        except Exception as exc:  # what would reach the user as a traceback
+            rc = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if rc != code or "Traceback" in err or not err.strip():
+            wrong.append((" ".join(argv), code, rc))
+    assert wrong == []

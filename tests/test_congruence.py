@@ -34,7 +34,7 @@ from omegaword.oracles import (
     RegularOracle,
     get_oracle,
 )
-from omegaword.words import alphabet, finite_word, up_word
+from omegaword.words import UPWord, alphabet, finite_word, up_word
 
 from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
                      ref_bounded_classes, ref_check_condition1, ref_check_condition2_bounded,
@@ -128,10 +128,10 @@ class NeutralRegularOracle(RegularOracle):
 
     neutral_letter = "1"
 
-    def membership_up(self, w):
-        if set(w.period) == {"1"}:
+    def decide(self, w):
+        if isinstance(w, UPWord) and set(w.period) == {"1"}:
             raise DegenerateErasureError("erasing the neutral letter leaves a finite word")
-        return super().membership_up(w)
+        return super().decide(w)
 
 
 def neutral_automaton(rng):

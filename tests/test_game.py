@@ -501,6 +501,32 @@ class TestTranscriptJson:
                 transcript_from_json(json.dumps(doc))
             assert str(got.value) == str(want.value) == f"bad interval [{bad[0]}, {bad[1]}]"
 
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", "five"), ("horizon", 0), ("horizon", 2.5), ("horizon", True),
+        ("horizon", None),
+        ("scheme", {"head": ["x"], "cycle": []}), ("scheme", {"head": [0], "cycle": [1.0]}),
+        ("scheme", {"head": [0]}), ("scheme", [1]), ("scheme", "0|1"),
+        ("forfeit", ["Spoiler", "2", "why"]), ("forfeit", ["Spoiler", 2]),
+        ("forfeit", "Spoiler"), ("forfeit", ["Spoiler", True, "why"]),
+        ("verdicts", ["a", "b"]), ("verdicts", [True]), ("verdicts", [1, 0]),
+        ("verdicts", [True, False, True]),
+        ("verdict_notes", ["x"]), ("verdict_notes", "ab"), ("verdict_notes", [1, 2]),
+        ("verdict_notes", None),
+        ("winner", 3), ("winner", ["Spoiler"]), ("adjudication_error", 3),
+        ("notes", "abc"), ("notes", [1]), ("notes", None),
+        ("oracle", None), ("oracle", 7), ("family_note", 5), ("word", 5),
+        ("word_alphabet", "ab"), ("move_alphabet", "ab"), ("move_alphabet", ["a", 1]),
+    ])
+    def test_field_of_the_wrong_kind(self, key, value):
+        """Each field's kind is checked as the document enters, so a
+        transcript that loads holds only values `validate_transcript` reads."""
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        doc = json.loads(transcript_to_json(t))
+        doc[key] = value
+        with pytest.raises(FormatError, match=f"^not a transcript: {key} holds "):
+            transcript_from_json(json.dumps(doc))
+
     def test_value_of_the_wrong_kind(self):
         t = play_bounded(affine_word(), UnboundedBlocksOracle(),
                          RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)

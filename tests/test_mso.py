@@ -619,6 +619,30 @@ class TestEvaluate:
                      UPValuation(sets={"X": indicator_set("", "1")}),
                      {"P": LassoOracle()})
 
+    VALUATION_READERS = ["(letter x a)", "(< x y)", "(in x X)", "(letter y b)",
+                         "(exists1 z (and (< x z) (in z X)))"]
+
+    @pytest.mark.parametrize("position", [-1, -4, 1.5, "0"])
+    def test_position_that_is_no_nonnegative_int(self, position):
+        """Refused at the top of `evaluate` with `singleton_set`'s message,
+        whatever the formula reads of the valuation."""
+        val = UPValuation(word=up_word("", "ab", AB), positions={"x": position, "y": 1},
+                          sets={"X": indicator_set("", "1")})
+        for text in self.VALUATION_READERS:
+            with pytest.raises(FormatError, match="^positions are nonnegative$"):
+                evaluate(parse_formula(text), val)
+
+    @pytest.mark.parametrize("prefix, period, bad", [("", "2", "2"), ("0a", "1", "a"),
+                                                     ("01", "1b0", "b")])
+    def test_set_with_a_letter_other_than_0_or_1(self, prefix, period, bad):
+        """Refused at the top of `evaluate` with `code_valuation`'s message."""
+        val = UPValuation(word=up_word("", "ab", AB), positions={"x": 0, "y": 1},
+                          sets={"X": up_word(prefix, period, alphabet("01ab2"))})
+        for text in self.VALUATION_READERS:
+            with pytest.raises(FormatError,
+                               match=f"^indicator letters must be 0/1, found '{bad}'$"):
+                evaluate(parse_formula(text), val)
+
     def test_quantifier_over_a_variable_at_both_sorts(self):
         phi = parse_formula("(exists1 y (and (< x y) (in y x)))")
         with pytest.raises(UnsupportedFormulaError,

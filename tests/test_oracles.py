@@ -19,6 +19,7 @@ from omegaword.errors import (
     UnsupportedWordError,
 )
 from omegaword.oracles import (
+    LanguageOracle,
     LassoOracle,
     NeutralOracle,
     PrimeBlocksOracle,
@@ -138,7 +139,7 @@ class TestNeutralUnboundedBlocks:
 
     def test_neutral_letter_check_catches_fakes(self):
         class Fake(NeutralOracle):
-            def membership_up(self, word):
+            def decide(self, word):  # the check samples lasso words only
                 return "1" in word.prefix  # blatantly not neutral
 
         fake = Fake(UnboundedBlocksOracle(), "1")
@@ -312,6 +313,67 @@ def test_bounded_block_words_are_decided_as_their_lassos():
             assert outcome(o, word) == outcome(o, to_up_word(word)), (o.name, word)
 
 
+class SpyOracle(LanguageOracle):
+    """Records every word its `decide` sees, and answers True."""
+
+    def __init__(self, letters):
+        self.alphabet = letters
+        self.seen = []
+
+    def decide(self, word):
+        self.seen.append(word)
+        return True
+
+
+class TestOneHook:
+    """`member` normalizes a word once and hands it to `decide`, the one
+    method an oracle defines."""
+
+    def test_base_decide_names_the_presentation(self):
+        class Bare(LanguageOracle):
+            name = "bare"
+
+        with pytest.raises(UnsupportedWordError, match="^bare does not decide lasso words$"):
+            Bare().member(w("(ab)^w"))
+        with pytest.raises(UnsupportedWordError, match="^bare does not decide lasso words$"):
+            Bare().member(w("blocks(a,b;constant 2)"))
+        with pytest.raises(UnsupportedWordError, match="^bare does not decide block words$"):
+            Bare().member(w("blocks(a,b;affine 1 0)"))
+
+    def test_decide_sees_a_lasso_or_a_growing_block_word_over_the_alphabet(self):
+        spy = SpyOracle(AB1)
+        for text in ("(a)^w", "b(ab)^w", "blocks(a,b;ep 1|0 2)", "blocks(b,1;affine 1 0)"):
+            assert spy.member(w(text))
+        with pytest.raises(UnsupportedWordError):
+            spy.member(finite_word("ab", AB))
+        assert [x.text() for x in spy.seen] == ["(a)^w", "b(ab)^w", "ab(baab)^w",
+                                                "blocks(b,1;affine 1 0)"]
+        assert all(x.alphabet == AB1 for x in spy.seen)
+
+    def test_the_neutral_wrapper_hands_its_base_words_over_the_base_alphabet(self):
+        spy = SpyOracle(AB)
+        wrapper = NeutralOracle(spy, "1")
+        for text in ("1a(1b)^w", "blocks(a,b;affine 1 0)", "blocks(1,b;affine 1 0)"):
+            assert wrapper.member(parse_word(text, AB1))
+        assert [x.text() for x in spy.seen] == ["a(b)^w", "blocks(a,b;affine 1 0)", "(b)^w"]
+        assert all(x.alphabet == AB for x in spy.seen)
+
+    def test_every_oracle_class_defines_decide_once(self):
+        from omegaword.trio import AnBnOracle, loop_representation
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        ours = {c for c in subclasses(LanguageOracle) if c.__module__.startswith("omegaword.")}
+        assert ours == {UnboundedBlocksOracle, LassoOracle, PrimeBlocksOracle, SingletonOracle,
+                        RegularOracle, NeutralOracle, type(loop_representation(AnBnOracle()))}
+        for c in ours:
+            assert "decide" in vars(c), c.__name__
+            assert not [k for k in dir(c) if k.startswith("membership")], c.__name__
+
+
 class TestRegistry:
     def test_names(self):
         assert get_oracle("U").name == "U"
@@ -394,3 +456,63 @@ class TestViolationFinder:
         c = classifier(alphabet("a"), ("q",), "q", {("q", "a"): "q"}, {"q": "x"})
         with pytest.raises(UnsupportedWordError):
             UnboundedBlocksOracle().find_condition2_violation(c)
+
+
+# ---------------------------------------------------------------------------
+# every registry form's verdicts on a fixed word set, pinned by one digest
+
+PINNED_VERDICTS = "0b34de47cc928dd918fbc30b0a03b87e7377b6f361b241f37d104ba060f6b0d5"
+
+INFINITELY_MANY_B = """alphabet a b
+states p q
+initial p
+accepting q
+p a p
+p b q
+q a p
+q b q
+"""
+
+
+def _pin_words(alpha) -> list:
+    """Every lasso over `alpha` with prefix length at most 2 and period
+    length 1 or 2; every block word over two of its letters with bounded
+    and with growing lengths; and three words outside the oracle's domain
+    or alphabet."""
+    letters = alpha.letters
+    words = [up_word(p, v, alpha) for n in range(3) for m in (1, 2)
+             for p in product(letters, repeat=n) for v in product(letters, repeat=m)]
+    specs = ("constant 0", "constant 2", "ep 1|0 2", "affine 1 0", "affine 2 1")
+    words += [parse_word(f"blocks({x},{y};{spec})", alpha)
+              for x, y in permutations(letters, 2) for spec in specs]
+    words += [finite_word("ab", AB), parse_word("(a)^w"), parse_word("(ac)^w")]
+    return words
+
+
+def _verdict(oracle, word) -> str:
+    try:
+        return str(oracle.member(word))
+    except (AlphabetMismatchError, DegenerateErasureError, UnsupportedWordError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def verdict_lines(path) -> list:
+    from omegaword.trio import AnBnOracle, loop_representation
+
+    path.write_text(INFINITELY_MANY_B, encoding="utf-8")
+    forms = ["U", "Uprime", "P", "primes", "singleton:a(ab)^w",
+             "singleton:blocks(a,b;affine 1 0)", f"regular:{path}", "neutral:P",
+             "neutral:primes", "neutral:singleton:a(ab)^w",
+             "neutral:singleton:blocks(a,b;affine 1 0)", f"neutral:regular:{path}"]
+    oracles = [(f.replace(str(path), "FILE"), get_oracle(f)) for f in forms]
+    oracles.append(("loop:anbn", loop_representation(AnBnOracle(), power_bound=4)))
+    return [f"{label}\t{word.text()}\t{_verdict(oracle, word)}"
+            for label, oracle in oracles for word in _pin_words(oracle.alphabet)]
+
+
+def test_registry_verdicts_match_pinned_digest(tmp_path):
+    import hashlib
+
+    lines = verdict_lines(tmp_path / "inf_b.aut")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_VERDICTS

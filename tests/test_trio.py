@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import omegaword.trio as trio
 from omegaword.errors import AlphabetMismatchError, FormatError
 from omegaword.trio import (
     AnBnOracle,
@@ -294,6 +295,51 @@ class TestParseSeparatedReference:
         for text in ("c#", "a%b#"):
             with pytest.raises(FormatError):
                 member_L2(AnBnOracle(), text)
+
+
+class TestLettersAtEntry:
+    """Finite and separated words over another alphabet are checked once,
+    where they enter `right_congruence_finite` and `member_L2`, whether the
+    oracle knows its classes or searches for a suffix."""
+
+    C = alphabet("c")
+    ABC = alphabet("abc")
+    FOREIGN = "letter 'c' is not in alphabet ('a', 'b')"
+
+    @pytest.mark.parametrize("oracle", [AnBnOracle(), ExplicitOracle(["ab"], "ab")])
+    def test_foreign_letters_are_refused_and_others_embed(self, oracle):
+        with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
+            right_congruence_finite(oracle, fw("c", self.C), fw("c", self.C))
+        with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
+            right_congruence_finite(oracle, fw("ab", self.ABC), fw("abc", self.ABC))
+        for left, right in ((["c"], ["c"]), (["a"], ["c"]), (["c"], [])):
+            with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
+                member_L2(oracle, separated_word(left, right, "abc"))
+        # words over a larger alphabet whose letters are the language's embed
+        assert (right_congruence_finite(oracle, fw("ab", self.ABC), fw("aabb", self.ABC))
+                == right_congruence_finite(oracle, "ab", "aabb"))
+        for text in ("a#aa#a%#aa%#", "a#a#a%#a%#", "b#ab#b%#ab%#"):
+            assert (member_L2(oracle, parse_separated(text, self.ABC))
+                    == member_L2(oracle, text))
+
+    def test_each_segment_is_checked_once(self, monkeypatch):
+        calls = []
+        original = trio._check_letters
+
+        def spy(letters, alpha):
+            calls.append(letters)
+            return original(letters, alpha)
+
+        monkeypatch.setattr(trio, "_check_letters", spy)
+        o = AnBnOracle()
+        text = "a#aa#aaa#a%#aa%#aaa%#"
+        member_L2(o, parse_separated(text, self.ABC))
+        segments = parse_separated(text, AB)
+        assert sorted(calls) == sorted(s.letters for s in segments.left + segments.right)
+        calls.clear()
+        member_L2(ExplicitOracle(["ab"], "ab"), parse_separated(text, AB))
+        right_congruence_finite(ExplicitOracle(["ab"], "ab"), fw("ab"), fw("ba"))
+        assert calls == []
 
 
 class TestTwoSeparatorLanguage:
