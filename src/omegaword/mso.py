@@ -30,9 +30,9 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _accepting_cycle_nodes, _column,
-                    _letter_classes, _relabel, accepts_up, complement,
-                    intersect, is_empty, reachable_fragment, union, with_canonical_names)
+from .buchi import (DEFAULT_STATE_BUDGET, BuchiAutomaton, Table, _column, _letter_classes,
+                    _relabel, accepts_up, complement, intersect, is_empty, reachable_fragment,
+                    union, with_canonical_names)
 from .errors import BudgetExceededError, FormatError, UnsupportedFormulaError
 from .words import Alphabet, UPWord, alphabet, letter_at, up_word
 
@@ -498,6 +498,9 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     for universal position quantifiers.  Genuine automaton complementation
     happens only at a set quantifier whose polarity is universal; the budget
     bounds it.  Simulation quotients keep intermediate automata small.
+    Every step of `_compile` but a bare atom ends in the idempotent
+    `_reduce`, so only an atom (unreduced: ``x < x`` has a state no run
+    reaches) gets a closing one.
     """
     if has_latoms(phi):
         raise UnsupportedFormulaError(
@@ -512,8 +515,10 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
         raise UnsupportedFormulaError(
             f"free variables {missing} are not in the declared context")
     _require_scopes(phi, fpos, (set(ctx) - fpos) | fset)
-    out = _compile(phi, alpha, ctx, state_budget, {})
-    return with_canonical_names(_reduce(out))
+    out = _compile(phi, alpha, ctx, state_budget, atoms := {})
+    if any(out is fixed for fixed in atoms.values()):
+        out = _reduce(out)
+    return with_canonical_names(out)
 
 
 def _compile(phi: Formula, base: Alphabet, ctx: tuple[str, ...], budget: int,
@@ -772,7 +777,7 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
         succ.append(out)
         i += 1
     labels = [a.states[q] for q in by_rank]
-    sets = {m: frozenset(labels[r] for r in _bits(m)) for st in order for m in st}
+    sets = {m: frozenset(labels[r] for r in _bits(m)) for m in set().union(*order)}
     rows = [[sorted(out[k]) for out in succ] for k in range(len(reps))]
     table = Table(dict(zip(alpha, (rows[k] for k in cls))), (0,),
                   tuple(not O for _, _, O in order))
@@ -794,7 +799,8 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     2. quotient by forward bisimulation: the coarsest partition that
        respects acceptance, found by signature refinement, where a state's
        signature is its block plus, per letter, the bit mask of the blocks
-       of its successors, stopping once every state has a block of its own;
+       of its successors, stopping at the first round that splits no block
+       (its partition is stable) or leaves each state a block of its own;
     3. if 2 to `_SIM_STATE_GATE` classes are left, quotient by
        direct-simulation equivalence, drop every edge whose target is
        simulated by another target of the same source class and letter;
@@ -817,6 +823,10 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
     ones, which makes the quotient and the pruning language-preserving for
     Büchi acceptance.  The reduction keeps the products and complements of
     nested compilation from snowballing.
+    It is idempotent, ``_reduce(_reduce(a)) is _reduce(a)``: pruning an
+    edge to a target that a sibling target simulates keeps the simulation
+    preorder (Somenzi & Bloem, CAV 2000), so a second pass finds no merge,
+    no dominated edge and no dead or unreachable state.
     """
     t = a._table
     columns = [t.succ[x] for x in a.alphabet]
@@ -832,6 +842,7 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
         post = [[[pos[j] for j in r[i] if live[j]] for r in rows] for i in keep]
 
     block = [int(t.accepting[i]) for i in keep]
+    count = len(set(block))
     while True:  # signature: own block, then per letter the mask of successor blocks
         bit = [1 << b for b in block]
         numbers: dict = {}
@@ -844,17 +855,19 @@ def _reduce(a: BuchiAutomaton) -> BuchiAutomaton:
                     mask |= bit[j]
                 sig.append(mask)
             refined.append(numbers.setdefault(tuple(sig), len(numbers)))
-        if refined == block:
-            break
         block = refined
-        if len(numbers) == len(block):  # one state per block: nothing left to split
+        if len(numbers) in (count, len(block)):  # no block split, or nothing left to split
             break
+        count = len(numbers)
     first: list[int] = []
     for k, b in enumerate(block):
         if b == len(first):
             first.append(k)
     names = [a.states[i] for i in keep] if len(first) == len(keep) else range(len(first))
-    edges = [[sorted({block[j] for j in post[k][x]}) for k in first] for x in range(len(rows))]
+    if len(first) == len(keep):  # no merge: block[k] == k, and the kept rows stand
+        edges = [[succ[x] for succ in post] for x in range(len(rows))]
+    else:
+        edges = [[sorted({block[j] for j in post[k][x]}) for k in first] for x in range(len(rows))]
     acc = [t.accepting[keep[k]] for k in first]
     init = {block[pos[i]] for i in t.initial if live[i]}
     reduced = None
@@ -876,34 +889,60 @@ def _live(rows: Sequence[Sequence], initial: Sequence[int],
           accepting: Sequence[bool]) -> list[bool]:
     """Per node: is it reachable from the `initial` nodes, and does a cycle
     through an accepting node lie ahead of it?  ``rows[x][i]`` holds the
-    successors of node i under the x-th letter.  One forward search from
-    the initial nodes builds the merged successor sets and the predecessor
-    lists of the reachable nodes; liveness then spreads backwards from the
-    accepting nodes on cycles."""
+    successors of node i under the x-th letter.  One iterative Tarjan search
+    (SIAM J. Comput. 1972): components close in reverse topological order,
+    so a closing one is live if it has a cycle through an accepting node or
+    an edge to a closed live one (which ``live[v]`` marks while v is open)."""
     n = len(accepting)
-    adj: list = [()] * n
-    back: list = [[] for _ in range(n)]
-    seen = [False] * n
-    frontier = list(initial)
-    for i in frontier:
-        seen[i] = True
-    while frontier:
-        i = frontier.pop()
-        succ = adj[i] = {j for r in rows for j in r[i]}
-        for j in succ:
-            back[j].append(i)
-            if not seen[j]:
-                seen[j] = True
-                frontier.append(j)
+    index = [0] * n  # 0 unvisited, the search number while open, `done` once closed
+    low = index.copy()
     live = [False] * n
-    frontier = list(_accepting_cycle_nodes([adj], initial, accepting))
-    for i in frontier:
-        live[i] = True
-    while frontier:
-        for i in back[frontier.pop()]:
-            if not live[i]:
-                live[i] = True
-                frontier.append(i)
+    done = n + 1
+    stack: list[int] = []
+    counter = 0
+    for root in initial:
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter({j for r in rows for j in r[root]}))]
+        while work:
+            node, succ = work[-1]
+            for j in succ:
+                x = index[j]
+                if not x:
+                    counter += 1
+                    index[j] = low[j] = counter
+                    stack.append(j)
+                    work.append((j, iter({d for r in rows for d in r[j]})))
+                    break
+                if x == done and live[j]:
+                    live[node] = True
+                elif x < low[node]:
+                    low[node] = x
+            else:
+                work.pop()
+                m = low[node]
+                if m < index[node]:  # node's component is still open: pass its link up
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], m)
+                    continue
+                v = stack.pop()
+                if v == node:  # one node: a cycle only through a self-loop
+                    flag = live[v] = live[v] or accepting[v] and any(v in r[v] for r in rows)
+                    index[v] = done
+                else:
+                    comp = [v]
+                    while v != node:
+                        v = stack.pop()
+                        comp.append(v)
+                    flag = any(live[v] for v in comp) or any(accepting[v] for v in comp)
+                    for v in comp:
+                        index[v] = done
+                        live[v] = flag
+                if flag and work:
+                    live[work[-1][0]] = True
     return live
 
 
@@ -919,6 +958,10 @@ def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
     Returns the quotient's (edges, accepting flags, initial nodes), its
     classes numbered by first member.
 
+    Sweeps in node order re-evaluate only the nodes in the `stale` mask:
+    all at first, then the predecessors of each node whose ``sim`` shrank,
+    the only constraints that read it; the greatest fixpoint is the same.
+
     Rows list their targets in ascending order without repeats, as a
     `Table`'s do.  A target u of a row is dominated when another target of
     the row simulates it: its class's simulators, as a mask over classes,
@@ -929,16 +972,20 @@ def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
     full = (1 << m) - 1
     acc_mask = sum(1 << c for c in range(m) if acc[c])
     pre = [[0] * m for _ in edges]
+    before = [0] * m  # before[d]: the mask of d's predecessors under any letter
     for row, px in zip(edges, pre):
         for c, targets in enumerate(row):
             for d in targets:
                 px[d] |= 1 << c
+                before[d] |= 1 << c
     sim = [acc_mask if f else full for f in acc]
     letters = [(row, px, {}) for row, px in zip(edges, pre)]
-    changed = True
-    while changed:
-        changed = False
+    stale = full
+    while stale:
         for c in range(m):
+            if not stale >> c & 1:
+                continue
+            stale ^= 1 << c
             mask = sim[c]
             for row, px, memo in letters:
                 for p in row[c]:
@@ -955,7 +1002,7 @@ def _direct_sim_quotient(edges: list, acc: list, init: set) -> Optional[tuple]:
                     mask &= allowed
             if mask != sim[c]:
                 sim[c] = mask
-                changed = True
+                stale |= before[c]
     cls: list[int] = []
     reps: list[int] = []
     for c in range(m):

@@ -252,9 +252,7 @@ def _coerce_finite(text_or_word: Union[str, FiniteWord],
         if text_or_word.alphabet != letters:
             _check_letters(text_or_word.letters, letters)
         return text_or_word
-    for x in text_or_word:
-        if x not in letters:
-            raise AlphabetMismatchError(f"letter {x!r} is not in {letters.letters}")
+    _check_letters(text_or_word, letters)
     return FiniteWord._of(letters, tuple(text_or_word))
 
 

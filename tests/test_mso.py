@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from helpers import (all_up_words, lifted_automaton, random_automaton, random_sentence,
@@ -282,7 +283,8 @@ class TestReduce:
 
     @staticmethod
     def compile_inputs(monkeypatch, sentences: int = 20) -> list:
-        """Every `_reduce` input of the first seed-9 depth-5 compiles."""
+        """Every `_reduce` input and every result of the first seed-9
+        depth-5 compiles."""
         seen = []
         original = mso._reduce
 
@@ -295,7 +297,7 @@ class TestReduce:
         for _ in range(sentences):
             phi = random_sentence(rng, depth=5)
             try:
-                compile_to_buchi(phi, AB, state_budget=1000)
+                seen.append(compile_to_buchi(phi, AB, state_budget=1000))
             except BudgetExceededError:
                 pass
         monkeypatch.setattr(mso, "_reduce", original)
@@ -327,6 +329,65 @@ class TestReduce:
                 assert (mso._reduce(a) is a) == unchanged
                 same += unchanged
             assert 0 < same < len(cases)
+
+    def test_is_idempotent(self, monkeypatch):
+        """A reduced automaton comes back as it is, on the random draws and
+        on the compile inputs: the rule that lets `compile_to_buchi` skip
+        its closing reduction on every result but a bare atom."""
+        for cases in (self.random_draws(), self.compile_inputs(monkeypatch, 60)):
+            for a in cases:
+                once = mso._reduce(a)
+                assert mso._reduce(once) is once
+
+    def test_compile_results_are_fixpoints(self):
+        """Every compile result is a `_reduce` fixpoint, bare atoms over free
+        variables included: `(< x x)` and its negation compile from a
+        three-state atom whose middle state no run reaches."""
+        atoms = [(parse_formula(text), free) for text, free in (
+            ("(< x x)", ["x"]), ("(not (< x x))", ["x"]), ("(< x y)", ["x", "y"]),
+            ("(not (letter x a))", ["x"]), ("(in x X)", ["X", "x"]))]
+        raw = mso._atom(Less("x", "x"), AB, ("x",), False, {})
+        assert mso._reduce(raw) is not raw
+        rng = random.Random(9)
+        cases = atoms + [(random_sentence(rng, depth=5), []) for _ in range(60)]
+        built = 0
+        for phi, free in cases:
+            try:
+                out = compile_to_buchi(phi, AB, free, state_budget=1000)
+            except BudgetExceededError:
+                continue
+            assert mso._reduce(out) is out, format_formula(phi)
+            built += 1
+        assert built > 50
+
+    def test_live_matches_networkx_reference(self):
+        """`_live` against networkx: node v is live when an initial node
+        reaches it and it reaches an accepting node on a cycle.  Random
+        graphs over 1 to 4 letters with several initial nodes, unreachable
+        nodes, dead ends and self-loops; rows ascending without repeats."""
+        rng = random.Random(909)
+        seen = dict.fromkeys(("unreachable", "dead end", "self-loop", "live", "not live"), 0)
+        for k in range(400):
+            n = rng.randint(1, 14)
+            density = (0.06, 0.12, 0.25)[k % 3]
+            rows = [[[j for j in range(n) if rng.random() < density] for _ in range(n)]
+                    for _ in range(rng.randint(1, 4))]
+            accepting = [rng.random() < (0.3, 1.0, 0.1)[k % 3] for _ in range(n)]
+            initial = sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
+            g = nx.DiGraph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from((i, j) for r in rows for i in range(n) for j in r[i])
+            reach = set(initial).union(*(nx.descendants(g, i) for i in initial))
+            targets = {v for comp in nx.strongly_connected_components(g) for v in comp
+                       if accepting[v] and (len(comp) > 1 or g.has_edge(v, v))}
+            ahead = targets.union(*(nx.ancestors(g, v) for v in targets))
+            want = [v in reach and v in ahead for v in range(n)]
+            assert mso._live(rows, initial, accepting) == want
+            seen["unreachable"] += len(reach) < n
+            seen["dead end"] += any(g.out_degree(v) == 0 for v in reach)
+            seen["self-loop"] += any(g.has_edge(v, v) for v in reach)
+            seen["live" if any(want) else "not live"] += 1
+        assert min(seen.values()) > 30, seen
 
     def test_matches_reference_on_shared_columns(self):
         """Coded-alphabet automata whose letters share successor columns,
@@ -531,11 +592,11 @@ class TestTrustedConstruction:
         assert len(calls) == 1
 
     def test_compile_steps_match_the_validating_constructor(self, monkeypatch):
-        """Every `_track_automaton`, `_universal_pos` and `_reduce` result of
-        the seed-9 compile, rebuilt from its label views through the checked
-        constructor, is an equal automaton."""
+        """Every `_track_automaton`, `_universal_pos`, `_reduce` and
+        `with_canonical_names` result of the seed-9 compile, rebuilt from its
+        label views through the checked constructor, is an equal automaton."""
         outputs = []
-        for name in ("_track_automaton", "_universal_pos", "_reduce"):
+        for name in ("_track_automaton", "_universal_pos", "_reduce", "with_canonical_names"):
             def spy(*args, original=getattr(mso, name)):
                 out = original(*args)
                 outputs.append(out)

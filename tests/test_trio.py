@@ -311,6 +311,10 @@ class TestLettersAtEntry:
         with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
             right_congruence_finite(oracle, fw("c", self.C), fw("c", self.C))
         with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
+            right_congruence_finite(oracle, "c", "c")
+        with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
+            member_L1(oracle, "c#c")
+        with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
             right_congruence_finite(oracle, fw("ab", self.ABC), fw("abc", self.ABC))
         for left, right in ((["c"], ["c"]), (["a"], ["c"]), (["c"], [])):
             with pytest.raises(AlphabetMismatchError, match=re.escape(self.FOREIGN)):
