@@ -76,13 +76,11 @@ from .errors import (
     FormatError,
 )
 from .words import (
-    AffineLengths,
     Alphabet,
     BlockWord,
     FiniteWord,
     UPWord,
     Word,
-    _check_letters,
     alphabet,
     canonical_parts,
     omega_product,
@@ -412,30 +410,27 @@ class PeriodicWordSequence:
 
 @dataclass(frozen=True)
 class GrowingBlockSequence:
-    """u_i = block^{rate*i + offset} sep: factor lengths grow without bound.
-    The constructor checks both letters, so `nth` builds unchecked."""
+    """The factors u_i = block^{k_i} sep of one growing block word, whose
+    product is that word; a block word with bounded lengths is refused."""
 
-    alphabet: Alphabet
-    block: str
-    sep: str
-    rate: int
-    offset: int
+    word: BlockWord
 
     def __post_init__(self):
-        _check_letters((self.block, self.sep), self.alphabet)
+        if self.word._up_form is not None:
+            raise FormatError("a growing block sequence needs a growing block word")
 
     def nth(self, i: int) -> FiniteWord:
         if i < 1:
             raise IndexError("sequences are 1-indexed")
-        k = self.rate * i + self.offset
-        return FiniteWord._of(self.alphabet, (self.block,) * k + (self.sep,))
+        w = self.word
+        return FiniteWord._of(w.alphabet, (w.block,) * w.lengths.nth(i) + (w.sep,))
 
     def product(self) -> BlockWord:
-        return BlockWord(self.alphabet, self.block, self.sep,
-                         AffineLengths(self.rate, self.offset))
+        return self.word
 
     def describe(self) -> str:
-        return f"[{self.block}^({self.rate}*i+{self.offset}){self.sep} for i = 1, 2, ...]"
+        w = self.word
+        return f"[{w.block}^({w.lengths.rate}*i+{w.lengths.offset}){w.sep} for i = 1, 2, ...]"
 
 
 WordSequence = Union[PeriodicWordSequence, GrowingBlockSequence]

@@ -27,6 +27,7 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Iterator, Optional
 
 from .congruence import (
@@ -688,13 +689,6 @@ def get_duplicator(name: str, rng=None):
     raise FormatError(f"unknown duplicator strategy {name!r}")
 
 
-# The keys of a transcript document, in the sorted order its JSON text has.
-_TRANSCRIPT_KEYS = ("adjudication_error", "chosen", "duplicator_words", "family",
-                    "family_note", "forfeit", "horizon", "move_alphabet", "notes",
-                    "oracle", "scheme", "selected", "spoiler_words", "verdict_notes",
-                    "verdicts", "winner", "word", "word_alphabet")
-
-
 def _row(x, *kinds: type) -> bool:
     """Is x a JSON list of values of exactly these kinds, in this order?"""
     return (type(x) is list and len(x) == len(kinds)
@@ -709,10 +703,10 @@ _TEXT = ("a string", lambda x: type(x) is str)
 _NULL_OR_TEXT = ("null or a string", lambda x: x is None or type(x) is str)
 _TEXTS = ("a list of strings", lambda x: _list_of(x, str))
 # The kind of each field of a transcript document but the intervals, which
-# `_intervals_from_json` checks, and the move words, which are texts or letter
-# lists checked as they are read.
+# `_intervals_from_json` checks.
 _FIELD_KINDS = {
     "adjudication_error": _NULL_OR_TEXT,
+    "duplicator_words": _TEXTS,
     "family_note": _TEXT,
     "forfeit": ("null or [str, int, str]", lambda x: x is None or _row(x, str, int, str)),
     "horizon": ("an int >= 1", lambda x: type(x) is int and x >= 1),
@@ -722,12 +716,15 @@ _FIELD_KINDS = {
     "scheme": ("null or int lists under head and cycle",
                lambda x: x is None or (type(x) is dict and _list_of(x.get("head"), int)
                                        and _list_of(x.get("cycle"), int))),
+    "spoiler_words": _TEXTS,
     "verdict_notes": ("two strings", lambda x: _row(x, str, str)),
     "verdicts": ("null or two bools", lambda x: x is None or _row(x, bool, bool)),
     "winner": _NULL_OR_TEXT,
     "word": _TEXT,
     "word_alphabet": _TEXTS,
 }
+# The keys of a transcript document, in the sorted order its JSON text has.
+_TRANSCRIPT_KEYS = tuple(sorted([*_FIELD_KINDS, "chosen", "family", "selected"]))
 
 # One interval at its depth in the document, as `json.dumps(indent=2)` lays it out.
 _INTERVAL = "[\n      %d,\n      %d\n    ]"
@@ -787,8 +784,10 @@ def transcript_to_json(t: GameTranscript, move_alphabet: Optional[Alphabet] = No
 
 
 def _intervals_from_json(doc: dict, key: str) -> tuple[Interval, ...]:
-    """The intervals under `key`, each pair checked once here, as it enters:
-    two ints with 0 <= first <= last."""
+    """The intervals under `key`, a list whose pairs are each checked once
+    here, as they enter: two ints with 0 <= first <= last."""
+    if type(doc[key]) is not list:
+        raise FormatError(f"not a transcript: {key} holds {doc[key]!r}, not a list of pairs")
     out = []
     for x in doc[key]:
         if type(x) is not list or len(x) != 2 or type(x[0]) is not int or type(x[1]) is not int:
@@ -818,39 +817,30 @@ def transcript_from_json(text: str) -> GameTranscript:
     for key, (kind, ok) in _FIELD_KINDS.items():
         if not ok(doc[key]):
             raise FormatError(f"not a transcript: {key} holds {doc[key]!r}, not {kind}")
-    try:
-        walpha = alphabet(doc["word_alphabet"])
-        malpha = alphabet(doc["move_alphabet"])
+    walpha = alphabet(doc["word_alphabet"])
+    malpha = alphabet(doc["move_alphabet"])
 
-        checked: dict = {}  # move-word text -> its word, so a repeated text is checked once
+    @cache  # for this document only: a repeated move-word text is checked once
+    def fw(s: str) -> FiniteWord:
+        return finite_word(() if s == "eps" else s, malpha)
 
-        def fw(s: str) -> FiniteWord:
-            if not isinstance(s, str):
-                return finite_word(s, malpha)
-            w = checked.get(s)
-            if w is None:
-                w = checked[s] = finite_word(() if s == "eps" else s, malpha)
-            return w
-
-        scheme = doc["scheme"]
-        return GameTranscript(
-            word=parse_word(doc["word"], walpha),
-            horizon=doc["horizon"],
-            oracle_name=doc["oracle"],
-            family=_intervals_from_json(doc, "family"),
-            family_note=doc["family_note"],
-            selected=_intervals_from_json(doc, "selected"),
-            chosen=_intervals_from_json(doc, "chosen"),
-            spoiler_words=tuple(fw(s) for s in doc["spoiler_words"]),
-            duplicator_words=tuple(fw(s) for s in doc["duplicator_words"]),
-            scheme=None if scheme is None else IndexScheme(
-                tuple(scheme["head"]), tuple(scheme["cycle"])),
-            forfeit=None if doc["forfeit"] is None else tuple(doc["forfeit"]),
-            verdicts=None if doc["verdicts"] is None else tuple(doc["verdicts"]),
-            verdict_notes=tuple(doc["verdict_notes"]),
-            winner=doc["winner"],
-            adjudication_error=doc["adjudication_error"],
-            notes=tuple(doc["notes"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise FormatError(f"not a transcript: {type(e).__name__}: {e}") from None
+    scheme = doc["scheme"]
+    return GameTranscript(
+        word=parse_word(doc["word"], walpha),
+        horizon=doc["horizon"],
+        oracle_name=doc["oracle"],
+        family=_intervals_from_json(doc, "family"),
+        family_note=doc["family_note"],
+        selected=_intervals_from_json(doc, "selected"),
+        chosen=_intervals_from_json(doc, "chosen"),
+        spoiler_words=tuple(fw(s) for s in doc["spoiler_words"]),
+        duplicator_words=tuple(fw(s) for s in doc["duplicator_words"]),
+        scheme=None if scheme is None else IndexScheme(
+            tuple(scheme["head"]), tuple(scheme["cycle"])),
+        forfeit=None if doc["forfeit"] is None else tuple(doc["forfeit"]),
+        verdicts=None if doc["verdicts"] is None else tuple(doc["verdicts"]),
+        verdict_notes=tuple(doc["verdict_notes"]),
+        winner=doc["winner"],
+        adjudication_error=doc["adjudication_error"],
+        notes=tuple(doc["notes"]),
+    )

@@ -34,6 +34,7 @@ from .errors import (
     UnsupportedWordError,
 )
 from .words import (
+    AffineLengths,
     Alphabet,
     BlockWord,
     FiniteWord,
@@ -59,9 +60,9 @@ class LanguageOracle:
 
     Words whose letters all belong to the oracle's alphabet are accepted
     regardless of the (possibly smaller) alphabet they were built over.  A
-    block word with bounded lengths is the lasso word it spells, and only
-    the letters it spells must embed (all blocks may be empty).  So
-    `decide` sees a lasso word or a growing block word, and a subclass
+    block word with bounded lengths is read as its lasso form `_up_form`,
+    and only the letters it spells must embed (all blocks may be empty).
+    So `decide` sees a lasso word or a growing block word, and a subclass
     tests the presentation only where its answer depends on it.
     """
 
@@ -79,7 +80,7 @@ class LanguageOracle:
     def member(self, w: Word) -> bool:
         if isinstance(w, FiniteWord):
             raise UnsupportedWordError("a finite word is not an infinite word")
-        if isinstance(w, BlockWord) and w.lengths.bounded():
+        if isinstance(w, BlockWord) and w._up_form is not None:
             w = w._up_form
         return self.decide(self._embed(w))
 
@@ -153,7 +154,8 @@ def _unbounded_runs_violation(oracle: LanguageOracle,
     head = tuple(rep_after(j) for j in range(1, start))
     cycle = tuple(rep_after(j) for j in range(start, start + lam))
 
-    witness = _condition2_witness(c, oracle, GrowingBlockSequence(c.alphabet, "a", "b", 1, 0),
+    growing = GrowingBlockSequence(BlockWord(c.alphabet, "a", "b", AffineLengths(1, 0)))
+    witness = _condition2_witness(c, oracle, growing,
                                   PeriodicWordSequence(head, cycle),
                                   "growing blocks vs bounded replacement")
     if witness is not None:
@@ -246,9 +248,7 @@ class SingletonOracle(LanguageOracle):
     def decide(self, w: InfiniteWord) -> bool:
         if isinstance(w, UPWord):
             return canonical_parts(w.prefix, w.period) == self._lasso
-        t = self.target
-        return (isinstance(t, BlockWord)
-                and (w.block, w.sep, w.lengths) == (t.block, t.sep, t.lengths))
+        return w == self.target
 
 
 class RegularOracle(LanguageOracle):

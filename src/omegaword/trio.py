@@ -246,12 +246,12 @@ class CongruenceVerdict:
 
 def _coerce_finite(text_or_word: Union[str, FiniteWord],
                    letters: Alphabet) -> FiniteWord:
-    """The word of a text over `letters`, or a finite word whose letters
+    """The word over `letters` of a text, or of a finite word whose letters
     all belong to `letters`, whatever alphabet it was built over."""
     if isinstance(text_or_word, FiniteWord):
-        if text_or_word.alphabet != letters:
-            _check_letters(text_or_word.letters, letters)
-        return text_or_word
+        if text_or_word.alphabet == letters:
+            return text_or_word
+        text_or_word = text_or_word.letters
     _check_letters(text_or_word, letters)
     return FiniteWord._of(letters, tuple(text_or_word))
 

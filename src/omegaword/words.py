@@ -7,7 +7,7 @@ Three presentation classes are supported.
 * BlockWord: a word ``B^{k_1} S B^{k_2} S ...`` built from a block letter B
   and a separator letter S, where the block lengths ``k_1, k_2, ...`` come
   from a finitely described integer sequence (constant, affine, or
-  eventually periodic).
+  eventually periodic); it grows exactly when its lasso form `_up_form` is None.
 
 All presentations are immutable values.  Equality of dataclass instances is
 structural (same presentation); semantic equality of the denoted infinite
@@ -26,7 +26,8 @@ The textual syntax, used by the CLI and the test corpus:
 * finite words: ``ab1a`` (one character per letter), ``eps`` for the empty word
 * lasso words: ``ab(ba)^w``
 * block words: ``blocks(a,b;affine 1 0)``, ``blocks(a,b;constant 3)``,
-  ``blocks(a,b;ep 1 2|3 4)`` (head ``1 2``, repeated part ``3 4``)
+  ``blocks(a,b;ep 1 2|3 4)`` (head ``1 2``, repeated part ``3 4``); the
+  block and separator letters are single characters, as in the other forms
 """
 
 from __future__ import annotations
@@ -174,9 +175,6 @@ class ConstantLengths:
     def nth(self, n: int) -> int:
         return self.value
 
-    def bounded(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class AffineLengths:
@@ -193,9 +191,6 @@ class AffineLengths:
 
     def nth(self, n: int) -> int:
         return self.rate * n + self.offset
-
-    def bounded(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -215,9 +210,6 @@ class EventuallyPeriodicLengths:
         if n <= len(self.head):
             return self.head[n - 1]
         return self.cycle[(n - len(self.head) - 1) % len(self.cycle)]
-
-    def bounded(self) -> bool:
-        return True
 
 
 LengthSequence = Union[ConstantLengths, AffineLengths, EventuallyPeriodicLengths]
@@ -537,17 +529,17 @@ def max_letter_run(w: InfiniteWord, letter: str) -> Optional[int]:
     that starts in the prefix or in the first period copy ends inside the
     window, and every later run repeats one of those or a tail of one.
     """
-    if isinstance(w, BlockWord) and w._up_form is None:
+    if isinstance(w, BlockWord) and w._up_form is not None:
+        w = w._up_form
+    if isinstance(w, BlockWord):
         if letter == w.block:
             return None  # growing blocks
         # consecutive separators would need two adjacent empty blocks, and a
         # strictly growing length sequence has at most one empty block
         return 1 if letter == w.sep else 0
-    u = w._up_form if isinstance(w, BlockWord) else w
-    assert u is not None
-    if all(x == letter for x in u.period):
+    if all(x == letter for x in w.period):
         return None
-    return max((e - s + 1 for s, e in _runs_in(u.prefix + u.period * 2, letter)), default=0)
+    return max((e - s + 1 for s, e in _runs_in(w.prefix + w.period * 2, letter)), default=0)
 
 
 def next_letter_run(w: InfiniteWord, letter: str, min_len: int,
@@ -566,15 +558,15 @@ def next_letter_run(w: InfiniteWord, letter: str, min_len: int,
     if min_len <= 0:
         raise ValueError("min_len must be positive")
     p = max(start, 0)
-    if isinstance(w, BlockWord) and w._up_form is None:
+    if isinstance(w, BlockWord) and w._up_form is not None:
+        w = w._up_form
+    if isinstance(w, BlockWord):
         if letter != w.block:
             raise UnsupportedWordError(
                 "run search on growing block words supports only the block letter")
         stop = None
     else:
-        u = w._up_form if isinstance(w, BlockWord) else w
-        assert u is not None
-        stop = max(p, len(u.prefix)) + len(u.period)
+        stop = max(p, len(w.prefix)) + len(w.period)
     while stop is None or p < stop:
         q = first_other_letter(w, letter, p, p + min_len - 1)
         if q is None:
@@ -588,7 +580,7 @@ def next_letter_run(w: InfiniteWord, letter: str, min_len: int,
 
 
 _UP_RE = re.compile(r"^([^()\s]*)\(([^()\s]+)\)\^w$")
-_BLOCKS_RE = re.compile(r"^blocks\(\s*(\S+)\s*,\s*(\S+)\s*;\s*([^;)]+)\)$")
+_BLOCKS_RE = re.compile(r"^blocks\(\s*([^\s,;()])\s*,\s*([^\s,;()])\s*;\s*([^;)]+)\)$")
 
 
 def parse_word(text: str, alpha: Optional[Alphabet] = None) -> Word:
@@ -645,18 +637,21 @@ def _parse_lengths(spec: str) -> LengthSequence:
     raise FormatError(f"bad block-length spec {spec!r}")
 
 
+def _text_of(letters: Sequence[str]) -> str:
+    """The letters as one text; each (nonempty) letter must be one character."""
+    text = "".join(letters)
+    if len(text) != len(letters):
+        raise FormatError("text syntax supports single-character letters only")
+    return text
+
+
 def format_word(w: Word) -> str:
     """Render a word in the textual syntax; inverse of parse_word."""
     if isinstance(w, FiniteWord):
-        for x in w.letters:
-            if len(x) != 1:
-                raise FormatError("text syntax supports single-character letters only")
-        return "".join(w.letters) or "eps"
+        return _text_of(w.letters) or "eps"
     if isinstance(w, UPWord):
-        for x in w.prefix + w.period:
-            if len(x) != 1:
-                raise FormatError("text syntax supports single-character letters only")
-        return f"{''.join(w.prefix)}({''.join(w.period)})^w"
+        return f"{_text_of(w.prefix)}({_text_of(w.period)})^w"
+    block, sep = _text_of((w.block, w.sep))
     ls = w.lengths
     if isinstance(ls, ConstantLengths):
         spec = f"constant {ls.value}"
@@ -664,7 +659,7 @@ def format_word(w: Word) -> str:
         spec = f"affine {ls.rate} {ls.offset}"
     else:
         spec = "ep " + " ".join(str(k) for k in ls.head) + "|" + " ".join(str(k) for k in ls.cycle)
-    return f"blocks({w.block},{w.sep};{spec})"
+    return f"blocks({block},{sep};{spec})"
 
 
 def to_up_word(w: Word) -> UPWord:

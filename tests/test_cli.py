@@ -1,4 +1,7 @@
+import ast
 import json
+import re
+import shlex
 
 import pytest
 
@@ -6,6 +9,8 @@ from omegaword.buchi import automaton, format_automaton, parse_automaton
 from omegaword.cli import run
 from omegaword.congruence import classifier, format_classifier, parse_classifier
 from omegaword.mso import formula_size, parse_formula
+
+from helpers import REPO
 
 INF_A = "(forall1 x (exists1 y (and (< x y) (letter y a))))"
 INF_B = "(forall1 x (exists1 y (and (< x y) (letter y b))))"
@@ -421,3 +426,42 @@ def test_malformed_invocations_exit_with_their_codes(capsys, tmp_path):
         if rc != code or "Traceback" in err or not err.strip():
             wrong.append((" ".join(argv), code, rc))
     assert wrong == []
+
+
+class TestReadme:
+    """README's library quick start and command-line examples print what
+    README says they print."""
+
+    README = (REPO / "README.md").read_text()
+
+    def test_library_quick_start(self):
+        """Run the quick-start block; each statement commented with a
+        verdict (``# True``, ``# False, ...``) must give that verdict, as
+        its value or as the first name it binds."""
+        section = self.README.split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        lines = code.splitlines()
+        namespace: dict = {}
+        checked = 0
+        for stmt in ast.parse(code).body:
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            verdict = re.match(r"(True|False)\b", comment)
+            if isinstance(stmt, ast.Expr):
+                value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+            else:
+                exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+                if isinstance(stmt, ast.Assign):
+                    first = stmt.targets[0]
+                    first = first.elts[0] if isinstance(first, ast.Tuple) else first
+                    value = namespace.get(getattr(first, "id", None))
+            if verdict:
+                assert value is (verdict.group(1) == "True"), ast.unparse(stmt)
+                checked += 1
+        assert checked == 4
+
+    def test_command_line_examples(self, capsys):
+        examples = re.findall(r"```\n\$ omegaword ([^\n]*)\n(\{.*?\n\})\n```", self.README, re.S)
+        assert [cmd.split()[:2] for cmd, _ in examples] == [["oracle", "member"], ["trio", "l1"]]
+        for cmd, printed in examples:
+            assert run(shlex.split(cmd)) == 0
+            assert capsys.readouterr().out == printed + "\n"

@@ -34,7 +34,8 @@ from omegaword.oracles import (
     RegularOracle,
     get_oracle,
 )
-from omegaword.words import UPWord, alphabet, finite_word, up_word
+from omegaword.words import (AffineLengths, BlockWord, ConstantLengths, EventuallyPeriodicLengths,
+                             UPWord, alphabet, finite_word, prefix_of, up_word)
 
 from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
                      ref_bounded_classes, ref_check_condition1, ref_check_condition2_bounded,
@@ -442,16 +443,40 @@ class TestCondition2:
         assert seq.nth(1) == u
         assert seq.nth(2) == v and seq.nth(17) == v
         assert seq.product() == up_word("ab", "b", alpha=AB)
-        g = GrowingBlockSequence(AB, "a", "b", 2, 1)
+        g = GrowingBlockSequence(BlockWord(AB, "a", "b", AffineLengths(2, 1)))
         assert g.nth(1).text() == "aaab"
         assert g.nth(3).text() == "a" * 7 + "b"
-        assert not g.product().lengths.bounded()
+        assert g.product()._up_form is None
         assert "..." in seq.describe() and "..." in g.describe()
 
     def test_growing_sequence_checks_its_letters(self):
         for block, sep in (("c", "b"), ("a", "c")):
             with pytest.raises(AlphabetMismatchError, match="letter 'c' is not in alphabet"):
-                GrowingBlockSequence(AB, block, sep, 1, 0)
+                GrowingBlockSequence(BlockWord(AB, block, sep, AffineLengths(1, 0)))
+
+    @pytest.mark.parametrize("letters, block, sep", [("ab", "a", "b"), ("ab", "b", "a"),
+                                                     ("abc", "c", "a"), ("1ab", "1", "b")])
+    @pytest.mark.parametrize("rate, offset", [(1, -1), (1, 0), (2, -2), (2, 1), (3, 4)])
+    def test_growing_factors_spell_their_word(self, letters, block, sep, rate, offset):
+        """The factors u_1 ... u_m concatenate to the word's first n letters,
+        n the end of segment m, read through `letter_at`'s segment search."""
+        word = BlockWord(alphabet(letters), block, sep, AffineLengths(rate, offset))
+        g = GrowingBlockSequence(word)
+        assert g.product() is word
+        spelled: tuple = ()
+        for m in range(1, 13):
+            u = g.nth(m)
+            assert u.alphabet == word.alphabet
+            spelled += u.letters
+            assert spelled == prefix_of(word, word._segment_end(m))
+        assert g.nth(1).letters == (block,) * (rate + offset) + (sep,)
+
+    @pytest.mark.parametrize("lengths", [ConstantLengths(0), ConstantLengths(3),
+                                         EventuallyPeriodicLengths((5,), (1, 2)),
+                                         EventuallyPeriodicLengths((), (4,))])
+    def test_growing_sequence_refuses_a_bounded_word(self, lengths):
+        with pytest.raises(FormatError, match="needs a growing block word"):
+            GrowingBlockSequence(BlockWord(AB, "a", "b", lengths))
 
 
 def brute_force_partition(words, rows):

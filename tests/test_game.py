@@ -577,6 +577,12 @@ class TestMoveWordChecks:
                          RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
         doc = json.loads(transcript_to_json(t))
         doc["spoiler_words"], doc["duplicator_words"] = spoiler_words, duplicator_words
+        if type(first_bad) is list:  # a letter list is no move word: the kind check refuses it
+            with pytest.raises(FormatError) as got:
+                transcript_from_json(json.dumps(doc))
+            assert str(got.value) == ("not a transcript: duplicator_words holds "
+                                      "[['a', 'z'], 'eps'], not a list of strings")
+            return
         with pytest.raises(AlphabetMismatchError) as want:
             finite_word(first_bad, alphabet(doc["move_alphabet"]))
         with pytest.raises(AlphabetMismatchError) as got:

@@ -407,6 +407,20 @@ class TestViolationFinder:
         assert witness.replaced_product is None
         assert witness.note == "product is a finite word"
 
+    def test_growing_candidate_is_one_word(self):
+        """U's finder lists the factors of one growing word, whose product is
+        that word itself, not a copy built per call."""
+        for oracle in (UnboundedBlocksOracle(), get_oracle("Uprime")):
+            for c in (classifier(AB, ("q",), "q", {("q", "a"): "q", ("q", "b"): "q"},
+                                 {"q": "all"}),
+                      classifier(AB, ("e", "qa", "qb"), "e",
+                                 {(q, x): "q" + x for q in ("e", "qa", "qb") for x in "ab"},
+                                 {"e": "e", "qa": "A", "qb": "B"})):
+                witness = oracle.find_condition2_violation(c)
+                assert isinstance(witness.original, GrowingBlockSequence)
+                assert witness.original_product is witness.original.product()
+                assert witness.original_product == parse_word("blocks(a,b;affine 1 0)")
+
     def test_growing_candidate_note(self):
         # the class of a^i b is "ends in b", represented by b: b^omega
         c = classifier(AB, ("e", "qa", "qb"), "e",

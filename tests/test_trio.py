@@ -218,6 +218,18 @@ class TestSeparatedWords:
         s = separated_word(["a", "aa"], ["a", "aa"], "ab")
         assert format_separated(s) == "a#aa#a%#aa%#"
 
+    def test_convenience_constructor_rebases_words_of_other_alphabets(self):
+        """A segment whose letters lie in `letters` is re-read over them, as
+        the coercion promises, whatever alphabet it was built over."""
+        s = separated_word([fw("a", alphabet("a"))], [fw("ba", alphabet("abc")), "b"], "ab")
+        assert s == SeparatedWord(AB, (fw("a"),), (fw("ba"), fw("b")))
+        assert all(seg.alphabet == AB for seg in s.left + s.right)
+        assert member_L2(AnBnOracle(), s) == member_L2(
+            AnBnOracle(), SeparatedWord(alphabet("abc"), (fw("a", alphabet("abc")),),
+                                        (fw("ba", alphabet("abc")), fw("b", alphabet("abc")))))
+        with pytest.raises(AlphabetMismatchError, match="letter 'c' is not in alphabet"):
+            separated_word([fw("c", alphabet("c"))], [], "ab")
+
 
 def segments(s: SeparatedWord) -> tuple:
     return s.alphabet, [w.letters for w in s.left], [w.letters for w in s.right]

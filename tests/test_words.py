@@ -433,9 +433,21 @@ def test_parse_infers_alphabet():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["a(b", "blocks(a;affine 1)", "blocks(a,b;affine x y)", "a(b)^w)"]:
+    for bad in ["a(b", "blocks(a;affine 1)", "blocks(a,b;affine x y)", "a(b)^w)",
+                "blocks(a,b,c;constant 1)", "blocks(ab,b;constant 1)"]:
         with pytest.raises(FormatError):
             parse_word(bad)
+
+
+def test_format_refuses_letters_of_several_characters():
+    """Every word form writes one character per letter, block words too."""
+    alpha = alphabet(["a", "b", "ab"])
+    for w in (FiniteWord(alpha, ("a", "ab")), UPWord(alpha, (), ("ab",)),
+              BlockWord(alpha, "ab", "b", ConstantLengths(1)),
+              BlockWord(alpha, "a", "ab", AffineLengths(1, 0))):
+        with pytest.raises(FormatError, match="^text syntax supports single-character letters"):
+            format_word(w)
+    assert format_word(BlockWord(alpha, "b", "a", AffineLengths(1, 0))) == "blocks(b,a;affine 1 0)"
 
 
 def test_block_word_validation():
