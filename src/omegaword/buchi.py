@@ -563,6 +563,51 @@ def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMo
 # complementation
 
 
+def _refusing_pairs(monoid: TransitionMonoid, init_rows: Sequence[int]) -> dict:
+    """The refusing linked pairs (s, e), grouped by s: ``jumps[s]`` lists, in
+    `idempotents` order, each idempotent e with s*e = s under which no
+    initial-to-q path of s meets an accepting q-cycle of e.
+
+    The s linked to e are the left ideal M^1 e = {s : s*e = s}, since
+    s*e*e = s*e; it is the closure of {e} under left multiplication by the
+    letter profiles, so the scan visits only linked pairs.  A product g*y is
+    a walk from the letter g along y's witness on the right Cayley table,
+    made at most once per (g, y) in one call; an s is read only through its
+    start-reach mask R(s), the OR of its initial rows.  The empty word is
+    linked only when it shares its profile with an element, and then only
+    to itself, as in the product test s*e = s."""
+    elements, right, columns = monoid.elements, monoid._right, monoid._columns
+    n = len(elements)
+    starts = [0] * n  # R(s)
+    for s, p in enumerate(elements):
+        for i in init_rows:
+            starts[s] |= p.reach[i]
+    gens = list(dict.fromkeys(monoid._letters.values()))
+    left = [[-1] * n for _ in gens]  # left[k][y]: gens[k] * y, walked on demand
+    jumps: dict = {}
+    for e in monoid.idempotents():
+        loops = 0  # states q with an accepting q-cycle under e
+        for q, row in enumerate(elements[e].reach_acc):
+            loops |= row & 1 << q
+        ideal = [e]
+        seen = {e}
+        for y in ideal:  # grows while this runs
+            for k, g in enumerate(gens):
+                x = left[k][y]
+                if x < 0:
+                    x = g
+                    for c in columns[y]:
+                        x = right[x][c]
+                    left[k][y] = x
+                if x not in seen:
+                    seen.add(x)
+                    ideal.append(x)
+        for s in ideal:
+            if not starts[s] & loops:
+                jumps.setdefault(s, []).append(e)
+    return jumps
+
+
 def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -> BuchiAutomaton:
     """Complement via the profile monoid.
 
@@ -573,11 +618,20 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
     automaton guesses a refusing pair, reads u inside a profile tracker, and
     then checks the factorization: blocks are certified one at a time by a
     reset edge available exactly when the running block profile equals t.
-    Only the reachable part is ever built.  Every monoid product here is a
-    walk on the monoid's right Cayley table: a track or check step is one
-    lookup, and the test ``s*t = s`` one lookup per letter of t's witness.
-    Letters with one profile form a class: each node's moves and each
-    successor row are built once per class, and its letters share the row.
+    Only the reachable part is ever built.
+
+    The refusing pairs come from `_refusing_pairs`: for each idempotent t,
+    the s with s*t = s are its left ideal M^1 t, so the scan costs at most
+    |M| * |Sigma| witness walks (one per letter and element, over all
+    idempotents) plus sum over t of |M^1 t| * |Sigma| lookups, not one
+    walk per (element, idempotent) pair.  The search runs on
+    packed int nodes: ("track", m) is m and ("check", m, t, fresh) is
+    |M| + 1 + (m * |M| + t) * 2 + fresh; a move is one lookup in the right
+    Cayley table, the empty word's profile having the letter profiles as
+    its row.  Nodes become the labelled tuples only when the automaton is
+    built.  Letters with one profile form a class: each node's moves and
+    each successor row are built once per class, and its letters share the
+    row.
     """
     a = reachable_fragment(a)
     letters = a.alphabet.letters
@@ -585,38 +639,32 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
         return BuchiAutomaton._of_table(
             a.alphabet, ("all",), Table({x: [[0]] for x in letters}, (0,), (True,)))
     monoid = transition_monoid(a, budget=state_budget)
-    init_rows = a._table.initial
+    jumps = _refusing_pairs(monoid, a._table.initial)
 
-    # refusing linked pairs, grouped by the prefix profile s; the empty word
-    # is linked only when it shares its profile with an element
-    jumps: dict = {}
-    for t in monoid.idempotents():
-        loops = 0  # states q with an accepting q-cycle under t
-        for q, row in enumerate(monoid.elements[t].reach_acc):
-            loops |= row & 1 << q
-        for s, p in enumerate(monoid.elements):
-            if monoid.compose(s, t) == s and not any(p.reach[i] & loops for i in init_rows):
-                jumps.setdefault(s, []).append(t)
-
+    n = len(monoid.elements)
+    checks = n + 1  # codes below are track nodes, the unit's included
+    right = monoid._right
+    if monoid.unit == n:
+        right = right + [[monoid.letter(x) for x in letters]]
     reps, cls = _letter_classes(monoid.letter(x) for x in letters)
-    gens = [monoid.letter(letters[c]) for c in reps]
-    start = ("track", monoid.unit)
+    gens = [(c, monoid.letter(letters[c])) for c in reps]
+    start = monoid.unit
     index = {start: 0}
     order = [start]
     moves: dict = {}  # node -> per letter class its successor nodes
     frontier = [start]
     while frontier:
         node = frontier.pop()
-        if node[0] == "track":
-            m = node[1]
-            out = moves[node] = [[("track", monoid.compose(m, g))]
-                                 + [("check", g, t, False) for t in jumps.get(m, ())]
-                                 for g in gens]
+        if node < checks:
+            row = right[node]
+            out = moves[node] = [[row[c]] + [checks + (g * n + t) * 2 for t in jumps.get(node, ())]
+                                 for c, g in gens]
         else:
-            _, m, t, _fresh = node
-            out = moves[node] = [[("check", monoid.compose(m, g), t, False)]
-                                 + ([("check", g, t, True)] if m == t else [])
-                                 for g in gens]
+            m, t = divmod((node - checks) >> 1, n)
+            row = right[m]
+            out = moves[node] = [[checks + (row[c] * n + t) * 2]
+                                 + ([checks + (g * n + t) * 2 + 1] if m == t else [])
+                                 for c, g in gens]
         for nn in (nn for targets in out for nn in targets):
             if nn not in index:
                 if len(order) >= state_budget:
@@ -627,9 +675,16 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
     rows = [[sorted({index[nn] for nn in moves[node][r]}) for node in order]
             for r in range(len(reps))]
     succ = {x: rows[r] for x, r in zip(letters, cls)}
+    labels = []
+    for node in order:
+        if node < checks:
+            labels.append(("track", node))
+        else:
+            m, t = divmod((node - checks) >> 1, n)
+            labels.append(("check", m, t, bool(node - checks & 1)))
     return BuchiAutomaton._of_table(
-        a.alphabet, tuple(order),
-        Table(succ, (0,), tuple(n[0] == "check" and n[3] for n in order)))
+        a.alphabet, tuple(labels),
+        Table(succ, (0,), tuple(lab[0] == "check" and lab[3] for lab in labels)))
 
 
 # ---------------------------------------------------------------------------

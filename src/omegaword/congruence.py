@@ -430,7 +430,7 @@ class GrowingBlockSequence:
 
     def describe(self) -> str:
         w = self.word
-        return f"[{w.block}^({w.lengths.rate}*i+{w.lengths.offset}){w.sep} for i = 1, 2, ...]"
+        return f"[{w.block}^({w.lengths.rate}*i{w.lengths.offset:+d}){w.sep} for i = 1, 2, ...]"
 
 
 WordSequence = Union[PeriodicWordSequence, GrowingBlockSequence]

@@ -37,7 +37,8 @@ from .congruence import (
     _words_up_to,
     product_member,
 )
-from .errors import BudgetExceededError, FormatError, IllegalMoveError, UnsupportedWordError
+from .errors import (AlphabetMismatchError, BudgetExceededError, FormatError, IllegalMoveError,
+                     UnsupportedWordError)
 from .words import (
     Alphabet,
     FiniteWord,
@@ -803,8 +804,10 @@ def transcript_from_json(text: str) -> GameTranscript:
     """The transcript of a `transcript_to_json` text.  Raises FormatError
     ("not a transcript: ...") for text that is not JSON, a document that is
     not an object, a missing key, an interval that is not a two-int list,
-    or a value of the wrong kind.  Each distinct move-word text is checked
-    against the move alphabet once, and its repeats share that word."""
+    a value of the wrong kind, or an alphabet or word that its parser
+    refuses (the parser's message follows the field's).  Each distinct
+    move-word text is checked against the move alphabet once, and its
+    repeats share that word."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -817,8 +820,17 @@ def transcript_from_json(text: str) -> GameTranscript:
     for key, (kind, ok) in _FIELD_KINDS.items():
         if not ok(doc[key]):
             raise FormatError(f"not a transcript: {key} holds {doc[key]!r}, not {kind}")
-    walpha = alphabet(doc["word_alphabet"])
-    malpha = alphabet(doc["move_alphabet"])
+
+    def read(key: str, parse: Callable):
+        """`parse` of the value under `key`; a fault names the field."""
+        try:
+            return parse(doc[key])
+        except (FormatError, AlphabetMismatchError) as e:
+            raise FormatError(f"not a transcript: {key} holds {doc[key]!r}: {e}") from None
+
+    walpha = read("word_alphabet", alphabet)
+    malpha = read("move_alphabet", alphabet)
+    word = read("word", lambda text: parse_word(text, walpha))
 
     @cache  # for this document only: a repeated move-word text is checked once
     def fw(s: str) -> FiniteWord:
@@ -826,7 +838,7 @@ def transcript_from_json(text: str) -> GameTranscript:
 
     scheme = doc["scheme"]
     return GameTranscript(
-        word=parse_word(doc["word"], walpha),
+        word=word,
         horizon=doc["horizon"],
         oracle_name=doc["oracle"],
         family=_intervals_from_json(doc, "family"),

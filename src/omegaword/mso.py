@@ -676,24 +676,28 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
     complementation entirely for first-order universal quantifiers, which
     otherwise dominate the cost.
 
-    S, T and O are int bit masks over the inner states, bit r standing for
-    the state of rank r in ``sorted(a.states)``, and each outer letter has
-    two successor masks per inner state, one per value of the dropped bit.
+    S, T and O are int bit masks over the n inner states, bit r standing
+    for the state of rank r in ``sorted(a.states)``, and a state is stored
+    as the one int ``S | T << n | O << 2n``; each outer letter has two
+    successor masks per inner state, one per value of the dropped bit.
+    Thread choices and spawn targets are kept shifted into place (a chased
+    choice into both T and O), so a successor is a few ORs on ints.
     Outer letters with equal pairs of mask columns form a letter class
     (`_letter_classes`): the subset steps and the thread and spawn loop run
     once per class, and the letters of a class share its rows.  A letter
     that is not first in its class finds only states its class's first
     letter already found, so the numbering is the per-letter one.
-    The thread expansion of a (class, T, O) key, its choice count (0 when
-    a thread dies under every choice) and its pick list, is computed once
-    per call and shared by every state with that T and O; the branching cap
+    The thread expansion of a (class, T | O << n) key, its choice count (0
+    when a thread dies under every choice) and its pick list, is computed
+    once per call and shared by every state with that T and O; the branching cap
     is checked per state, on its spawn count times the choice count,
     before any pick list is built.
     The search visits letters in alphabet order, thread choices in product
     order over the threads by rank, and spawn targets by rank, which is the
     order of a walk over `sorted` label sets when `sorted` orders the labels
     totally; the states are numbered in order of discovery.  Only at the
-    end do states become labels ``(frozenset S, frozenset T, frozenset O)``
+    end are the ints split and the states made labels
+    ``(frozenset S, frozenset T, frozenset O)``
     of inner labels; `_reduce` then drops the dead ones and keeps the order
     of the rest.
     """
@@ -714,9 +718,11 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
                 masks[rank[i]] |= 1 << rank[j]
     reps, cls = _letter_classes((tuple(p0), tuple(p1)) for p0, p1 in zip(*post))
     post = [(post[0][k], post[1][k]) for k in reps]  # [class]: (bit-0, bit-1) masks by rank
-    # [class][rank]: the one-bit masks of the bit-0 successors, a thread's choices
-    ones = [[[1 << c for c in _bits(m)] for m in post0] for post0, _ in post]
-    subset_steps: dict = {}  # S -> [(class, S2, one-bit spawn masks)] where some spawn
+    # [class][rank]: a thread's choices, the one-bit masks of its bit-0
+    # successors shifted into T, and into both T and O for a chased thread
+    ones = [[[1 << c + n for c in _bits(m)] for m in post0] for post0, _ in post]
+    chase = [[[b | b << n for b in alts] for alts in per] for per in ones]
+    subset_steps: dict = {}  # S -> [(class, S2, spawn masks shifted into T)] where some spawn
 
     def steps_of(S: int) -> list:
         steps = []
@@ -726,29 +732,32 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
                 S2 |= post0[r]
                 spawn |= post1[r]
             if spawn:  # else some placement has no run: reject along this branch
-                steps.append((k, S2, [1 << c for c in _bits(spawn)]))
+                steps.append((k, S2, [1 << c + n for c in _bits(spawn)]))
         return steps
 
-    acc = sum(1 << rank[i] for i in range(n) if t.accepting[i])
-    init = (sum(1 << rank[i] for i in t.initial), 0, 0)
+    full = (1 << n) - 1
+    not_acc = ~(sum(1 << rank[i] for i in range(n) if t.accepting[i]) << 2 * n)
+    init = sum(1 << rank[i] for i in t.initial)  # T and O empty
     order = [init]
     seen = {init: 0}
     succ: list = []  # [state][class]: successor numbers
-    # (class, T, O) -> [thread choice count (0: a thread dies), choices, picks or None]
+    # (class, T | O << n) -> [thread choice count (0: a thread dies), choices, picks or None]
     expansions: dict = {}
     i = 0
     while i < len(order):
-        S, T, O = order[i]
+        st = order[i]
+        S, TO = st & full, st >> n
         steps = subset_steps.get(S)
         if steps is None:
             steps = subset_steps[S] = steps_of(S)
+        chased = TO >> n  # O: its threads carry the obligation
         out: list = [()] * len(reps)
         for k, S2, spawn in steps:
-            threads = expansions.get((k, T, O))
+            threads = expansions.get((k, TO))
             if threads is None:
-                choices = [(ones[k][r], O >> r & 1) for r in _bits(T)]
-                threads = expansions[k, T, O] = [
-                    math.prod(len(alts) for alts, _ in choices), choices, None]
+                choices = [(chase if chased >> r & 1 else ones)[k][r] for r in _bits(TO & full)]
+                threads = expansions[k, TO] = [
+                    math.prod(map(len, choices)), choices, None]
             count, choices, picks = threads
             if not count:
                 continue  # a mandatory thread dies under every choice
@@ -757,19 +766,17 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
                 raise BudgetExceededError(
                     f"universal-position branching {combos} exceeds cap")
             if picks is None:
-                picks = [(0, 0)]  # (T mask, O mask) of the picked threads, product order
-                for alts, chased in choices:
-                    picks = list(dict.fromkeys(
-                        (tm | c, om | c if chased else om)
-                        for tm, om in picks for c in alts))
+                picks = [0]  # T << n | O << 2n of the picked threads, product order
+                for alts in choices:
+                    picks = list(dict.fromkeys(p | c for p in picks for c in alts))
                 threads[2] = picks
             targets = out[k] = set()
-            for T2, om in dict.fromkeys((tm | c, om) for tm, om in picks for c in spawn):
-                st = (S2, T2, (om if O else T2) & ~acc)
-                j = seen.get(st)
+            for tom in dict.fromkeys(p | c for p in picks for c in spawn):
+                nxt = S2 | (tom if chased else tom | tom << n) & not_acc
+                j = seen.get(nxt)
                 if j is None:
-                    j = seen[st] = len(order)
-                    order.append(st)
+                    j = seen[nxt] = len(order)
+                    order.append(nxt)
                     if len(order) > budget:
                         raise BudgetExceededError(
                             f"universal-position automaton exceeds {budget} states")
@@ -777,12 +784,13 @@ def _universal_pos(a: BuchiAutomaton, base: Alphabet, outer: int,
         succ.append(out)
         i += 1
     labels = [a.states[q] for q in by_rank]
-    sets = {m: frozenset(labels[r] for r in _bits(m)) for m in set().union(*order)}
+    triples = [(st & full, st >> n & full, st >> 2 * n) for st in order]
+    sets = {m: frozenset(labels[r] for r in _bits(m)) for m in set().union(*triples)}
     rows = [[sorted(out[k]) for out in succ] for k in range(len(reps))]
     table = Table(dict(zip(alpha, (rows[k] for k in cls))), (0,),
-                  tuple(not O for _, _, O in order))
+                  tuple(not O for _, _, O in triples))
     return _reduce(BuchiAutomaton._of_table(
-        alpha, tuple(tuple(map(sets.__getitem__, st)) for st in order), table))
+        alpha, tuple(tuple(map(sets.__getitem__, st)) for st in triples), table))
 
 
 _SIM_STATE_GATE = 200

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from helpers import (lifted_automaton, random_automaton, random_up, ref_accepts, ref_complement,
-                     ref_intersect, ref_profile, ref_transition_monoid, run_python)
+from helpers import (all_up_words, lifted_automaton, random_automaton, random_up, ref_accepts,
+                     ref_complement, ref_intersect, ref_profile, ref_transition_monoid, run_python)
 from omegaword.buchi import (
     BuchiAutomaton,
     _column,
     _letter_classes,
+    _refusing_pairs,
     accepts_up,
     automaton,
     complement,
@@ -160,6 +161,62 @@ def test_complement_of_empty_language_is_universal():
     comp = complement(b)
     for w in [up_word("", "a", AB), up_word("ab", "ba", AB)]:
         assert accepts_up(comp, w)
+
+
+def brute_refusing_pairs(m, initial):
+    """Every (s, t) of the monoid `m` with t*t = t, s*t = s and no path from
+    an `initial` state to some q in s that meets an accepting q-cycle in t,
+    found by testing each element against each idempotent state by state;
+    ``out[s]`` lists its t in index order."""
+    states = range(len(m.identity.reach))
+    cycles = {t: [q for q in states if m.elements[t].reach_acc[q] >> q & 1]
+              for t in range(len(m.elements)) if m.compose(t, t) == t}
+    out: dict = {}
+    for s, p in enumerate(m.elements):
+        for t, qs in cycles.items():
+            if m.compose(s, t) == s and not any(p.reach[i] >> q & 1 for i in initial for q in qs):
+                out.setdefault(s, []).append(t)
+    return out
+
+
+def test_refusing_pairs_from_left_ideals_match_brute_force():
+    """The left-ideal scan of `complement` finds exactly the refusing linked
+    pairs of the element-by-idempotent scan, each list in the same order, on
+    300 automata of up to 6 states over ab and abc (monoids of at most 400
+    elements, so that the brute force stays quick)."""
+    rng = random.Random(2929)
+    tested = pairs = k = 0
+    while tested < 300:
+        a = random_automaton(rng, max_states=6, letters=("ab", "abc")[k % 2],
+                             accept_prob=(0.45, 1.0, 0.2)[k % 3])
+        k += 1
+        try:
+            m = transition_monoid(a, budget=400)
+        except BudgetExceededError:
+            continue
+        want = brute_refusing_pairs(m, a._table.initial)
+        assert _refusing_pairs(m, a._table.initial) == want, format_automaton(a)
+        tested += 1
+        pairs += sum(map(len, want.values()))
+    assert pairs > 3000
+
+
+def test_complement_with_an_identity_letter():
+    """A letter that loops on every state has the empty word's profile, so the
+    monoid's `unit` is an element; on every lasso with |u|, |v| <= 3 exactly
+    one of the automaton and its complement accepts."""
+    rng = random.Random(4242)
+    abc = alphabet("abc")
+    lassos = all_up_words("abc", 3, 3)
+    for _ in range(12):
+        b = random_automaton(rng, max_states=4)
+        a = automaton(abc, b.states, b.initial, b.accepting,
+                      b.transitions | {(q, "c", q) for q in b.states})
+        m = transition_monoid(a)
+        assert m.unit < len(m.elements) and m.letter("c") == m.unit
+        comp = complement(a)
+        for w in lassos:
+            assert accepts_up(comp, w) != accepts_up(a, w), (format_automaton(a), w.text())
 
 
 def test_complement_budget():

@@ -478,6 +478,11 @@ class TestCondition2:
         with pytest.raises(FormatError, match="needs a growing block word"):
             GrowingBlockSequence(BlockWord(AB, "a", "b", lengths))
 
+    @pytest.mark.parametrize("offset, exponent", [(-1, "1*i-1"), (0, "1*i+0"), (2, "1*i+2")])
+    def test_growing_sequence_describes_its_offset_with_one_sign(self, offset, exponent):
+        g = GrowingBlockSequence(BlockWord(AB, "a", "b", AffineLengths(1, offset)))
+        assert g.describe() == f"[a^({exponent})b for i = 1, 2, ...]"
+
 
 def brute_force_partition(words, rows):
     """Related pairs are rows that agree wherever both are defined (None is

@@ -537,6 +537,22 @@ class TestTranscriptJson:
             with pytest.raises(FormatError, match="not a transcript"):
                 transcript_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, fault", [
+        ("word_alphabet", [], "alphabet must contain at least one letter"),
+        ("move_alphabet", ["a", "a"], "duplicate letter 'a'"),
+        ("word", "(c)^w", "letter 'c' is not in alphabet ('a', 'b')"),
+    ])
+    def test_field_that_its_parser_refuses(self, key, value, fault):
+        """An alphabet or word that its parser refuses is named by its field,
+        with the parser's message after it."""
+        t = play_bounded(affine_word(), UnboundedBlocksOracle(),
+                         RandomSpoiler(random.Random(4)), CopyDuplicator(), horizon=3)
+        doc = json.loads(transcript_to_json(t))
+        doc[key] = value
+        with pytest.raises(FormatError) as got:
+            transcript_from_json(json.dumps(doc))
+        assert str(got.value) == f"not a transcript: {key} holds {value!r}: {fault}"
+
 
 class TestMoveWordChecks:
     """Move words are checked once per distinct text as a transcript enters,

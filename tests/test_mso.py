@@ -480,6 +480,31 @@ class TestUniversalPos:
                 built += bool(want.states)
         assert raised > 10 and built > 20
 
+    def test_matches_reference_on_wide_automata(self):
+        """Inner automata of 11 to 13 states, so that a state (S, T, O),
+        packed as one int of 3n bits, spans more than 32 bits.  The runs
+        stay among 4 or 5 states, the first and the last by rank among them,
+        so that T's top bit and O's lowest bit are both in use; the other
+        states make the masks wide."""
+        rng = random.Random(1113)
+        built = obliged = 0
+        for k in range(80):
+            outer = k % 2
+            letters = coded_alphabet(AB, outer + 1).letters
+            states = [f"q{i:02}" for i in range(rng.randrange(11, 14))]
+            live = [states[0], *rng.sample(states[1:-1], rng.randrange(2, 4)), states[-1]]
+            edges = {(p, x, q) for p in live for x in letters
+                     for q in rng.sample(live, rng.choices((0, 1, 2), (25, 55, 20))[0])}
+            a = automaton(letters, states, [rng.choice(live)],
+                          [q for q in live if rng.random() < (0.45, 1.0, 0.2)[k % 3]], edges)
+            budget = rng.choice((40, 1000))
+            want = self.outcome(ref_universal_pos, a, AB, outer, budget)
+            assert self.outcome(mso._universal_pos, a, AB, outer, budget) == want
+            if not isinstance(want, tuple):
+                built += bool(want.states)
+                obliged += len(want.states) - len(want.accepting)
+        assert built > 20 and obliged > 100
+
     def test_branching_cap_matches_reference(self):
         """An inner automaton wide enough that the first state with two
         threads has 28 * 28 * 28 = 21952 > `_SPAWN_COMBO_CAP` choices: the
