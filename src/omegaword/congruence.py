@@ -535,37 +535,65 @@ def check_condition2_bounded(c: Classifier, oracle, *, word_bound: int,
     """Bounded search for a product-recognition violation.
 
     Enumerates eventually periodic factor sequences (factors up to
-    `word_bound` letters, heads up to `HEAD_BOUND` factors, cycles up to
-    `cycle_bound` factors), replaces each factor by its class's shortest
-    representative, and compares the oracle's verdicts on the two products.
-    Returns the first (in enumeration order) validated witness, or None.
+    `word_bound` letters, at least 0, heads up to `HEAD_BOUND` factors,
+    cycles up to `cycle_bound` factors, at least 1), replaces each factor by
+    its class's shortest representative, and compares the oracle's verdicts
+    on the two products.  Returns the first (in enumeration order) validated
+    witness, or None.  A bound out of range raises FormatError.
 
-    Many candidate sequences share a product, so the verdict and note of
-    each product are kept for the call, keyed by its raw prefix and period
-    letters (all factors share the classifier's alphabet).
+    The search runs on letter tuples: each head and each cycle gets its
+    concatenated letters, its replacement's letters and whether the
+    replacement changes a factor once per call.  Many candidate sequences
+    share a product, so the verdict and note of each product are kept for
+    the call, keyed by its raw prefix and period letters (all factors share
+    the classifier's alphabet); an empty period is a finite word and answers
+    False without asking the oracle, as `product_member` does.  The two
+    `PeriodicWordSequence`s of a candidate are built, and the witness
+    validated, only when its two verdicts differ.
     """
+    if word_bound < 0:
+        raise FormatError("the word bound must be at least 0")
+    if cycle_bound < 1:
+        raise FormatError("the cycle bound must be at least 1")
     verdicts: dict = {}
 
-    def member(oracle, seq: PeriodicWordSequence) -> tuple[bool, str]:
-        key = (tuple(x for w in seq.head for x in w.letters),
-               tuple(x for w in seq.cycle for x in w.letters))
+    def verdict(prefix: tuple, period: tuple) -> tuple[bool, str]:
+        key = (prefix, period)
         got = verdicts.get(key)
         if got is None:
-            got = verdicts[key] = product_member(oracle, seq)
+            got = verdicts[key] = (_word_member(oracle, UPWord._of(c.alphabet, prefix, period))
+                                   if period else (False, "product is a finite word"))
         return got
+
+    def member(oracle, seq: PeriodicWordSequence) -> tuple[bool, str]:
+        return verdict(tuple(x for w in seq.head for x in w.letters),
+                       tuple(x for w in seq.cycle for x in w.letters))
 
     reps = class_representatives(c)
     words = _words_up_to(c.alphabet, word_bound)
     replacement = {w.letters: reps[c.classify(w.letters)] for w in words}
-    cycles = [cyc for k in range(1, cycle_bound + 1) for cyc in itertools.product(words, repeat=k)]
-    for head in (h for n in range(HEAD_BOUND + 1) for h in itertools.product(words, repeat=n)):
-        for cycle in cycles:
-            if all(replacement[w.letters].letters == w.letters for w in head + cycle):
+
+    def parts(lengths: range) -> list[tuple]:
+        """(factors, replaced factors, their letters, the replaced letters,
+        whether a factor changes) per factor tuple, in enumeration order."""
+        out = []
+        for k in lengths:
+            for factors in itertools.product(words, repeat=k):
+                replaced = tuple(replacement[w.letters] for w in factors)
+                out.append((factors, replaced, tuple(x for w in factors for x in w.letters),
+                            tuple(x for w in replaced for x in w.letters),
+                            any(r.letters != w.letters for w, r in zip(factors, replaced))))
+        return out
+
+    cycles = parts(range(1, cycle_bound + 1))
+    for head, rhead, prefix, rprefix, head_changes in parts(range(HEAD_BOUND + 1)):
+        for cycle, rcycle, period, rperiod, cycle_changes in cycles:
+            if not (head_changes or cycle_changes):
                 continue
-            witness = _condition2_witness(
-                c, oracle, PeriodicWordSequence(head, cycle), PeriodicWordSequence(
-                    tuple(replacement[w.letters] for w in head),
-                    tuple(replacement[w.letters] for w in cycle)), member=member)
+            if verdict(prefix, period)[0] == verdict(rprefix, rperiod)[0]:
+                continue
+            witness = _condition2_witness(c, oracle, PeriodicWordSequence(head, cycle),
+                                          PeriodicWordSequence(rhead, rcycle), member=member)
             if witness is not None:
                 return witness
     return None
@@ -676,6 +704,8 @@ def _bounded_partition(oracle, word_bound: int, context_bound: int,
     verdict row per erased word over the erased contexts (see the module
     docstring).  The right row of w u is built once per word w u, since it
     is shared by many pairs (w, u)."""
+    if word_bound < 0:
+        raise FormatError("the word bound must be at least 0")
     if context_bound < 1:
         raise FormatError("the context bound must be at least 1")
     neutral = getattr(oracle, "neutral_letter", None)
@@ -701,18 +731,19 @@ def _bounded_partition(oracle, word_bound: int, context_bound: int,
 
 
 def arnold_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
-    """Partition all words up to `word_bound` letters by the bounded
-    two-sided congruence of the oracle's language: contexts w _ x(y)^omega
-    and powers w(_ v)^omega with pieces up to `context_bound` letters (at
-    least 1) over the erased letters."""
+    """Partition all words up to `word_bound` letters (at least 0) by the
+    bounded two-sided congruence of the oracle's language: contexts
+    w _ x(y)^omega and powers w(_ v)^omega with pieces up to
+    `context_bound` letters (at least 1) over the erased letters.  A bound
+    out of range raises FormatError."""
     return _bounded_partition(oracle, word_bound, context_bound, True)
 
 
 def right_classes_bounded(oracle, *, word_bound: int, context_bound: int) -> BoundedPartition:
-    """Partition all words up to `word_bound` letters by the bounded right
-    congruence of the oracle's language: contexts _ x(y)^omega only, with
-    pieces up to `context_bound` letters (at least 1) over the erased
-    letters."""
+    """Partition all words up to `word_bound` letters (at least 0) by the
+    bounded right congruence of the oracle's language: contexts
+    _ x(y)^omega only, with pieces up to `context_bound` letters (at least
+    1) over the erased letters.  A bound out of range raises FormatError."""
     return _bounded_partition(oracle, word_bound, context_bound, False)
 
 

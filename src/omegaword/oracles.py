@@ -180,8 +180,10 @@ class UnboundedBlocksOracle(LanguageOracle):
     """Words over {a, b} whose maximal all-`a` intervals have unbounded size.
 
     A lasso word qualifies exactly when its period is all `a` (the word ends
-    in an infinite `a`-tail); any period containing `b` caps the runs.  A
-    block word qualifies exactly when its block lengths are unbounded.
+    in an infinite `a`-tail); any period containing `b` caps the runs.  So
+    `decide` reads a lasso's period only and scans no runs.  A block word
+    reaches `decide` only when its blocks grow, and qualifies exactly when
+    they are blocks of `a`, which `max_letter_run` reads off its letters.
     """
 
     name = "U"
@@ -189,6 +191,8 @@ class UnboundedBlocksOracle(LanguageOracle):
     finder = staticmethod(_unbounded_runs_violation)
 
     def decide(self, w: InfiniteWord) -> bool:
+        if isinstance(w, UPWord):
+            return "b" not in w.period  # over {a, b}: the period is all a
         return max_letter_run(w, "a") is None
 
 

@@ -37,8 +37,9 @@ def run_python(args: list) -> subprocess.CompletedProcess:
 
 
 def random_automaton(rng: random.Random, max_states: int = 4, letters: str = "ab",
-                     accept_prob: float = 0.45) -> BuchiAutomaton:
-    n = rng.randrange(1, max_states + 1)
+                     accept_prob: float = 0.45, states: Optional[int] = None) -> BuchiAutomaton:
+    """A random automaton on `states` states, or on 1 to `max_states` drawn."""
+    n = rng.randrange(1, max_states + 1) if states is None else states
     states = [f"q{i}" for i in range(n)]
     trans = set()
     for q in states:
@@ -48,6 +49,13 @@ def random_automaton(rng: random.Random, max_states: int = 4, letters: str = "ab
                 trans.add((q, x, d))
     accepting = {q for q in states if rng.random() < accept_prob}
     return automaton(alphabet(letters), states, {states[0]}, accepting, trans)
+
+
+def kernel_universe() -> list[BuchiAutomaton]:
+    """The 40 automata whose kernel classifiers the `classes` benchmark
+    workload checks: seed 2, automaton i on 2 + i % 3 states."""
+    rng = random.Random(2)
+    return [random_automaton(rng, states=2 + i % 3) for i in range(40)]
 
 
 def random_up(rng: random.Random, letters: str = "ab", max_prefix: int = 3,
@@ -296,15 +304,14 @@ def ref_transcript_json(t, move_alphabet=None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def ref_check_condition2_bounded(c, oracle, *, word_bound: int, cycle_bound: int):
-    """`check_condition2_bounded` without a memo: every candidate sequence
-    and its replacement are put to the oracle through `product_member`, in
-    the same enumeration order (heads of up to `HEAD_BOUND` factors, cycles
-    of 1 to `cycle_bound` factors, factors length-lexicographic)."""
-    from omegaword.congruence import (HEAD_BOUND, Condition2ViolationWitness,
-                                      PeriodicWordSequence, class_representatives,
-                                      product_member, validate_condition2_witness)
-    from omegaword.errors import DegenerateProductError
+def ref_condition2_candidates(c, oracle, *, word_bound: int, cycle_bound: int):
+    """The candidates of `check_condition2_bounded`, without a memo, in its
+    enumeration order (heads of up to `HEAD_BOUND` factors, cycles of 1 to
+    `cycle_bound` factors, factors length-lexicographic), lazily: each
+    sequence whose replacement changes a factor, that replacement, and both
+    `product_member` verdicts with their notes."""
+    from omegaword.congruence import (HEAD_BOUND, PeriodicWordSequence, class_representatives,
+                                      product_member)
 
     reps = class_representatives(c)
     words = [FiniteWord(c.alphabet, w) for n in range(word_bound + 1)
@@ -321,18 +328,29 @@ def ref_check_condition2_bounded(c, oracle, *, word_bound: int, cycle_bound: int
                 continue
             original = PeriodicWordSequence(head, cycle)
             replaced = PeriodicWordSequence(tuple(map(rep, head)), tuple(map(rep, cycle)))
-            om, note_o = product_member(oracle, original)
-            rm, note_r = product_member(oracle, replaced)
-            if om == rm:
-                continue
-            try:
-                replaced_product = replaced.product()
-            except DegenerateProductError:
-                replaced_product = None
-            witness = Condition2ViolationWitness(original, replaced, original.product(),
-                                                 replaced_product, om, rm, note_o or note_r)
-            if validate_condition2_witness(c, oracle, witness):
-                return witness
+            yield (original, replaced, product_member(oracle, original),
+                   product_member(oracle, replaced))
+
+
+def ref_check_condition2_bounded(c, oracle, *, word_bound: int, cycle_bound: int):
+    """`check_condition2_bounded` without a memo: every candidate sequence
+    and its replacement are put to the oracle through `product_member`, in
+    the same enumeration order (`ref_condition2_candidates`)."""
+    from omegaword.congruence import Condition2ViolationWitness, validate_condition2_witness
+    from omegaword.errors import DegenerateProductError
+
+    for original, replaced, (om, note_o), (rm, note_r) in ref_condition2_candidates(
+            c, oracle, word_bound=word_bound, cycle_bound=cycle_bound):
+        if om == rm:
+            continue
+        try:
+            replaced_product = replaced.product()
+        except DegenerateProductError:
+            replaced_product = None
+        witness = Condition2ViolationWitness(original, replaced, original.product(),
+                                             replaced_product, om, rm, note_o or note_r)
+        if validate_condition2_witness(c, oracle, witness):
+            return witness
     return None
 
 

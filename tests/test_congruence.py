@@ -37,9 +37,9 @@ from omegaword.oracles import (
 from omegaword.words import (AffineLengths, BlockWord, ConstantLengths, EventuallyPeriodicLengths,
                              UPWord, alphabet, finite_word, prefix_of, up_word)
 
-from helpers import (_ref_transformation_monoid, random_automaton, random_classifier,
-                     ref_bounded_classes, ref_check_condition1, ref_check_condition2_bounded,
-                     ref_lemma_repair,
+from helpers import (_ref_transformation_monoid, kernel_universe, random_automaton,
+                     random_classifier, ref_bounded_classes, ref_check_condition1,
+                     ref_check_condition2_bounded, ref_condition2_candidates, ref_lemma_repair,
                      ref_state_representatives, twin_classifier)
 
 AB = alphabet("ab")
@@ -402,17 +402,25 @@ class TestCondition2:
 
     def test_memo_matches_memo_free_reference(self):
         """The same witness (or None) as the memo-free reference on random
-        classifiers against U, Uprime and regular oracles.  The search asks
-        the oracle about the same products as the reference, each once: only
-        the witness's validation asks about its two products again."""
+        classifiers against U, Uprime and regular oracles, and on the kernel
+        classifiers of up to 5 classes of the `classes` benchmark workload
+        against their own automaton and against U.  The search asks the
+        oracle about the same products as the reference, each once: only the
+        witness's validation asks about its two products again."""
         rng = random.Random(41)
-        outcomes = set()
+        cases = []
         for k in range(36):
             c = random_classifier(rng, max_states=4)
             if k % 3 == 2:
-                inner = RegularOracle(random_automaton(rng, max_states=3))
+                cases.append((c, RegularOracle(random_automaton(rng, max_states=3))))
             else:
-                inner = get_oracle(("U", "Uprime")[k % 3])
+                cases.append((c, get_oracle(("U", "Uprime")[k % 3])))
+        for a in kernel_universe():
+            c = profile_kernel_classifier(a)
+            if c.index <= 5:
+                cases += [(c, RegularOracle(a)), (c, get_oracle("U"))]
+        outcomes = set()
+        for c, inner in cases:
             oracle, ref_oracle = _AskedOracle(inner), _AskedOracle(inner)
             got = check_condition2_bounded(c, oracle, word_bound=2, cycle_bound=2)
             assert got == ref_check_condition2_bounded(c, ref_oracle, word_bound=2,
@@ -428,6 +436,62 @@ class TestCondition2:
         assert {ok for _, ok in outcomes} == {True, False}
         assert {name for name, _ in outcomes} == {
             "UnboundedBlocksOracle", "NeutralOracle", "RegularOracle"}
+
+    def test_sequences_are_built_only_for_differing_verdicts(self, monkeypatch):
+        """`_condition2_witness`, and with it the two `PeriodicWordSequence`s
+        of a candidate, runs once per candidate whose two `product_member`
+        verdicts differ, up to the witness returned: never for the kernel
+        classifiers of the `classes` benchmark workload against their own
+        automaton, whose verdicts always agree."""
+        calls, built = Counter(), Counter()
+        witness, post_init = congruence._condition2_witness, PeriodicWordSequence.__post_init__
+
+        def spy(*args, **kwargs):
+            calls["witness"] += 1
+            return witness(*args, **kwargs)
+
+        def count(seq):
+            built["sequences"] += 1
+            post_init(seq)
+
+        monkeypatch.setattr(congruence, "_condition2_witness", spy)
+        monkeypatch.setattr(PeriodicWordSequence, "__post_init__", count)
+        cases = [(profile_kernel_classifier(a), RegularOracle(a)) for a in kernel_universe()]
+        rng = random.Random(7)
+        for k in range(32):
+            c = random_classifier(rng, max_states=4)
+            cases.append((c, RegularOracle(random_automaton(rng, max_states=3)) if k % 5 == 4
+                          else get_oracle(("U", "Uprime", "P", "primes")[k % 5])))
+        differing = []
+        for c, oracle in cases:
+            calls.clear()
+            built.clear()
+            got = check_condition2_bounded(c, oracle, word_bound=2, cycle_bound=2)
+            made = (calls["witness"], built["sequences"])
+            expected = 0
+            for original, replaced, (om, _), (rm, _) in ref_condition2_candidates(
+                    c, oracle, word_bound=2, cycle_bound=2):
+                if om != rm:
+                    expected += 1
+                    if got is not None and (original, replaced) == (got.original, got.replaced):
+                        break
+            else:
+                assert got is None
+            assert made == (expected, 2 * expected)
+            differing.append(expected)
+        assert differing[:40] == [0] * 40
+        assert any(differing[40:])
+
+    def test_bounds_out_of_range_are_refused(self):
+        # at cycle bound 0 no cycle would be tried, and no violation reported
+        c = classifier(AB, ("q",), "q", {("q", "a"): "q", ("q", "b"): "q"}, {"q": "all"})
+        oracle = get_oracle("U")
+        assert check_condition2_bounded(c, oracle, word_bound=0, cycle_bound=1) is None
+        assert check_condition2_bounded(c, oracle, word_bound=1, cycle_bound=1) is not None
+        with pytest.raises(FormatError, match="cycle bound must be at least 1"):
+            check_condition2_bounded(c, oracle, word_bound=1, cycle_bound=0)
+        with pytest.raises(FormatError, match="word bound must be at least 0"):
+            check_condition2_bounded(c, oracle, word_bound=-1, cycle_bound=1)
 
     def test_product_member_degenerate_is_false(self):
         oracle = UnboundedRunsStub()
@@ -517,6 +581,15 @@ def partition_texts(part):
 
 
 class TestBoundedCongruences:
+    @pytest.mark.parametrize("build", [arnold_classes_bounded, right_classes_bounded])
+    def test_bounds_out_of_range_are_refused(self, build):
+        oracle = get_oracle("U")
+        assert partition_texts(build(oracle, word_bound=0, context_bound=1)) == ([["eps"]], [])
+        with pytest.raises(FormatError, match="word bound must be at least 0"):
+            build(oracle, word_bound=-1, context_bound=2)
+        with pytest.raises(FormatError, match="context bound must be at least 1"):
+            build(oracle, word_bound=2, context_bound=0)
+
     def test_unbounded_runs_two_classes(self):
         part = arnold_classes_bounded(UnboundedRunsStub(),
                                       word_bound=2, context_bound=2)

@@ -32,6 +32,7 @@ from omegaword.oracles import (
 from omegaword.words import (
     alphabet,
     finite_word,
+    max_letter_run,
     parse_word,
     to_up_word,
     up_word,
@@ -64,6 +65,21 @@ class TestUnboundedBlocks:
         assert not u.member(w("blocks(a,b;ep 1|2 3)"))
         # growing b-blocks cap the a-runs at zero
         assert not u.member(w("blocks(b,a;affine 1 0)"))
+        for block, sep in (("a", "b"), ("b", "a")):
+            for spec in ("affine 1 0", "affine 2 3", "affine 1 -1", "constant 0", "constant 2",
+                         "ep 1|1 2", "ep 3 0|0 1"):
+                word = w(f"blocks({block},{sep};{spec})")
+                assert u.member(word) is (max_letter_run(word, "a") is None), word
+
+    def test_lasso_rule_matches_the_run_scan(self):
+        """U decides a lasso by its period alone, `max_letter_run` by the
+        runs of prefix + 2 periods: they agree on every lasso over ab with a
+        prefix of up to 3 and a period of 1 to 4 letters."""
+        u = get_oracle("U")
+        for n, m in product(range(4), range(1, 5)):
+            for p, v in product(product("ab", repeat=n), product("ab", repeat=m)):
+                word = up_word(p, v, AB)
+                assert u.member(word) is (max_letter_run(word, "a") is None), word
 
     def test_finite_word_unsupported(self):
         with pytest.raises(UnsupportedWordError):
@@ -166,7 +182,7 @@ class TestNeutralOracle:
 
     def test_lassos_are_decided_by_u_on_their_erasure(self):
         o, u = get_oracle("Uprime"), UnboundedBlocksOracle()
-        for n, m in product(range(4), range(1, 4)):
+        for n, m in product(range(4), range(1, 5)):
             for p, v in product(product("ab1", repeat=n), product("ab1", repeat=m)):
                 word = up_word(p, v, AB1)
                 if set(v) == {"1"}:
