@@ -172,7 +172,9 @@ def _closure(seeds: Iterable[tuple[Hashable, tuple]], gens: dict, act: Callable,
     the first label.  Returns the elements, their witnesses, the right
     Cayley table (``right[i][c]`` for the c-th generator) and the element
     index.  Raises BudgetExceededError, naming `what`, past `budget`
-    elements."""
+    elements, and FormatError for a budget below 1."""
+    if budget < 1:
+        raise FormatError("the budget must be at least 1")
     elements: list = []
     words: list = []
     index: dict = {}
@@ -487,23 +489,23 @@ class TransitionMonoid:
     """Profiles of all nonempty words over an automaton, with shortest
     witness words (length-lexicographic).  Elements are addressed by index.
     `identity` is the empty word's profile and `unit` its index: the element
-    sharing that profile if there is one, else ``len(elements)``; `compose`
-    accepts `unit` on either side.
+    sharing that profile if there is one, else ``len(elements)``.
 
-    `_closure` builds it from the letter profiles and keeps the right Cayley
-    table: ``_right[i][c]`` is the index of ``elements[i]`` times the profile
-    of the c-th alphabet letter, and ``_columns[j]`` spells the witness of j
-    as alphabet positions.  Since ``elements[j]`` is the product of its
+    `rows` is the right Cayley table, the unit's row included: ``rows[i][c]``
+    is the index of element i (the empty word for i = `unit`) times the
+    profile of the c-th alphabet letter.  ``_columns[j]`` spells the witness
+    of j as alphabet positions.  Since ``elements[j]`` is the product of its
     witness's letter profiles, associativity makes ``compose(i, j)`` a walk
-    from i along those columns, one list lookup per letter."""
+    from i along those columns, one list lookup per letter; `compose`
+    accepts `unit` on either side.  `left_ideal` reads the same table from
+    the other side."""
 
     automaton: BuchiAutomaton
     elements: list
     identity: Profile
     unit: int
-    _index: dict
     _letters: dict
-    _right: list
+    rows: list
     _columns: list
 
     @cached_property
@@ -517,17 +519,40 @@ class TransitionMonoid:
         return self._letters[a]
 
     def compose(self, i: int, j: int) -> int:
-        if i == self.unit:
-            return j
         if j == self.unit:
             return i
-        right = self._right
+        rows = self.rows
         for c in self._columns[j]:
-            i = right[i][c]
+            i = rows[i][c]
         return i
 
     def idempotents(self) -> list[int]:
         return [i for i in range(len(self.elements)) if self.compose(i, i) == i]
+
+    @cached_property
+    def _left(self) -> list[tuple[int, list[int]]]:
+        """Per distinct letter profile g: g and its products g*y by y, -1 until needed."""
+        n = len(self.elements)
+        return [(g, [-1] * n) for g in dict.fromkeys(self._letters.values())]
+
+    def left_ideal(self, e: int) -> list[int]:
+        """The left ideal M^1 e of element e, the products s*e for s a
+        profile or the empty word, in discovery order: e first, then the
+        closure of {e} under left multiplication by the letter profiles.
+        Each product g*y is one `compose` walk, made at most once per (g, y)
+        over the monoid's life and shared by every ideal that meets it."""
+        left = self._left
+        ideal = [e]
+        seen = {e}
+        for y in ideal:  # grows while this runs
+            for g, products in left:
+                x = products[y]
+                if x < 0:
+                    x = products[y] = self.compose(g, y)
+                if x not in seen:
+                    seen.add(x)
+                    ideal.append(x)
+        return ideal
 
     def profile_of(self, letters: Sequence[str]) -> Profile:
         out = self.identity
@@ -539,8 +564,10 @@ class TransitionMonoid:
 def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMonoid:
     """The monoid of profiles of nonempty words: the `_closure` of the letter
     profiles, with witnesses spelled as alphabet positions.  Letters with
-    equal successor columns have one profile and share their rows.  Raises
-    BudgetExceededError past `budget` elements."""
+    equal successor columns have one profile and share their rows.  When the
+    empty word has a profile of its own, its row (the letter profiles) is
+    appended to the table.  Raises BudgetExceededError past `budget`
+    elements."""
     n = len(a.states)
     t = a._table
     acc_mask = sum(1 << i for i, f in enumerate(t.accepting) if f)
@@ -555,8 +582,10 @@ def transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> TransitionMo
     letters = {x: index[p] for x, p in zip(a.alphabet, gens)}
     identity = Profile(tuple(1 << i for i in range(n)),
                        tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
-    return TransitionMonoid(a, elements, identity,
-                            index.get(identity, len(elements)), index, letters, right, columns)
+    unit = index.get(identity, len(elements))
+    if unit == len(elements):
+        right.append(list(letters.values()))
+    return TransitionMonoid(a, elements, identity, unit, letters, right, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -568,41 +597,22 @@ def _refusing_pairs(monoid: TransitionMonoid, init_rows: Sequence[int]) -> dict:
     `idempotents` order, each idempotent e with s*e = s under which no
     initial-to-q path of s meets an accepting q-cycle of e.
 
-    The s linked to e are the left ideal M^1 e = {s : s*e = s}, since
-    s*e*e = s*e; it is the closure of {e} under left multiplication by the
-    letter profiles, so the scan visits only linked pairs.  A product g*y is
-    a walk from the letter g along y's witness on the right Cayley table,
-    made at most once per (g, y) in one call; an s is read only through its
-    start-reach mask R(s), the OR of its initial rows.  The empty word is
-    linked only when it shares its profile with an element, and then only
-    to itself, as in the product test s*e = s."""
-    elements, right, columns = monoid.elements, monoid._right, monoid._columns
-    n = len(elements)
-    starts = [0] * n  # R(s)
-    for s, p in enumerate(elements):
+    The s linked to e are its left ideal M^1 e = {s : s*e = s}, since
+    s*e*e = s*e, so the scan visits only linked pairs.  An s is read only
+    through its start-reach mask R(s), the OR of its initial rows, and an e
+    through its loop mask, the states with an accepting cycle under e.  The
+    empty word is linked only when it shares its profile with an element,
+    and then only to itself, as in the product test s*e = s."""
+    starts = [0] * len(monoid.elements)  # R(s)
+    for s, p in enumerate(monoid.elements):
         for i in init_rows:
             starts[s] |= p.reach[i]
-    gens = list(dict.fromkeys(monoid._letters.values()))
-    left = [[-1] * n for _ in gens]  # left[k][y]: gens[k] * y, walked on demand
     jumps: dict = {}
     for e in monoid.idempotents():
         loops = 0  # states q with an accepting q-cycle under e
-        for q, row in enumerate(elements[e].reach_acc):
+        for q, row in enumerate(monoid.elements[e].reach_acc):
             loops |= row & 1 << q
-        ideal = [e]
-        seen = {e}
-        for y in ideal:  # grows while this runs
-            for k, g in enumerate(gens):
-                x = left[k][y]
-                if x < 0:
-                    x = g
-                    for c in columns[y]:
-                        x = right[x][c]
-                    left[k][y] = x
-                if x not in seen:
-                    seen.add(x)
-                    ideal.append(x)
-        for s in ideal:
+        for s in monoid.left_ideal(e):
             if not starts[s] & loops:
                 jumps.setdefault(s, []).append(e)
     return jumps
@@ -621,18 +631,19 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
     Only the reachable part is ever built.
 
     The refusing pairs come from `_refusing_pairs`: for each idempotent t,
-    the s with s*t = s are its left ideal M^1 t, so the scan costs at most
-    |M| * |Sigma| witness walks (one per letter and element, over all
+    the s with s*t = s are `monoid.left_ideal(t)`, so the scan costs at
+    most |M| * |Sigma| witness walks (one per letter and element, over all
     idempotents) plus sum over t of |M^1 t| * |Sigma| lookups, not one
-    walk per (element, idempotent) pair.  The search runs on
-    packed int nodes: ("track", m) is m and ("check", m, t, fresh) is
-    |M| + 1 + (m * |M| + t) * 2 + fresh; a move is one lookup in the right
-    Cayley table, the empty word's profile having the letter profiles as
-    its row.  Nodes become the labelled tuples only when the automaton is
-    built.  Letters with one profile form a class: each node's moves and
-    each successor row are built once per class, and its letters share the
-    row.
+    walk per (element, idempotent) pair.  The search runs on packed int
+    nodes: ("track", m) is m and ("check", m, t, fresh) is
+    |M| + 1 + (m * |M| + t) * 2 + fresh; a move is one lookup in
+    `monoid.rows`, which holds the unit's row.  Nodes become the labelled
+    tuples only when the automaton is built.  Letters with one profile form
+    a class: each node's moves and each successor row are built once per
+    class, and its letters share the row.
     """
+    if state_budget < 1:
+        raise FormatError("the state budget must be at least 1")
     a = reachable_fragment(a)
     letters = a.alphabet.letters
     if not a.states or not a.initial:
@@ -643,9 +654,7 @@ def complement(a: BuchiAutomaton, *, state_budget: int = DEFAULT_STATE_BUDGET) -
 
     n = len(monoid.elements)
     checks = n + 1  # codes below are track nodes, the unit's included
-    right = monoid._right
-    if monoid.unit == n:
-        right = right + [[monoid.letter(x) for x in letters]]
+    right = monoid.rows
     reps, cls = _letter_classes(monoid.letter(x) for x in letters)
     gens = [(c, monoid.letter(letters[c])) for c in reps]
     start = monoid.unit

@@ -611,9 +611,7 @@ def profile_kernel_classifier(a: BuchiAutomaton, *, budget: int = 50000) -> Clas
     order = [m.unit] + [i for i in range(len(m.elements)) if i != m.unit]
     pos = {i: k for k, i in enumerate(order)}
     names = tuple("e" if i == m.unit else f"m{i}" for i in order)
-    # the unit's row: past the table when the empty word has its own profile
-    right = m._right + [[m.letter(x) for x in a.alphabet]]
-    succ = {x: tuple(pos[right[i][k]] for i in order) for k, x in enumerate(a.alphabet)}
+    succ = {x: tuple(pos[m.rows[i][k]] for i in order) for k, x in enumerate(a.alphabet)}
     return Classifier._of_table(a.alphabet, names, _Table(succ, 0, names))
 
 

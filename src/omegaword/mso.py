@@ -502,6 +502,8 @@ def compile_to_buchi(phi: Formula, base, free: Sequence[str] = (), *,
     `_reduce`, so only an atom (unreduced: ``x < x`` has a state no run
     reaches) gets a closing one.
     """
+    if state_budget < 1:
+        raise FormatError("the state budget must be at least 1")
     if has_latoms(phi):
         raise UnsupportedFormulaError(
             "predicate atoms have no automaton translation; see evaluate")
@@ -1072,6 +1074,8 @@ def evaluate(phi: Formula, val: UPValuation,
     with a position that is no int >= 0 or a set with a letter other than
     0/1, whatever the formula reads of it.
     """
+    if state_budget < 1:
+        raise FormatError("the state budget must be at least 1")
     _require_scopes(phi, *free_variables(phi))
     for n in val.positions.values():
         if type(n) is not int or n < 0:

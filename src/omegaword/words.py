@@ -15,7 +15,9 @@ words is `up_equal` for lasso-representable words.
 
 Letters are checked where a word enters: the constructors `FiniteWord(...)`
 and `UPWord(...)`, `finite_word`, `up_word`, `with_alphabet` and
-`parse_word` check every letter against the alphabet.  Words built from
+`parse_word` check every letter against the alphabet; the constructors
+refuse an alphabet that is no `Alphabet`, and `finite_word` and `up_word`
+read theirs through `alphabet(...)`.  Words built from
 letters of words already checked (`canonical`, `concat`, `omega_product`,
 `apply_hom`, whose images `Homomorphism` checks when it is built, and the
 internal builders of the other modules) go through the unchecked
@@ -90,9 +92,12 @@ def alphabet(spec: Union[Alphabet, str, Iterable[str]]) -> Alphabet:
 
 
 def _check_letters(letters: Sequence[str], alpha: Alphabet) -> None:
+    if not isinstance(alpha, Alphabet):
+        raise FormatError(f"an alphabet must be an Alphabet, not {type(alpha).__name__}")
+    known = alpha.letters
     for x in letters:
-        if x not in alpha:
-            raise AlphabetMismatchError(f"letter {x!r} is not in alphabet {alpha.letters}")
+        if x not in known:
+            raise AlphabetMismatchError(f"letter {x!r} is not in alphabet {known}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +106,8 @@ def _check_letters(letters: Sequence[str], alpha: Alphabet) -> None:
 
 @dataclass(frozen=True)
 class FiniteWord:
-    """A finite word.  The constructor checks every letter against the
-    alphabet; `_of` does not."""
+    """A finite word.  The constructor checks that the alphabet is an
+    `Alphabet` and every letter lies in it; `_of` does not."""
 
     alphabet: Alphabet
     letters: tuple[str, ...]
@@ -129,8 +134,8 @@ class FiniteWord:
 @dataclass(frozen=True)
 class UPWord:
     """An ultimately periodic word ``prefix . period^omega``.  The
-    constructor checks that the period is nonempty and every letter lies in
-    the alphabet; `_of` does not."""
+    constructor checks that the alphabet is an `Alphabet`, the period is
+    nonempty and every letter lies in the alphabet; `_of` does not."""
 
     alphabet: Alphabet
     prefix: tuple[str, ...]
@@ -270,13 +275,13 @@ Word = Union[FiniteWord, UPWord, BlockWord]
 InfiniteWord = Union[UPWord, BlockWord]
 
 
-def finite_word(text_or_letters: Union[str, Sequence[str]], alpha: Alphabet) -> FiniteWord:
-    return FiniteWord(alpha, tuple(text_or_letters))
+def finite_word(text_or_letters: Union[str, Sequence[str]], alpha) -> FiniteWord:
+    return FiniteWord(alphabet(alpha), tuple(text_or_letters))
 
 
 def up_word(prefix: Union[str, Sequence[str]], period: Union[str, Sequence[str]],
-            alpha: Alphabet) -> UPWord:
-    return UPWord(alpha, tuple(prefix), tuple(period))
+            alpha) -> UPWord:
+    return UPWord(alphabet(alpha), tuple(prefix), tuple(period))
 
 
 def with_alphabet(w: Word, alpha: Alphabet) -> Word:

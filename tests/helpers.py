@@ -955,8 +955,10 @@ def ref_transition_monoid(a: BuchiAutomaton, *, budget: int = 50000) -> Transiti
         right.append([add(compose_profiles(p, elements[k]), wit + (c,)) for c, k in gens])
     identity = Profile(tuple(1 << i for i in range(n)),
                        tuple(1 << i if f else 0 for i, f in enumerate(t.accepting)))
-    return TransitionMonoid(a, elements, identity,
-                            index.get(identity, len(elements)), index, letters, right, columns)
+    unit = index.get(identity, len(elements))
+    if unit == len(elements):
+        right.append(list(letters.values()))
+    return TransitionMonoid(a, elements, identity, unit, letters, right, columns)
 
 
 def ref_complement(a: BuchiAutomaton, *,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -201,6 +202,39 @@ def test_refusing_pairs_from_left_ideals_match_brute_force():
     assert pairs > 3000
 
 
+def test_left_ideal_matches_brute_force():
+    """`left_ideal(e)` is {e} and every x*e, listing e first and nothing
+    twice, for every element e of 300 random automata over ab (the empty
+    word is mostly no element, so ``unit == len(elements)``), half of them
+    with a letter c that loops on every state (so `unit` is an element).
+    The ideals are taken in reverse index order on one monoid, so most of
+    them meet a left-product table that earlier ideals filled, and each
+    equals the ideal of a fresh copy of the monoid, whose table is empty."""
+    rng = random.Random(3232)
+    abc = alphabet("abc")
+    tested = elements = 0
+    units = {True: 0, False: 0}  # is the unit an element?
+    while tested < 300:
+        a = random_automaton(rng, max_states=6, accept_prob=(0.45, 1.0, 0.2)[tested % 3])
+        if tested % 2:
+            a = automaton(abc, a.states, a.initial, a.accepting,
+                          a.transitions | {(q, "c", q) for q in a.states})
+        try:
+            m = transition_monoid(a, budget=400)
+        except BudgetExceededError:
+            continue
+        n = len(m.elements)
+        for e in reversed(range(n)):
+            ideal = m.left_ideal(e)
+            assert ideal[0] == e and len(set(ideal)) == len(ideal)
+            assert set(ideal) == {e} | {m.compose(x, e) for x in range(n)}, format_automaton(a)
+            assert replace(m).left_ideal(e) == ideal
+        tested += 1
+        elements += n
+        units[m.unit < n] += 1
+    assert units[True] >= 150 and units[False] > 100 and elements > 8000
+
+
 def test_complement_with_an_identity_letter():
     """A letter that loops on every state has the empty word's profile, so the
     monoid's `unit` is an element; on every lasso with |u|, |v| <= 3 exactly
@@ -261,9 +295,10 @@ def test_monoid_compose_matches_profiles():
         def profile(i):
             return m.identity if i == m.unit else m.elements[i]
 
+        index = {p: i for i, p in enumerate(m.elements)}
         for i, j in pairs:
             prod = compose_profiles(profile(i), profile(j))
-            assert m.compose(i, j) == (m.unit if prod == m.identity else m._index[prod])
+            assert m.compose(i, j) == (m.unit if prod == m.identity else index[prod])
         assert m.idempotents() == [i for i, p in enumerate(m.elements)
                                    if compose_profiles(p, p) == p]
 
@@ -373,8 +408,8 @@ def test_letter_class_constructions_match_per_letter_references():
                     assert tp.succ[x] is tp.succ[y]
         for x in (a, product):
             m, want = transition_monoid(x), ref_transition_monoid(x)
-            assert (m.elements, m.witnesses, m._right, m.unit, m.idempotents()) == (
-                want.elements, want.witnesses, want._right, want.unit, want.idempotents())
+            assert (m.elements, m.witnesses, m.rows, m.unit, m.idempotents()) == (
+                want.elements, want.witnesses, want.rows, want.unit, want.idempotents())
             budget = rng.choice((30, 2000))
             outcomes = []
             for build in (complement, ref_complement):

@@ -15,12 +15,15 @@ from collections import Counter
 import pytest
 
 from helpers import random_automaton, random_sentence
-from omegaword.congruence import (arnold_classes_bounded, check_condition2_bounded,
+from omegaword.buchi import automaton, complement, transition_monoid
+from omegaword.congruence import (arnold_classes_bounded, check_condition1,
+                                  check_condition2_bounded, classifier, lemma_repair,
                                   profile_kernel_classifier, right_classes_bounded)
-from omegaword.errors import BudgetExceededError
+from omegaword.errors import BudgetExceededError, FormatError
 from omegaword.game import (Interval, get_duplicator, get_spoiler, play_bounded,
                             transcript_from_json, transcript_to_json)
-from omegaword.mso import LAtom, UPValuation, evaluate, indicator_set, mso_satisfiable
+from omegaword.mso import (LAtom, UPValuation, compile_to_buchi, evaluate, indicator_set,
+                           mso_satisfiable, parse_formula)
 from omegaword.oracles import RegularOracle, get_oracle, neutral_letter_check
 from omegaword.trio import (AnBnOracle, SeparatedWord, apply_transducer, format_separated,
                             loop_representation, member_L1, member_L2, parse_separated,
@@ -131,3 +134,34 @@ def test_the_wrapper_reports_a_bad_input(checked_builders):
     UPWord._of(AB, (), ())
     assert calls == Counter({"FiniteWord": 1, "Interval": 1, "UPWord": 1})
     assert len(faults) == 3
+
+
+ONE_STATE = automaton("ab", ["q"], ["q"], ["q"], [("q", "a", "q"), ("q", "b", "q")])
+ONE_CLASS = classifier("ab", ["q"], "q", {("q", "a", "q"), ("q", "b", "q")}, {"q": "A"})
+SOME_A = parse_formula("(exists1 x (letter x a))")
+BUDGETED = {
+    "transition_monoid": lambda b: transition_monoid(ONE_STATE, budget=b),
+    "profile_kernel_classifier": lambda b: profile_kernel_classifier(ONE_STATE, budget=b),
+    "check_condition1": lambda b: check_condition1(ONE_CLASS, budget=b),
+    "lemma_repair": lambda b: lemma_repair(ONE_CLASS, budget=b),
+    # no initial state: the complement needs no monoid
+    "complement": lambda b: complement(automaton("ab", ["q"], [], [], []), state_budget=b),
+    "compile_to_buchi": lambda b: compile_to_buchi(SOME_A, "ab", state_budget=b),
+    "mso_satisfiable": lambda b: mso_satisfiable(SOME_A, "ab", state_budget=b),
+    "evaluate": lambda b: evaluate(SOME_A, UPValuation(word=up_word("", "a", AB)),
+                                   state_budget=b),
+}
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("entry", sorted(BUDGETED))
+def test_budget_below_one_is_refused_where_it_enters(entry, budget):
+    """Every public entry point that takes a budget refuses one below 1 up
+    front, even where the budget would never be reached; a budget of 1
+    answers or runs out."""
+    with pytest.raises(FormatError, match="budget must be at least 1"):
+        BUDGETED[entry](budget)
+    try:
+        BUDGETED[entry](1)
+    except BudgetExceededError:
+        pass

@@ -242,3 +242,26 @@ def test_private_name_check_sees_calls_attributes_and_imports():
     assert private_definitions(tree) == ["_A", "_B", "_C", "_D", "_f", "_K", "_E"]
     assert [d for d in private_definitions(tree) if d not in referenced_names(tree)] == \
         ["_D", "_f", "_K", "_E"]
+
+
+MONOID_PRIVATE = {"_right", "_columns", "_letters", "_index"}
+
+
+def monoid_private_reads(tree: ast.Module) -> list[str]:
+    """The attribute reads of `TransitionMonoid`'s private field names."""
+    return [f"line {node.lineno}: {node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in MONOID_PRIVATE]
+
+
+def test_only_buchi_reads_the_monoids_private_fields():
+    """Other modules read the transition monoid through `rows`, `compose`,
+    `left_ideal` and its other public names.  The check itself sees a read
+    in any expression, and buchi's own reads show it scans real code."""
+    reads = {p.stem: monoid_private_reads(ast.parse(p.read_text(encoding="utf-8")))
+             for p in Path(omegaword.__file__).parent.glob("*.py")}
+    assert {name: found for name, found in reads.items() if found and name != "buchi"} == {}
+    assert reads["buchi"]
+    tree = ast.parse("right = m._right + [[m.letter(x) for x in a]]\n"
+                     "k = f(m)._index[p]\nm._columns = []\nprint(_letters, m.rows)\n")
+    assert monoid_private_reads(tree) == ["line 1: _right", "line 2: _index"]

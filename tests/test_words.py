@@ -13,6 +13,7 @@ from omegaword.errors import (
     UnsupportedWordError,
 )
 from helpers import ref_first_other_letter
+from omegaword.buchi import accepts_up, automaton
 from omegaword.words import (
     AffineLengths,
     BlockWord,
@@ -457,3 +458,40 @@ def test_block_word_validation():
         AffineLengths(0, 3)
     with pytest.raises(FormatError):
         EventuallyPeriodicLengths((1,), ())
+
+
+# ---------------------------------------------------------------------------
+# the alphabet of a word
+
+
+def test_finite_word_reads_its_alphabet_through_alphabet():
+    """A string alphabet is its letters, as in `automaton` and `classifier`,
+    not a text that letters are substrings of."""
+    for alpha in ("ab", ["a", "b"], AB):
+        assert finite_word("ab", alpha) == FiniteWord(AB, ("a", "b"))
+    with pytest.raises(AlphabetMismatchError, match="letter 'ab' is not in alphabet"):
+        finite_word(["ab"], "ab")
+    with pytest.raises(AlphabetMismatchError, match="letter 'c' is not in alphabet"):
+        finite_word("abc", "ab")
+
+
+def test_up_word_reads_its_alphabet_through_alphabet():
+    everything = automaton("ab", ["q"], ["q"], ["q"], [("q", "a", "q"), ("q", "b", "q")])
+    for alpha in ("ab", ["a", "b"], AB):
+        w = up_word("b", "ab", alpha)
+        assert w == UPWord(AB, ("b",), ("a", "b")) and accepts_up(everything, w)
+    with pytest.raises(AlphabetMismatchError, match="letter 'ab' is not in alphabet"):
+        up_word("", ["ab"], "ab")
+    with pytest.raises(AlphabetMismatchError, match="letter 'c' is not in alphabet"):
+        up_word("", "abc", "ab")
+
+
+@pytest.mark.parametrize("build", [lambda alpha: FiniteWord(alpha, ("a",)),
+                                   lambda alpha: UPWord(alpha, (), ("a",)),
+                                   lambda alpha: BlockWord(alpha, "a", "b", ConstantLengths(1))],
+                         ids=["FiniteWord", "UPWord", "BlockWord"])
+def test_constructors_refuse_an_alphabet_that_is_no_alphabet(build):
+    assert build(AB).alphabet is AB
+    for alpha in ("ab", ("a", "b"), ["a", "b"]):
+        with pytest.raises(FormatError, match="^an alphabet must be an Alphabet, not "):
+            build(alpha)
